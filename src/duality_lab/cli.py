@@ -8,9 +8,7 @@ violation signals an implementation fault, not bad user data).
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -23,19 +21,11 @@ from duality_lab.coherence import (
     degree_of_coherence,
     random_coherence,
 )
-from duality_lab.scenario import Scenario, ScenarioError, load_scenario
+from duality_lab.scenario import Scenario, ScenarioError, _read_json, load_scenario, load_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("DUALITY_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_report(report: measures.DualityReport, path: Path) -> None:
@@ -61,7 +51,7 @@ def run_scenario(
         report = measures.duality_report(sc.slits.intensities, sc.coherence)
         _write_report(report, out / sc.report_json)
         if sc.oracle_enabled:
-            conv = oracle.convergence_report(
+            _, conv = oracle.convergence_report(
                 sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
             )
             (out / sc.convergence_json).write_text(json.dumps(conv, indent=2) + "\n")
@@ -74,16 +64,10 @@ def run_scenario(
     return EXIT_OK
 
 
-def _sweep_instance(master_seed: int, n: int, seed: int, rank_policy) -> measures.DualityReport:
+def _sweep_instance(master_seed: int, n: int, seed: int, rank: int) -> measures.DualityReport:
     rng = np.random.default_rng((master_seed, n, seed))
     # uniform on the intensity simplex, rescaled to exercise scale invariance
     intensities = rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0)
-    if rank_policy == "full":
-        rank = n
-    elif rank_policy == "rank1":
-        rank = 1
-    else:
-        rank = int(rank_policy)
     coh = random_coherence(n, rank, seed=int(rng.integers(0, 2**63)))
     return measures.duality_report(intensities, coh)
 
@@ -93,46 +77,9 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
     one CSV row per instance plus a trailing summary row."""
     out = Path(out_dir)
     try:
-        with open(config, "r") as f:
-            text = f.read()
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{config}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        if obj.get("schema") != 1:
-            raise ScenarioError(f"schema: expected 1, got {obj.get('schema')!r}")
-        spec = obj.get("sweep")
-        if not isinstance(spec, dict):
-            raise ScenarioError("sweep: missing sweep block")
-        n_min = int(spec.get("n_min", 2))
-        n_max = int(spec.get("n_max", 8))
-        seeds = int(spec.get("seeds", 100))
-        rank_policy = spec.get("rank_policy", "full")
-        master = int(spec.get("seed", 0)) if seed is None else seed
-        if n_min < 2 or n_max < n_min:
-            raise ScenarioError(f"sweep: bad n range [{n_min}, {n_max}]")
-        if seeds < 1:
-            raise ScenarioError("sweep.seeds: need at least 1")
-        if rank_policy not in ("full", "rank1"):
-            try:
-                if int(rank_policy) < 1:
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise ScenarioError(
-                    f"sweep.rank_policy: expected full, rank1 or a positive integer, "
-                    f"got {rank_policy!r}"
-                ) from None
-
-        cases = [(n, s) for n in range(n_min, n_max + 1) for s in range(seeds)]
-        workers = _thread_cap()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(
-                    pool.map(lambda c: _sweep_instance(master, c[0], c[1], rank_policy), cases)
-                )
-        else:
-            reports = [_sweep_instance(master, n, s, rank_policy) for n, s in cases]
-
+        sweep = load_sweep(config, seed_override=seed)
+        cases = [(n, s) for n in range(sweep.n_min, sweep.n_max + 1) for s in range(sweep.seeds)]
+        reports = [_sweep_instance(sweep.seed, n, s, sweep.rank or n) for n, s in cases]
         out.mkdir(parents=True, exist_ok=True)
         max_pyth_lhs = max(r.pyth_lhs for r in reports)
         max_lin_lhs = max(r.lin_lhs for r in reports)
@@ -277,10 +224,7 @@ def mc_validate_cmd(config, out, scale_w, seed):
     if not sc.oracle_enabled:
         click.echo("error: oracle: not enabled in config", err=True)
         sys.exit(EXIT_INPUT)
-    mc = oracle.mc_pattern(
-        sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
-    )
-    conv = oracle.convergence_report(
+    mc, conv = oracle.convergence_report(
         sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
     )
     out_dir = Path(out)
@@ -304,12 +248,7 @@ def sweep_cmd(config, out, seed):
 def gamma_n_cmd(config):
     """Print the n-point degree of coherence of a matrix or scenario config."""
     try:
-        with open(config, "r") as f:
-            obj = json.load(f)
-    except json.JSONDecodeError as exc:
-        click.echo(f"error: {config}:{exc.lineno}:{exc.colno}: {exc.msg}", err=True)
-        sys.exit(EXIT_INPUT)
-    try:
+        obj = _read_json(config)
         if isinstance(obj, dict) and "re" in obj and "im" in obj:
             coh = CoherenceMatrix.from_json(json.dumps(obj))
         else:

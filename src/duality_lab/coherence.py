@@ -28,6 +28,10 @@ class TooSmall(CoherenceMatrixError):
     """Fewer than two slits."""
 
 
+class NotFinite(CoherenceMatrixError):
+    """Some g_ij is NaN or infinite."""
+
+
 class NotHermitian(CoherenceMatrixError):
     """g_ij differs from conj(g_ji) beyond tolerance."""
 
@@ -96,6 +100,7 @@ def validate(matrix) -> CoherenceMatrix:
 
     Rejections:
       TooSmall                 fewer than 2 slits
+      NotFinite                some entry is NaN or infinite
       NotHermitian             max |g_ij - conj(g_ji)| > 1e-10
       DiagonalNotUnit          max |g_ii - 1| > 1e-10
       NotPositiveSemidefinite  smallest eigenvalue < -1e-10, or any
@@ -107,6 +112,10 @@ def validate(matrix) -> CoherenceMatrix:
     n = m.shape[0]
     if n < 2:
         raise TooSmall(f"need at least 2 slits, got n={n}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NotFinite(f"g[{i},{j}] = {m[i, j]} is not finite")
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |g_ij - conj(g_ji)| = {herm_dev:.3e}")

@@ -48,16 +48,20 @@ class SlitArray:
         inten = np.asarray(self.intensities, dtype=float)
         if inten.ndim != 1 or inten.size < 2:
             raise ValueError(f"need at least 2 slits, got {inten.size}")
+        if not np.all(np.isfinite(inten)):
+            raise ValueError("slit intensities must be finite")
         if np.any(inten < 0.0):
             raise ValueError("slit intensities must be nonnegative")
         if inten.sum() <= 0.0:
             raise ValueError("total slit intensity must be positive")
-        if not self.spacing > 0.0:
-            raise ValueError(f"slit spacing must be positive, got {self.spacing}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"slit spacing must be positive and finite, got {self.spacing}")
         ph = self.phases
         ph = np.zeros(inten.size) if ph is None else np.asarray(ph, dtype=float)
         if ph.shape != inten.shape:
             raise ValueError("phases must match the intensity vector length")
+        if not np.all(np.isfinite(ph)):
+            raise ValueError("slit phases must be finite")
         object.__setattr__(self, "intensities", inten)
         object.__setattr__(self, "phases", ph)
         inten.setflags(write=False)
@@ -88,6 +92,10 @@ class ScreenGeometry:
     phase_model: str = "small_angle"
 
     def __post_init__(self):
+        for name in ("wavelength", "distance", "x_min", "x_max", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.wavelength > 0.0:
             raise ValueError("wavelength must be positive")
         if not self.distance > 0.0:
@@ -217,21 +225,25 @@ def _exact_phases(geometry: ScreenGeometry, slits: SlitArray, x: np.ndarray) -> 
     return (2.0 * np.pi / geometry.wavelength) * paths
 
 
-def _mutual_intensity(slits: SlitArray, coh: CoherenceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    # Real and imaginary parts of the Hermitian PSD matrix
-    # A_ij = sqrt(I_i I_j) g_ij exp(i(alpha_i - alpha_j)); the quadratic form
-    # u A u* is the intensity before the envelope.  Built from real ufuncs
-    # only: numpy's complex multiply fuses multiply-adds on some CPUs, which
-    # would tie the bits of A to the build.
-    if coh.n != slits.n:
+def mutual_intensity(
+    intensities, coh: CoherenceMatrix, phases=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the Hermitian PSD mutual-intensity matrix
+    A_ij = sqrt(I_i) sqrt(I_j) g_ij exp(i(alpha_i - alpha_j)), J for zero
+    phases: the pattern is u A u* times the envelope, and A = <E_i E_j*> is
+    what the oracle samples.  Built from real ufuncs only: numpy's complex
+    multiply fuses multiply-adds on some CPUs, which would tie A to the build.
+    """
+    amps = np.sqrt(intensities)
+    if coh.n != amps.size:
         raise ValueError(
-            f"coherence matrix size {coh.n} does not match slit count {slits.n}"
+            f"coherence matrix size {coh.n} does not match slit count {amps.size}"
         )
     g_re = 0.5 * (coh.entries.real + coh.entries.real.T)
     g_im = 0.5 * (coh.entries.imag - coh.entries.imag.T)
-    amps = np.sqrt(slits.intensities)
     weight = np.multiply.outer(amps, amps)
-    dphi = np.subtract.outer(slits.phases, slits.phases)
+    phases = np.zeros(amps.size) if phases is None else phases
+    dphi = np.subtract.outer(phases, phases)
     cos, sin = np.cos(dphi), np.sin(dphi)
     return weight * (g_re * cos - g_im * sin), weight * (g_re * sin + g_im * cos)
 
@@ -247,7 +259,7 @@ def _intensity_samples(
     # IEEE-754 arithmetic and on the platform libm's cos/sin (and hypot in
     # the exact model), which is what makes seeded outputs byte-stable.
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a_re, a_im = _mutual_intensity(slits, coh)
+    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
     n = slits.n
     incoherent_sum = math.fsum(slits.intensities.tolist())
     q = np.full(x.shape, incoherent_sum)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from duality_lab.coherence import CoherenceMatrix, degree_of_coherence
+from duality_lab.engine import mutual_intensity
 
 IDENTITY_TOL = 1e-12
 INEQUALITY_TOL = 1e-12
@@ -24,10 +26,39 @@ class ZeroTotalIntensity(ValueError):
     """All slit intensities are zero."""
 
 
-def _pair_weights(intensities) -> tuple[np.ndarray, float, int]:
-    """Ordered-pair weight matrix sqrt(I_i I_j) (zero diagonal) and the
-    normalizer (n-1) * sum(I), computed on intensities rescaled by their
-    maximum.
+class _PairSums(NamedTuple):
+    """Sums over ordered pairs, each over (n-1) sum_k I_k, of sqrt(I_i I_j) (s),
+    sqrt(I_i I_j)|g_ij| (v_c) and sqrt(I_i I_j)(1 - |g_ij|) (rest).  Every
+    measure and relation is written once, here."""
+
+    s: float
+    v_c: float | None = None
+    rest: float | None = None
+
+    @property
+    def d(self) -> float:
+        return float(np.sqrt(max(0.0, 1.0 - self.s * self.s)))
+
+    @property
+    def d_prime(self) -> float:
+        return 1.0 - self.s
+
+    def pythagorean(self) -> tuple[float, float, float]:
+        d = self.d
+        lhs = d * d + self.v_c * self.v_c
+        rhs = (1.0 - self.s * self.s) + self.v_c * self.v_c
+        return lhs, rhs, abs(lhs - rhs)
+
+    def linear(self) -> tuple[float, float, float]:
+        lhs = self.d_prime + self.v_c
+        rhs = 1.0 - self.rest
+        return lhs, rhs, abs(lhs - rhs)
+
+
+def _pair_weights(intensities, coh: CoherenceMatrix | None = None) -> _PairSums:
+    """Ordered-pair sums of the weights sqrt(I_i I_j), alone and, given a
+    coherence matrix, times |g_ij| and 1 - |g_ij|, over the normalizer
+    (n-1) * sum(I); computed on intensities rescaled by their maximum.
 
     The rescaling is exact for the limit cases: equal intensities become
     exactly 1.0 each, so the weighted sums divide out exactly and the
@@ -45,12 +76,16 @@ def _pair_weights(intensities) -> tuple[np.ndarray, float, int]:
     r = inten / inten.max()
     pair = np.sqrt(np.outer(r, r))
     np.fill_diagonal(pair, 0.0)
-    return pair, (n - 1) * r.sum(), n
-
-
-def _check_match(n: int, coh: CoherenceMatrix) -> None:
+    norm = (n - 1) * r.sum()
+    s = float(pair.sum() / norm)
+    if coh is None:
+        return _PairSums(s)
     if coh.n != n:
         raise ValueError(f"coherence matrix size {coh.n} does not match {n} slits")
+    mag = coh.magnitudes()
+    return _PairSums(
+        s, float((pair * mag).sum() / norm), float((pair * (1.0 - mag)).sum() / norm)
+    )
 
 
 def visibility_analytic(intensities, coh: CoherenceMatrix) -> float:
@@ -61,14 +96,7 @@ def visibility_analytic(intensities, coh: CoherenceMatrix) -> float:
     |g_12| * 2*sqrt(I_1 I_2)/(I_1 + I_2); for equal intensities it equals
     the n-point degree of coherence.
     """
-    pair, norm, n = _pair_weights(intensities)
-    _check_match(n, coh)
-    return float((pair * coh.magnitudes()).sum() / norm)
-
-
-def _weight_fraction(intensities) -> float:
-    pair, norm, _ = _pair_weights(intensities)
-    return float(pair.sum() / norm)
+    return _pair_weights(intensities, coh).v_c
 
 
 def distinguishability(intensities) -> float:
@@ -78,14 +106,13 @@ def distinguishability(intensities) -> float:
     1 when a single slit is open, 0 for equal intensities; reduces to
     |I_1 - I_2|/(I_1 + I_2) for two slits.
     """
-    s = _weight_fraction(intensities)
-    return float(np.sqrt(max(0.0, 1.0 - s * s)))
+    return _pair_weights(intensities).d
 
 
 def distinguishability_prime(intensities) -> float:
     """Simpler path distinguishability D' = 1 - s; for two slits equals
     (sqrt(I_1) - sqrt(I_2))^2 / (I_1 + I_2).  Never exceeds D."""
-    return 1.0 - _weight_fraction(intensities)
+    return _pair_weights(intensities).d_prime
 
 
 def michelson(i_max: float, i_min: float) -> float:
@@ -101,26 +128,13 @@ def pythagorean_identity(intensities, coh: CoherenceMatrix) -> tuple[float, floa
     """Evaluate D^2 + V_C^2 against its closed form 1 - s^2 + (weighted
     coherence sum)^2.  Returns (lhs, rhs, |lhs - rhs|); the residual is
     rounding-level because the relation is algebraic."""
-    pair, norm, n = _pair_weights(intensities)
-    _check_match(n, coh)
-    s = float(pair.sum() / norm)
-    vc = float((pair * coh.magnitudes()).sum() / norm)
-    d = np.sqrt(max(0.0, 1.0 - s * s))
-    lhs = d * d + vc * vc
-    rhs = (1.0 - s * s) + vc * vc
-    return float(lhs), float(rhs), float(abs(lhs - rhs))
+    return _pair_weights(intensities, coh).pythagorean()
 
 
 def linear_identity(intensities, coh: CoherenceMatrix) -> tuple[float, float, float]:
     """Evaluate D' + V_C against 1 - (1/(n-1)) sum_{i != j}
     sqrt(I_i I_j)(1 - |g_ij|) / sum_k I_k.  Returns (lhs, rhs, residual)."""
-    pair, norm, n = _pair_weights(intensities)
-    _check_match(n, coh)
-    s = float(pair.sum() / norm)
-    vc = float((pair * coh.magnitudes()).sum() / norm)
-    lhs = (1.0 - s) + vc
-    rhs = 1.0 - float((pair * (1.0 - coh.magnitudes())).sum() / norm)
-    return float(lhs), float(rhs), float(abs(lhs - rhs))
+    return _pair_weights(intensities, coh).linear()
 
 
 @dataclass(frozen=True)
@@ -143,9 +157,8 @@ def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:
     total = inten.sum()
     if total <= 0.0:
         raise ZeroTotalIntensity("sum of slit intensities is zero")
-    _check_match(inten.size, coh)
-    g = 0.5 * (coh.entries + coh.entries.conj().T)
-    rho = np.sqrt(np.outer(inten, inten)) * g / total
+    a_re, a_im = mutual_intensity(inten, coh)
+    rho = (a_re + 1j * a_im) / total
     # diagonal coherences are 1 by definition, so rho_ii = I_i / total exactly
     np.fill_diagonal(rho, inten / total)
     return BeamDensityMatrix(n=inten.size, rho=rho)
@@ -155,7 +168,9 @@ def quantum_coherence(density: BeamDensityMatrix) -> float:
     """l1-style coherence of a density matrix: (1/(n-1)) sum_{i != j} |rho_ij|.
 
     For the beam-induced density matrix this equals the corrected visibility
-    (identical arithmetic, different packaging)."""
+    V_C, reached by a different rounding route: |rho_ij| is taken after the
+    entries of rho are formed, V_C weights the moduli |g_ij| by rescaled
+    intensities, so the two agree to rounding, not bit for bit."""
     mag = np.abs(density.rho)
     np.fill_diagonal(mag, 0.0)
     return float(mag.sum() / (density.n - 1))
@@ -186,20 +201,16 @@ class DualityReport:
 
 def duality_report(intensities, coh: CoherenceMatrix) -> DualityReport:
     """Compute every measure and both duality checks for one instance."""
-    vc = visibility_analytic(intensities, coh)
-    d = distinguishability(intensities)
-    d_prime = distinguishability_prime(intensities)
-    gn = degree_of_coherence(coh)
-    c = quantum_coherence(density_from_beams(intensities, coh))
-    pyth_lhs, _, pyth_res = pythagorean_identity(intensities, coh)
-    lin_lhs, _, lin_res = linear_identity(intensities, coh)
+    sums = _pair_weights(intensities, coh)
+    pyth_lhs, _, pyth_res = sums.pythagorean()
+    lin_lhs, _, lin_res = sums.linear()
     return DualityReport(
         n=coh.n,
-        v_c=vc,
-        d=d,
-        d_prime=d_prime,
-        gamma_n=gn,
-        c=c,
+        v_c=sums.v_c,
+        d=sums.d,
+        d_prime=sums.d_prime,
+        gamma_n=degree_of_coherence(coh),
+        c=quantum_coherence(density_from_beams(intensities, coh)),
         pyth_lhs=pyth_lhs,
         lin_lhs=lin_lhs,
         pyth_residual=pyth_res,

@@ -1,10 +1,11 @@
 """Monte-Carlo field-ensemble validation of the analytic pattern.
 
 Random stationary fields are synthesized by eigenmode (Karhunen-Loeve)
-sampling of the mutual-intensity matrix J_ij = sqrt(I_i I_j) g_ij: each
-realization is E = sum_m sqrt(lambda_m) u_m c_m with (lambda_m, u_m) the
-eigenpairs of J and c_m independent complex circular Gaussians of unit
-variance, so the ensemble second moments <E_i E_j*> reproduce J exactly.
+sampling of the mutual-intensity matrix A_ij = sqrt(I_i I_j) g_ij
+exp(i(alpha_i - alpha_j)) of engine.mutual_intensity, slit phases included:
+each realization is E = sum_m sqrt(lambda_m) u_m c_m with (lambda_m, u_m) the
+eigenpairs of A and c_m independent complex circular Gaussians of unit
+variance, so the ensemble second moments <E_i E_j*> reproduce A exactly.
 Propagating every realization to the screen and averaging |field|^2
 converges to the analytic pattern at the usual 1/sqrt(N) Monte-Carlo rate.
 """
@@ -20,6 +21,7 @@ from duality_lab.engine import (
     InterferencePattern,
     ScreenGeometry,
     SlitArray,
+    mutual_intensity,
     pattern,
     slit_phase_factors,
 )
@@ -55,19 +57,13 @@ class EnsembleSpec:
 def ensemble_spec(
     slits: SlitArray, coh: CoherenceMatrix, realizations: int, seed: int
 ) -> EnsembleSpec:
-    """Eigendecompose J_ij = sqrt(I_i I_j) g_ij for sampling.
+    """Eigendecompose the mutual-intensity matrix A, slit phases included.
 
     Eigenvalues within the -1e-10 floor of zero are clipped to zero; more
     negative ones mean the matrix is not realizable and raise.
     """
-    if coh.n != slits.n:
-        raise ValueError(
-            f"coherence matrix size {coh.n} does not match slit count {slits.n}"
-        )
-    g = 0.5 * (coh.entries + coh.entries.conj().T)
-    amps = np.sqrt(slits.intensities)
-    j = np.outer(amps, amps) * g
-    lam, modes = np.linalg.eigh(j)
+    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    lam, modes = np.linalg.eigh(a_re + 1j * a_im)
     floor = EIGENVALUE_FLOOR * max(1.0, float(slits.intensities.sum()))
     if lam[0] < floor:
         raise ValueError(f"mutual-intensity eigenvalue {lam[0]:.3e} below floor")
@@ -101,17 +97,16 @@ def mc_pattern(
 ) -> InterferencePattern:
     """Ensemble-averaged intensity pattern from sampled field realizations.
 
-    Each realization is propagated to the screen as
-    sqrt(envelope(x)) * sum_i E_i u_i(x) exp(i alpha_i) and the intensities
-    are averaged over the ensemble.  Deterministic given the seed: chunked
-    accumulation in a fixed order makes reruns bit-identical.
+    Each realization, whose slit fields already carry the slit phases, is
+    propagated to the screen as sqrt(envelope(x)) * sum_i E_i u_i(x) and the
+    intensities are averaged over the ensemble.  Deterministic given the
+    seed: chunked accumulation in a fixed order makes reruns bit-identical.
     """
     if realizations < 100:
         raise ValueError("need at least 100 realizations for a meaningful average")
     spec = ensemble_spec(slits, coh, realizations, seed)
     x = geometry.grid()
-    u = slit_phase_factors(geometry, slits, x)
-    propagate = (u * np.exp(1j * slits.phases)[None, :]).T  # (n, samples)
+    propagate = slit_phase_factors(geometry, slits, x).T  # (n, samples)
     # sum_k |sum_i E_i u_i|^2 factored through the realization Gram matrix
     # sum_k E_k E_k^dagger: same ensemble statistic, O(N n^2) instead of O(N n X)
     gram = np.zeros((slits.n, slits.n), dtype=complex)
@@ -143,19 +138,19 @@ def convergence_report(
     geometry: ScreenGeometry,
     realizations: int,
     seed: int,
-) -> dict:
-    """Compare the Monte-Carlo pattern against the analytic one.
+) -> tuple[InterferencePattern, dict]:
+    """Run the Monte-Carlo ensemble and compare it against the analytic pattern.
 
-    Reports the largest pointwise deviation across the grid, normalized by
-    the analytic primary-maximum intensity, and where it occurs:
-    {"N": ..., "max_rel_dev": ..., "at_x": ...}.
+    Returns the ensemble pattern together with the largest pointwise
+    deviation across the grid, normalized by the analytic primary-maximum
+    intensity, and where it occurs: {"N": ..., "max_rel_dev": ..., "at_x": ...}.
     """
     mc = mc_pattern(slits, coh, geometry, realizations, seed)
     analytic = pattern(slits, coh, geometry)
     peak = float(analytic.total.max())
     dev = np.abs(mc.total - analytic.total) / peak
     worst = int(np.argmax(dev))
-    return {
+    return mc, {
         "N": realizations,
         "max_rel_dev": float(dev[worst]),
         "at_x": float(mc.grid[worst]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,15 +18,47 @@ class ScenarioError(ValueError):
     """Config rejection, anchored by source line (parse) or key path (schema)."""
 
 
-def _get(obj, key, path, expect=None):
+_REQUIRED = object()
+
+
+def _get(obj, key, path, expect=None, default=_REQUIRED):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
     if key not in obj:
-        raise ScenarioError(f"{path}.{key}: missing required key")
+        if default is _REQUIRED:
+            raise ScenarioError(f"{path}.{key}: missing required key")
+        return default
     value = obj[key]
-    if expect is not None and not isinstance(value, expect):
+    # JSON true/false parse to bool, which Python counts as an int
+    if expect is not None and (isinstance(value, bool) or not isinstance(value, expect)):
         raise ScenarioError(f"{path}.{key}: wrong type {type(value).__name__}")
     return value
+
+
+def _read_json(path):
+    """Parse a JSON file.  Syntax errors carry path:line:col; NaN, Infinity
+    and -Infinity, which Python's json module would accept but JSON does not
+    define, are rejected by name."""
+
+    def reject(token):
+        raise ScenarioError(f"{path}: {token} is not a JSON number")
+
+    with open(path, "r") as f:
+        text = f.read()
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _read_config(path) -> dict:
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise ScenarioError("top level: expected an object")
+    schema = obj.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ScenarioError(f"schema: expected {SCHEMA_VERSION}, got {schema!r}")
+    return obj
 
 
 def _complex_array(obj, path, shape=None) -> np.ndarray:
@@ -101,17 +134,7 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
     the dotted key path.  seed_override replaces every seed in the config
     (random coherence and oracle).
     """
-    with open(path, "r") as f:
-        text = f.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ScenarioError("top level: expected an object")
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise ScenarioError(f"schema: expected {SCHEMA_VERSION}, got {obj.get('schema')!r}")
-
+    obj = _read_config(path)
     slits_spec = _get(obj, "slits", "top level", dict)
     n = _get(slits_spec, "n", "slits", int)
     if n < 2:
@@ -168,3 +191,47 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
         report_json=outputs.get("report_json", "report.json"),
         convergence_json=outputs.get("convergence_json", "convergence.json"),
     )
+
+
+class Sweep(NamedTuple):
+    """`seeds` random instances for each slit count n_min..n_max from the
+    master `seed`, each with coherence rank `rank` (None: full rank n)."""
+
+    n_min: int
+    n_max: int
+    seeds: int
+    seed: int
+    rank: int | None
+
+
+def load_sweep(path, seed_override: int | None = None) -> Sweep:
+    """Load and validate a sweep config, {"schema": 1, "sweep": {...}}: JSON
+    integers n_min (default 2), n_max (8), seeds (100) and seed (0), and
+    rank_policy "full" (default), "rank1" or a positive integer, also as a
+    string.  seed_override replaces the master seed."""
+    spec = _get(_read_config(path), "sweep", "top level", dict)
+    n_min = _get(spec, "n_min", "sweep", int, default=2)
+    n_max = _get(spec, "n_max", "sweep", int, default=8)
+    seeds = _get(spec, "seeds", "sweep", int, default=100)
+    seed = _get(spec, "seed", "sweep", int, default=0)
+    if n_min < 2 or n_max < n_min:
+        raise ScenarioError(f"sweep: bad n range [{n_min}, {n_max}]")
+    if seeds < 1:
+        raise ScenarioError("sweep.seeds: need at least 1")
+    if seed < 0:
+        raise ScenarioError(f"sweep.seed: need a nonnegative integer, got {seed}")
+    policy = spec.get("rank_policy", "full")
+    if policy == "full":
+        rank = None
+    elif policy == "rank1":
+        rank = 1
+    elif isinstance(policy, str) and policy.isascii() and policy.isdigit():
+        rank = int(policy)
+    else:
+        rank = policy
+    if rank is not None and (type(rank) is not int or rank < 1):  # rejects JSON true too
+        raise ScenarioError(
+            f"sweep.rank_policy: expected full, rank1 or a positive integer, got {policy!r}"
+        )
+    seed = seed if seed_override is None else seed_override
+    return Sweep(n_min, n_max, seeds, seed, rank)

@@ -50,6 +50,14 @@ def saturated_two_slit(tmp_path):
     )
 
 
+def assert_input_error(result, fragment):
+    # exit 1 through the program's own error path, not an uncaught exception
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    assert fragment in result.output
+
+
 class TestMeasuresCommand:
     def test_saturated_scenario(self, runner, tmp_path):
         cfg = saturated_two_slit(tmp_path)
@@ -138,6 +146,56 @@ class TestMcValidateCommand:
         assert "not enabled" in result.output
 
 
+def _set_intensity(cfg, value):
+    cfg["slits"]["intensities"][0] = value
+
+
+def _set_coherence(cfg, value):
+    cfg["coherence"]["matrix"]["re"][0][1] = value
+    cfg["coherence"]["matrix"]["re"][1][0] = value
+
+
+def _set_wavelength(cfg, value):
+    cfg["geometry"]["wavelength"] = value
+
+
+class TestNonFiniteInput:
+    # 1e999 is valid JSON that overflows to inf, so the domain checks see it
+    SENTINEL = 12345.678
+
+    def scenario_text(self, setter, token):
+        cfg = json.loads(THREE_SLIT.read_text())
+        setter(cfg, self.SENTINEL)
+        return json.dumps(cfg).replace(repr(self.SENTINEL), token)
+
+    @pytest.mark.parametrize("setter", [_set_intensity, _set_coherence, _set_wavelength])
+    @pytest.mark.parametrize(
+        "token, fragment",
+        [("NaN", "NaN is not a JSON number"), ("Infinity", "Infinity is not a JSON number"),
+         ("-Infinity", "-Infinity is not a JSON number"), ("1e999", "finite")],
+    )
+    def test_scenario_exits_one(self, runner, tmp_path, setter, token, fragment):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(self.scenario_text(setter, token))
+        result = runner.invoke(main, ["measures", "--config", str(cfg), "--out", str(tmp_path)])
+        assert_input_error(result, fragment)
+
+    @pytest.mark.parametrize("token, fragment", [("NaN", "NaN"), ("1e999", "not finite")])
+    def test_gamma_n_matrix_exits_one(self, runner, tmp_path, token, fragment):
+        path = tmp_path / "matrix.json"
+        text = dl.validate(np.eye(2)).to_json().replace("0.0", token, 1)
+        path.write_text(text)
+        result = runner.invoke(main, ["gamma-n", "--config", str(path)])
+        assert_input_error(result, fragment)
+
+    def test_bool_rank_exits_one(self, runner, tmp_path):
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        cfg_obj["coherence"] = {"random": {"rank": True, "seed": 1}}
+        cfg = write_scenario(tmp_path, cfg_obj)
+        result = runner.invoke(main, ["measures", "--config", str(cfg), "--out", str(tmp_path)])
+        assert_input_error(result, "coherence.random.rank: wrong type bool")
+
+
 class TestGammaNCommand:
     def test_matrix_file(self, runner, tmp_path):
         coh = dl.random_coherence(3, 2, seed=1)
@@ -185,6 +243,40 @@ class TestSweepCommand:
         assert result.exit_code == 0
         for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:-1]:
             assert float(line.split(",")[7]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "sweep, fragment",
+        [
+            ('{\n  "schema": 1,\n  "sweep": oops\n}\n', "sweep.json:3:"),
+            ({"schema": 2, "sweep": {}}, "schema: expected 1, got 2"),
+            ({"schema": 1}, "sweep: missing required key"),
+            ({"n_min": 5, "n_max": 3}, "sweep: bad n range [5, 3]"),
+            ({"n_min": 1}, "sweep: bad n range [1, 4]"),
+            ({"seeds": 0}, "sweep.seeds: need at least 1"),
+            ({"rank_policy": "half"}, "sweep.rank_policy: expected full, rank1"),
+            ({"rank_policy": "0"}, "sweep.rank_policy: expected full, rank1"),
+            ({"rank_policy": 2.5}, "sweep.rank_policy: expected full, rank1"),
+            ({"n_min": 2.9}, "sweep.n_min: wrong type float"),
+            ({"seeds": True}, "sweep.seeds: wrong type bool"),
+            ({"seed": -1}, "sweep.seed: need a nonnegative integer"),
+        ],
+    )
+    def test_bad_config_exits_one(self, runner, tmp_path, sweep, fragment):
+        path = tmp_path / "sweep.json"
+        if isinstance(sweep, str):
+            path.write_text(sweep)
+        elif "schema" in sweep:
+            path.write_text(json.dumps(sweep))
+        else:
+            path = self.sweep_config(tmp_path, **sweep)
+        result = runner.invoke(main, ["sweep", "--config", str(path), "--out", str(tmp_path)])
+        assert_input_error(result, fragment)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_rank_policy_integer_or_string(self, tmp_path):
+        for name, policy in (("int", 2), ("str", "2")):
+            assert run_sweep(self.sweep_config(tmp_path, rank_policy=policy), tmp_path / name) == 0
+        assert (tmp_path / "int" / "sweep.csv").read_bytes() == (tmp_path / "str" / "sweep.csv").read_bytes()
 
     def test_seed_override_changes_rows(self, tmp_path):
         cfg = self.sweep_config(tmp_path)

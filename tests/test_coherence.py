@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import duality_lab as dl
 from duality_lab.coherence import (
     DiagonalNotUnit,
+    NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
     TooSmall,
@@ -54,6 +55,15 @@ def test_indefinite_matrix_rejected():
     # moduli fine individually, but the triple is not jointly realizable
     m = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
     with pytest.raises(NotPositiveSemidefinite):
+        dl.validate(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_rejected(bad):
+    # a NaN slips past every tolerance comparison, so it is rejected by name
+    m = np.eye(3, dtype=complex)
+    m[0, 2] = m[2, 0] = bad
+    with pytest.raises(NotFinite, match=r"g\[0,2\]"):
         dl.validate(m)
 
 

@@ -51,6 +51,21 @@ class TestSlitArray:
         with pytest.raises(ValueError):
             dl.SlitArray(intensities=[1.0, 1.0], spacing=0.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"intensities": [np.nan, 1.0]},
+            {"intensities": [np.inf, 1.0]},
+            {"spacing": np.inf},
+            {"spacing": np.nan},
+            {"phases": [0.0, np.nan]},
+        ],
+    )
+    def test_rejects_non_finite(self, kw):
+        args = {"intensities": [1.0, 1.0], "spacing": SPACING, **kw}
+        with pytest.raises(ValueError, match="finite"):
+            dl.SlitArray(**args)
+
     def test_default_phases_zero(self):
         slits = two_slits()
         assert np.array_equal(slits.phases, np.zeros(2))
@@ -60,6 +75,21 @@ class TestScreenGeometry:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             dl.ScreenGeometry(WAVELENGTH, DISTANCE, x_min=0.1, x_max=-0.1)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"wavelength": np.inf},
+            {"distance": np.inf},
+            {"x_min": -np.inf},
+            {"x_max": np.nan},
+            {"envelope": "gaussian", "sigma": np.inf},
+        ],
+    )
+    def test_rejects_non_finite(self, kw):
+        args = {"wavelength": WAVELENGTH, "distance": DISTANCE, "x_min": -0.1, "x_max": 0.1, **kw}
+        with pytest.raises(ValueError, match="must be finite"):
+            dl.ScreenGeometry(**args)
 
     def test_gaussian_needs_sigma(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,9 @@ def standard_setup(samples=4096):
 
 
 def mutual_intensity(slits, coh):
-    return np.sqrt(np.outer(slits.intensities, slits.intensities)) * coh.entries
+    # sqrt(I_i I_j) g_ij exp(i(alpha_i - alpha_j)), the field second moment
+    dphi = np.subtract.outer(slits.phases, slits.phases)
+    return np.sqrt(np.outer(slits.intensities, slits.intensities)) * coh.entries * np.exp(1j * dphi)
 
 
 class TestRealizeFields:
@@ -52,7 +54,10 @@ class TestRealizeFields:
         assert sv[1] / sv[0] < 1e-12
 
     def test_sample_covariance_matches_mutual_intensity(self):
-        slits, coh, _ = standard_setup()
+        _, coh, _ = standard_setup()
+        slits = dl.SlitArray(
+            intensities=[1.0, 0.7, 0.4], spacing=SPACING, phases=[0.0, 0.9, -2.1]
+        )
         spec = ensemble_spec(slits, coh, 1, seed=13)
         N = 100_000
         fields = np.array([realize_fields(spec, k) for k in range(N)])
@@ -146,7 +151,8 @@ class TestEndToEnd:
 
     def test_convergence_report_shape(self):
         slits, coh, geom = standard_setup(samples=1024)
-        report = convergence_report(slits, coh, geom, 5000, seed=11)
+        mc, report = convergence_report(slits, coh, geom, 5000, seed=11)
+        assert mc.total.tobytes() == mc_pattern(slits, coh, geom, 5000, seed=11).total.tobytes()
         assert set(report.keys()) == {"N", "max_rel_dev", "at_x"}
         assert report["N"] == 5000
         assert 0.0 <= report["max_rel_dev"] < 0.2

@@ -139,3 +139,14 @@ def test_bad_geometry_reported(tmp_path):
     cfg["geometry"]["x_min"] = 1.0
     with pytest.raises(ScenarioError, match="geometry"):
         load_scenario(write(tmp_path, cfg))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("slits", "n", True), ("geometry", "samples", True), ("geometry", "wavelength", False)],
+)
+def test_bool_is_not_a_number(tmp_path, section, key, value):
+    cfg = base_config()
+    cfg[section][key] = value
+    with pytest.raises(ScenarioError, match=f"{section}.{key}: wrong type bool"):
+        load_scenario(write(tmp_path, cfg))
