@@ -12,7 +12,6 @@ from duality_lab.analysis import (
     extract_michelson,
     extract_vc,
     find_primary_max,
-    fringe_width,
     load_pattern_csv,
 )
 from duality_lab.coherence import (
@@ -30,6 +29,7 @@ from duality_lab.engine import (
     ScreenGeometry,
     SlitArray,
     delay,
+    fringe_width,
     intensity_at,
     pattern,
     write_pattern_csv,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from duality_lab.coherence import CoherenceMatrix
-from duality_lab.engine import InterferencePattern, ScreenGeometry, SlitArray
+from duality_lab.engine import InterferencePattern, SlitArray
 
 MIN_SAMPLES_PER_FRINGE = 64
 
@@ -37,11 +37,6 @@ class PeakEstimate:
     x_star: float
     i_max: float
     grid_index: int
-
-
-def fringe_width(geometry: ScreenGeometry, slits: SlitArray) -> float:
-    """Primary-maximum spacing w = wavelength * distance / slit spacing."""
-    return geometry.wavelength * geometry.distance / slits.spacing
 
 
 def find_primary_max(
@@ -129,33 +124,19 @@ def aligned_phases(slits: SlitArray, coh: CoherenceMatrix, tol: float = 1e-9) ->
 
 
 def load_pattern_csv(
-    path,
-    n: int,
-    wavelength: float,
-    distance: float,
-    spacing: float,
-    envelope: str = "uniform",
-    scale_w: bool = False,
+    path, n: int, fringe_width: float, scale_w: bool = False
 ) -> InterferencePattern:
     """Re-import an `x,total,incoherent` CSV written by the engine.
 
-    The CSV carries no geometry metadata, so the caller supplies it; when the
-    file was written with positions in fringe-width units, pass scale_w=True
-    to recover metres.
+    The CSV carries no geometry metadata, so the caller supplies the slit
+    count and the fringe width (engine.fringe_width); when the file was
+    written with positions in fringe-width units, pass scale_w=True to
+    recover metres.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float)
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValueError(f"expected 3 columns x,total,incoherent in {path}")
-    x = data[:, 0]
-    if scale_w:
-        x = x * (wavelength * distance / spacing)
+    x = data[:, 0] * fringe_width if scale_w else data[:, 0]
     return InterferencePattern(
-        grid=x,
-        total=data[:, 1],
-        incoherent=data[:, 2],
-        n=n,
-        wavelength=wavelength,
-        distance=distance,
-        spacing=spacing,
-        envelope=envelope,
+        grid=x, total=data[:, 1], incoherent=data[:, 2], n=n, fringe_width=fringe_width
     )

@@ -1,8 +1,8 @@
 """Batch front end: scenario runs, ensemble sweeps and offline analysis.
 
-Exit codes: 0 success, 1 input error, 2 a duality inequality was violated
-beyond tolerance (the relations are theorems for valid inputs, so a
-violation signals an implementation fault, not bad user data).
+Exit codes: 0 success, 1 input, usage or write error, 2 a duality inequality
+was violated beyond tolerance (the relations are theorems for valid inputs,
+so a violation signals an implementation fault, not bad user data).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -21,20 +22,27 @@ from duality_lab.coherence import (
     degree_of_coherence,
     random_coherence,
 )
-from duality_lab.scenario import Scenario, ScenarioError, _read_json, load_scenario, load_sweep
+from duality_lab.scenario import ScenarioError, _read_json, load_scenario, load_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
+
+PATTERN_CSV = "pattern.csv"
+REPORT_JSON = "report.json"
+CONVERGENCE_JSON = "convergence.json"
+
+
+def _fail(message) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_INPUT)
 
 
 def _write_report(report: measures.DualityReport, path: Path) -> None:
     path.write_text(report.to_json())
 
 
-def run_scenario(
-    config, out_dir, scale_w: bool | None = None, seed: int | None = None
-) -> int:
+def run_scenario(config, out_dir, seed: int | None = None) -> int:
     """Execute a full scenario: pattern CSV + duality report JSON, plus the
     Monte-Carlo convergence JSON when the oracle is enabled.
 
@@ -46,15 +54,14 @@ def run_scenario(
         sc = load_scenario(config, seed_override=seed)
         out.mkdir(parents=True, exist_ok=True)
         pat = engine.pattern(sc.slits, sc.coherence, sc.geometry)
-        use_scale = sc.scale_w if scale_w is None else scale_w
-        engine.write_pattern_csv(pat, out / sc.pattern_csv, scale_w=use_scale)
+        engine.write_pattern_csv(pat, out / PATTERN_CSV, scale_w=sc.scale_w)
         report = measures.duality_report(sc.slits.intensities, sc.coherence)
-        _write_report(report, out / sc.report_json)
+        _write_report(report, out / REPORT_JSON)
         if sc.oracle_enabled:
             _, conv = oracle.convergence_report(
                 sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
             )
-            (out / sc.convergence_json).write_text(json.dumps(conv, indent=2) + "\n")
+            (out / CONVERGENCE_JSON).write_text(json.dumps(conv, indent=2) + "\n")
     except (ScenarioError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
@@ -119,15 +126,26 @@ _seed_opt = click.option(
 )
 
 
-def _load_or_exit(config, seed) -> Scenario:
-    try:
-        return load_scenario(config, seed_override=seed)
-    except ScenarioError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+class _Main(click.Group):
+    """Runs click outside its standalone mode, which would exit 2 on a usage
+    error and end even a successful command with SystemExit(0).  Usage
+    errors, input errors and failed writes all end in one `error: <message>`
+    line and exit 1, keeping exit 2 for a violated duality relation; a
+    command that succeeds returns."""
+
+    def main(self, *args, **kwargs):
+        kwargs["standalone_mode"] = False
+        try:
+            return super().main(*args, **kwargs)
+        except click.ClickException as exc:
+            _fail(exc.format_message())
+        except click.Abort:
+            _fail("aborted")
+        except (ScenarioError, CoherenceMatrixError, OSError) as exc:
+            _fail(exc)
 
 
-@click.group()
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Multislit interference lab: patterns, duality measures, MC validation."""
 
@@ -139,12 +157,12 @@ def main():
 @_seed_opt
 def pattern_cmd(config, out, scale_w, seed):
     """Compute the analytic pattern and write pattern CSV."""
-    sc = _load_or_exit(config, seed)
+    sc = load_scenario(config, seed_override=seed)
     pat = engine.pattern(sc.slits, sc.coherence, sc.geometry)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_pattern_csv(pat, out_dir / sc.pattern_csv, scale_w=scale_w or sc.scale_w)
-    click.echo(f"wrote {out_dir / sc.pattern_csv}")
+    engine.write_pattern_csv(pat, out_dir / PATTERN_CSV, scale_w=scale_w or sc.scale_w)
+    click.echo(f"wrote {out_dir / PATTERN_CSV}")
 
 
 @main.command("measures")
@@ -153,11 +171,11 @@ def pattern_cmd(config, out, scale_w, seed):
 @_seed_opt
 def measures_cmd(config, out, seed):
     """Compute the duality report and write report JSON."""
-    sc = _load_or_exit(config, seed)
+    sc = load_scenario(config, seed_override=seed)
     report = measures.duality_report(sc.slits.intensities, sc.coherence)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(report, out_dir / sc.report_json)
+    _write_report(report, out_dir / REPORT_JSON)
     click.echo(report.to_json(), nl=False)
     if not (report.pyth_holds and report.lin_holds):
         click.echo("error: duality inequality violated beyond tolerance", err=True)
@@ -178,23 +196,15 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
 
     Reports both the operational and the analytic corrected visibility and
     flags disagreement when the pair phases are not aligned."""
-    sc = _load_or_exit(config, seed)
+    sc = load_scenario(config, seed_override=seed)
+    width = engine.fringe_width(sc.geometry, sc.slits)
     try:
-        pat = analysis.load_pattern_csv(
-            csv_path,
-            n=sc.slits.n,
-            wavelength=sc.geometry.wavelength,
-            distance=sc.geometry.distance,
-            spacing=sc.slits.spacing,
-            envelope=sc.geometry.envelope,
-            scale_w=scale_w or sc.scale_w,
-        )
+        pat = analysis.load_pattern_csv(csv_path, sc.slits.n, width, scale_w=scale_w or sc.scale_w)
         peak = analysis.find_primary_max(pat)
         v_c_op = analysis.extract_vc(pat)
         michelson = analysis.extract_michelson(pat)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(exc)
     v_c_an = measures.visibility_analytic(sc.slits.intensities, sc.coherence)
     aligned = analysis.aligned_phases(sc.slits, sc.coherence)
     result = {
@@ -220,17 +230,16 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
 def mc_validate_cmd(config, out, scale_w, seed):
     """Run the Monte-Carlo oracle and write its pattern CSV plus the
     convergence report JSON."""
-    sc = _load_or_exit(config, seed)
+    sc = load_scenario(config, seed_override=seed)
     if not sc.oracle_enabled:
-        click.echo("error: oracle: not enabled in config", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail("oracle: not enabled in config")
     mc, conv = oracle.convergence_report(
         sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
     )
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_pattern_csv(mc, out_dir / "mc_pattern.csv", scale_w=scale_w or sc.scale_w)
-    (out_dir / sc.convergence_json).write_text(json.dumps(conv, indent=2) + "\n")
+    (out_dir / CONVERGENCE_JSON).write_text(json.dumps(conv, indent=2) + "\n")
     click.echo(json.dumps(conv, indent=2))
 
 
@@ -247,15 +256,11 @@ def sweep_cmd(config, out, seed):
 @_config_opt
 def gamma_n_cmd(config):
     """Print the n-point degree of coherence of a matrix or scenario config."""
-    try:
-        obj = _read_json(config)
-        if isinstance(obj, dict) and "re" in obj and "im" in obj:
-            coh = CoherenceMatrix.from_json(json.dumps(obj))
-        else:
-            coh = load_scenario(config).coherence
-    except (ScenarioError, CoherenceMatrixError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    obj = _read_json(config)
+    if isinstance(obj, dict) and "re" in obj and "im" in obj:
+        coh = CoherenceMatrix.from_json(json.dumps(obj))
+    else:
+        coh = load_scenario(config).coherence
     click.echo(repr(degree_of_coherence(coh)))
 
 

@@ -86,6 +86,9 @@ class CoherenceMatrix:
     @classmethod
     def from_json(cls, text: str) -> CoherenceMatrix:
         obj = json.loads(text)
+        for key in ("n", "re", "im"):
+            if key not in obj:
+                raise CoherenceMatrixError(f"{key}: missing required key")
         m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
         n = int(obj["n"])
         if m.ndim != 2 or m.shape != (n, n):
@@ -156,10 +159,6 @@ class ModeDecomposition:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)

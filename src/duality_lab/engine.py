@@ -138,7 +138,7 @@ class ScreenGeometry:
         phase_model: str = "small_angle",
     ) -> ScreenGeometry:
         """Window spanning +-fringes fringe widths around the axis."""
-        w = wavelength * distance / slits.spacing
+        w = _fringe_width(wavelength, distance, slits.spacing)
         return cls(
             wavelength=wavelength,
             distance=distance,
@@ -153,16 +153,14 @@ class ScreenGeometry:
 
 @dataclass(frozen=True)
 class InterferencePattern:
-    """Sampled total intensity with its incoherent reference pattern."""
+    """Sampled total intensity with its incoherent reference pattern, the
+    slit count and the spacing of adjacent primary maxima in metres."""
 
     grid: np.ndarray
     total: np.ndarray
     incoherent: np.ndarray
     n: int
-    wavelength: float
-    distance: float
-    spacing: float
-    envelope: str
+    fringe_width: float
 
     def __post_init__(self):
         for name in ("grid", "total", "incoherent"):
@@ -170,10 +168,14 @@ class InterferencePattern:
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
-    @property
-    def fringe_width(self) -> float:
-        """Spacing of adjacent primary maxima, wavelength*distance/spacing."""
-        return self.wavelength * self.distance / self.spacing
+
+def fringe_width(geometry: ScreenGeometry, slits: SlitArray) -> float:
+    """Primary-maximum spacing w = wavelength * distance / slit spacing."""
+    return _fringe_width(geometry.wavelength, geometry.distance, slits.spacing)
+
+
+def _fringe_width(wavelength: float, distance: float, spacing: float) -> float:
+    return wavelength * distance / spacing
 
 
 def slit_positions(n: int, spacing: float) -> np.ndarray:
@@ -249,8 +251,8 @@ def mutual_intensity(
 
 
 def _intensity_samples(
-    slits: SlitArray, coh: CoherenceMatrix, geometry: ScreenGeometry, x
-) -> tuple[np.ndarray, np.ndarray]:
+    slits: SlitArray, coh: CoherenceMatrix, geometry: ScreenGeometry, x: np.ndarray
+) -> np.ndarray:
     # The Hermitian form u A u^H (A_ii = I_i) is evaluated as
     #   q(x) = sum_i I_i + 2 sum_{i>j} Re(A_ij u_i(x) conj(u_j(x))),
     # which is real by construction, using only correctly rounded scalar sums
@@ -258,11 +260,9 @@ def _intensity_samples(
     # multi-element numpy reduction).  Each sample's bits then depend only on
     # IEEE-754 arithmetic and on the platform libm's cos/sin (and hypot in
     # the exact model), which is what makes seeded outputs byte-stable.
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
     n = slits.n
-    incoherent_sum = math.fsum(slits.intensities.tolist())
-    q = np.full(x.shape, incoherent_sum)
+    q = np.full(x.shape, math.fsum(slits.intensities.tolist()))
     if geometry.phase_model == "small_angle":
         # u_i(x) = exp(i*i*scale*x), so q is the trigonometric polynomial
         # c_0 + 2 sum_{k>=1} Re(c_k exp(i*k*scale*x)), with c_k the sum of
@@ -291,10 +291,23 @@ def _intensity_samples(
             v_im[:i] += row_im * cos[i]
         for j in range(n - 1):
             q += 2.0 * (v_re[j] * cos[j] + v_im[j] * sin[j])
+    return q
+
+
+def screen_pattern(
+    slits: SlitArray, geometry: ScreenGeometry, x: np.ndarray, q: np.ndarray
+) -> InterferencePattern:
+    """Put a sampled Hermitian form q(x) = u(x) A u(x)^H on the screen: the
+    total is the envelope times q clipped at zero (rounding dust), the
+    incoherent reference the envelope times sum_i I_i."""
     env = geometry.envelope_values(x)
-    total = env * np.maximum(q, 0.0)
-    incoherent = env * incoherent_sum
-    return total, incoherent
+    return InterferencePattern(
+        grid=x,
+        total=env * np.maximum(q, 0.0),
+        incoherent=env * math.fsum(slits.intensities.tolist()),
+        n=slits.n,
+        fringe_width=fringe_width(geometry, slits),
+    )
 
 
 def pattern(
@@ -309,25 +322,16 @@ def pattern(
     grating profile.
     """
     x = geometry.grid()
-    total, incoherent = _intensity_samples(slits, coh, geometry, x)
-    return InterferencePattern(
-        grid=x,
-        total=total,
-        incoherent=incoherent,
-        n=slits.n,
-        wavelength=geometry.wavelength,
-        distance=geometry.distance,
-        spacing=slits.spacing,
-        envelope=geometry.envelope,
-    )
+    return screen_pattern(slits, geometry, x, _intensity_samples(slits, coh, geometry, x))
 
 
 def intensity_at(
     slits: SlitArray, coh: CoherenceMatrix, geometry: ScreenGeometry, x: float
 ) -> float:
     """Total intensity at a single screen position."""
-    total, _ = _intensity_samples(slits, coh, geometry, x)
-    return float(total[0])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    q = _intensity_samples(slits, coh, geometry, x)
+    return float(screen_pattern(slits, geometry, x, q).total[0])
 
 
 def write_pattern_csv(pat: InterferencePattern, path, scale_w: bool = False) -> None:
@@ -337,7 +341,7 @@ def write_pattern_csv(pat: InterferencePattern, path, scale_w: bool = False) -> 
     are byte-stable and locale independent.
     """
     xs = pat.grid / pat.fringe_width if scale_w else pat.grid
+    rows = zip(xs.tolist(), pat.total.tolist(), pat.incoherent.tolist())
     with open(path, "w", newline="") as f:
         f.write("x,total,incoherent\n")
-        for x, t, inc in zip(xs, pat.total, pat.incoherent):
-            f.write(f"{float(x)!r},{float(t)!r},{float(inc)!r}\n")
+        f.writelines(f"{x!r},{t!r},{inc!r}\n" for x, t, inc in rows)

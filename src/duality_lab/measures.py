@@ -18,7 +18,6 @@ import numpy as np
 from duality_lab.coherence import CoherenceMatrix, degree_of_coherence
 from duality_lab.engine import mutual_intensity
 
-IDENTITY_TOL = 1e-12
 INEQUALITY_TOL = 1e-12
 
 

@@ -23,6 +23,7 @@ from duality_lab.engine import (
     SlitArray,
     mutual_intensity,
     pattern,
+    screen_pattern,
     slit_phase_factors,
 )
 
@@ -48,10 +49,6 @@ class EnsembleSpec:
             raise ValueError("need at least one realization")
         self.eigenvalues.setflags(write=False)
         self.modes.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.modes.shape[0]
 
 
 def ensemble_spec(
@@ -117,19 +114,7 @@ def mc_pattern(
             fields[k] = realize_fields(spec, start + k)
         gram += fields.T @ fields.conj()
     acc = ((gram @ propagate.conj()) * propagate).sum(axis=0).real
-    env = geometry.envelope_values(x)
-    total = env * np.maximum(acc, 0.0) / realizations
-    incoherent = env * slits.intensities.sum()
-    return InterferencePattern(
-        grid=x,
-        total=total,
-        incoherent=incoherent,
-        n=slits.n,
-        wavelength=geometry.wavelength,
-        distance=geometry.distance,
-        spacing=slits.spacing,
-        envelope=geometry.envelope,
-    )
+    return screen_pattern(slits, geometry, x, acc / realizations)
 
 
 def convergence_report(

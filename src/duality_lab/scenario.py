@@ -30,7 +30,8 @@ def _get(obj, key, path, expect=None, default=_REQUIRED):
         return default
     value = obj[key]
     # JSON true/false parse to bool, which Python counts as an int
-    if expect is not None and (isinstance(value, bool) or not isinstance(value, expect)):
+    wrong_bool = isinstance(value, bool) and expect is not bool
+    if expect is not None and (wrong_bool or not isinstance(value, expect)):
         raise ScenarioError(f"{path}.{key}: wrong type {type(value).__name__}")
     return value
 
@@ -82,9 +83,6 @@ class Scenario:
     oracle_realizations: int
     oracle_seed: int
     scale_w: bool
-    pattern_csv: str
-    report_json: str
-    convergence_json: str
 
 
 def _resolve_coherence(spec, n: int, seed_override: int | None):
@@ -143,7 +141,7 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
     intensities = _get(slits_spec, "intensities", "slits", list)
     if len(intensities) != n:
         raise ScenarioError(f"slits.intensities: expected {n} entries, got {len(intensities)}")
-    phases = slits_spec.get("phases")
+    phases = _get(slits_spec, "phases", "slits", list, default=None)
     if phases is not None and len(phases) != n:
         raise ScenarioError(f"slits.phases: expected {n} entries, got {len(phases)}")
     try:
@@ -154,7 +152,7 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
     coh = _resolve_coherence(_get(obj, "coherence", "top level", dict), n, seed_override)
 
     geom_spec = _get(obj, "geometry", "top level", dict)
-    envelope = geom_spec.get("envelope", "uniform")
+    sigma = _get(geom_spec, "sigma", "geometry", (int, float), default=None)
     try:
         geometry = ScreenGeometry(
             wavelength=float(_get(geom_spec, "wavelength", "geometry", (int, float))),
@@ -162,23 +160,25 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
             x_min=float(_get(geom_spec, "x_min", "geometry", (int, float))),
             x_max=float(_get(geom_spec, "x_max", "geometry", (int, float))),
             samples=_get(geom_spec, "samples", "geometry", int),
-            envelope=envelope,
-            sigma=float(geom_spec["sigma"]) if "sigma" in geom_spec else None,
-            phase_model=geom_spec.get("phase_model", "small_angle"),
+            envelope=_get(geom_spec, "envelope", "geometry", str, default="uniform"),
+            sigma=None if sigma is None else float(sigma),
+            phase_model=_get(geom_spec, "phase_model", "geometry", str, default="small_angle"),
         )
     except ValueError as exc:
         raise ScenarioError(f"geometry: {exc}") from exc
 
-    oracle_spec = obj.get("oracle", {})
-    enabled = bool(oracle_spec.get("enabled", False))
-    realizations = int(oracle_spec.get("realizations", 0))
-    oracle_seed = int(oracle_spec.get("seed", 0))
+    oracle_spec = _get(obj, "oracle", "top level", dict, default={})
+    enabled = _get(oracle_spec, "enabled", "oracle", bool, default=False)
+    realizations = _get(oracle_spec, "realizations", "oracle", int, default=0)
+    oracle_seed = _get(oracle_spec, "seed", "oracle", int, default=0)
+    if oracle_seed < 0:
+        raise ScenarioError(f"oracle.seed: need a nonnegative integer, got {oracle_seed}")
     if seed_override is not None:
         oracle_seed = seed_override
     if enabled and realizations < 100:
         raise ScenarioError("oracle.realizations: need at least 100 when enabled")
 
-    outputs = obj.get("outputs", {})
+    outputs = _get(obj, "outputs", "top level", dict, default={})
     return Scenario(
         slits=slits,
         coherence=coh,
@@ -186,10 +186,7 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
         oracle_enabled=enabled,
         oracle_realizations=realizations,
         oracle_seed=oracle_seed,
-        scale_w=bool(outputs.get("scale_w", False)),
-        pattern_csv=outputs.get("pattern_csv", "pattern.csv"),
-        report_json=outputs.get("report_json", "report.json"),
-        convergence_json=outputs.get("convergence_json", "convergence.json"),
+        scale_w=_get(outputs, "scale_w", "outputs", bool, default=False),
     )
 
 

@@ -190,13 +190,11 @@ class TestCsvImport:
         pat = make_pattern([1.0, 1.0], coherence_with(0.4))
         path = tmp_path / "p.csv"
         dl.write_pattern_csv(pat, path)
-        back = dl.load_pattern_csv(
-            path, n=2, wavelength=WAVELENGTH, distance=DISTANCE, spacing=SPACING
-        )
+        back = dl.load_pattern_csv(path, n=2, fringe_width=W)
         assert dl.extract_vc(back) == pytest.approx(dl.extract_vc(pat), abs=1e-12)
 
     def test_rejects_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,total\n0.0,1.0\n")
         with pytest.raises(ValueError):
-            dl.load_pattern_csv(path, n=2, wavelength=1.0, distance=1.0, spacing=1.0)
+            dl.load_pattern_csv(path, n=2, fringe_width=1.0)

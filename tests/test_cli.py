@@ -196,6 +196,116 @@ class TestNonFiniteInput:
         assert_input_error(result, "coherence.random.rank: wrong type bool")
 
 
+def _set_path(cfg, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        cfg = cfg.setdefault(name, {})
+    cfg[key] = value
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "path, value, fragment",
+        [
+            ("slits.phases", 0.5, "slits.phases: wrong type float"),
+            ("oracle", [], "top level.oracle: wrong type list"),
+            ("oracle.enabled", "false", "oracle.enabled: wrong type str"),
+            ("oracle.realizations", "many", "oracle.realizations: wrong type str"),
+            ("oracle.realizations", 500.5, "oracle.realizations: wrong type float"),
+            ("oracle.seed", True, "oracle.seed: wrong type bool"),
+            ("oracle.seed", -1, "oracle.seed: need a nonnegative integer"),
+            ("outputs", "none", "top level.outputs: wrong type str"),
+            ("outputs.scale_w", "no", "outputs.scale_w: wrong type str"),
+            ("outputs.scale_w", 0, "outputs.scale_w: wrong type int"),
+            ("geometry.envelope", 5, "geometry.envelope: wrong type int"),
+            ("geometry.phase_model", None, "geometry.phase_model: wrong type NoneType"),
+            ("geometry.sigma", "wide", "geometry.sigma: wrong type str"),
+        ],
+    )
+    def test_wrong_type_exits_one(self, runner, tmp_path, path, value, fragment):
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        _set_path(cfg_obj, path, value)
+        cfg = write_scenario(tmp_path, cfg_obj)
+        result = runner.invoke(main, ["pattern", "--config", str(cfg), "--out", str(tmp_path)])
+        assert_input_error(result, fragment)
+        assert not (tmp_path / "pattern.csv").exists()
+
+    def test_gamma_n_matrix_without_n_exits_one(self, runner, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}))
+        result = runner.invoke(main, ["gamma-n", "--config", str(path)])
+        assert_input_error(result, "n: missing required key")
+
+    def test_booleans_accepted_where_expected(self, tmp_path):
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        cfg_obj["outputs"]["scale_w"] = True
+        cfg_obj["oracle"]["enabled"] = False
+        sc = dl.load_scenario(write_scenario(tmp_path, cfg_obj))
+        assert sc.scale_w is True and sc.oracle_enabled is False
+
+
+class TestOutputNames:
+    def test_old_output_keys_do_not_move_files(self, tmp_path):
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        cfg_obj["oracle"]["realizations"] = 500
+        cfg_obj["outputs"].update(
+            pattern_csv="../x.csv", report_json="../r.json", convergence_json="../c.json"
+        )
+        cfg = write_scenario(tmp_path, cfg_obj)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "convergence.json", "pattern.csv", "report.json",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+
+
+class TestUsageAndWriteErrors:
+    @pytest.mark.parametrize("command", ["pattern", "measures", "analyze", "mc-validate", "sweep"])
+    def test_out_below_a_file_exits_one(self, runner, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = THREE_SLIT
+        if command == "sweep":
+            config = write_scenario(tmp_path, {"schema": 1, "sweep": {"seeds": 1}})
+        extra = ["--csv", str(GOLDEN / "pattern.csv")] if command == "analyze" else []
+        args = [command, "--config", str(config), *extra, "--out", str(blocker / "sub")]
+        result = runner.invoke(main, args)
+        assert_input_error(result, "error: ")
+        assert "Not a directory" in result.output
+
+    def test_run_scenario_out_below_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_scenario(THREE_SLIT, blocker / "sub") == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [
+            (["measures"], "Missing option '--config'"),
+            (["measures", "--config", "missing.json"], "does not exist"),
+            (["measures", "--config", str(THREE_SLIT), "--out", str(THREE_SLIT)], "is a file"),
+            ([], "Missing command"),
+            (["frobnicate"], "No such command 'frobnicate'"),
+        ],
+    )
+    def test_usage_error_exits_one(self, runner, args, fragment):
+        result = runner.invoke(main, args)
+        assert_input_error(result, fragment)
+        assert result.output.startswith("error: ")
+
+    def test_help_exits_zero(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        assert "Usage:" in result.output
+
+    def test_success_returns_normally(self, tmp_path):
+        # no exception, SystemExit(0) included, leaves a command that worked
+        cfg = saturated_two_slit(tmp_path)
+        assert main(["measures", "--config", str(cfg), "--out", str(tmp_path)]) is None
+
+
 class TestGammaNCommand:
     def test_matrix_file(self, runner, tmp_path):
         coh = dl.random_coherence(3, 2, seed=1)

@@ -413,9 +413,7 @@ class TestCsv:
         path = tmp_path / "pattern.csv"
         dl.write_pattern_csv(pat, path)
         assert path.read_text().splitlines()[0] == "x,total,incoherent"
-        back = dl.load_pattern_csv(
-            path, n=2, wavelength=WAVELENGTH, distance=DISTANCE, spacing=SPACING
-        )
+        back = dl.load_pattern_csv(path, n=2, fringe_width=W)
         assert np.array_equal(back.grid, pat.grid)
         assert np.array_equal(back.total, pat.total)
         assert np.array_equal(back.incoherent, pat.incoherent)
@@ -427,9 +425,7 @@ class TestCsv:
         dl.write_pattern_csv(pat, path, scale_w=True)
         first = path.read_text().splitlines()[1].split(",")
         assert float(first[0]) == pytest.approx(-4.0)  # window spans +-4 fringes
-        back = dl.load_pattern_csv(
-            path, n=2, wavelength=WAVELENGTH, distance=DISTANCE, spacing=SPACING, scale_w=True
-        )
+        back = dl.load_pattern_csv(path, n=2, fringe_width=W, scale_w=True)
         assert np.allclose(back.grid, pat.grid, rtol=1e-15)
 
     def test_write_deterministic(self, tmp_path):

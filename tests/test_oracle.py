@@ -127,6 +127,21 @@ class TestMcPattern:
         mc = mc_pattern(slits, coh, geom, 500, seed=3)
         assert np.allclose(mc.incoherent, slits.intensities.sum())
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_screen_fields_are_the_engine_bits(self, seed):
+        # both patterns are put on the screen by engine.screen_pattern
+        rng = np.random.default_rng(seed)
+        slits = dl.SlitArray(intensities=rng.uniform(0.1, 1.0, 8), spacing=SPACING)
+        coh = dl.random_coherence(8, 7, seed=seed)
+        geom = dl.ScreenGeometry.over_fringes(
+            slits, WAVELENGTH, DISTANCE, samples=256, envelope="gaussian", sigma=0.03
+        )
+        mc = mc_pattern(slits, coh, geom, 100, seed=seed)
+        analytic = dl.pattern(slits, coh, geom)
+        assert mc.grid.tobytes() == analytic.grid.tobytes()
+        assert mc.incoherent.tobytes() == analytic.incoherent.tobytes()
+        assert (mc.n, mc.fringe_width) == (analytic.n, dl.fringe_width(geom, slits))
+
     def test_phases_enter_like_the_engine(self):
         # intrinsic slit phases shift the fringes identically in both paths
         slits = dl.SlitArray(

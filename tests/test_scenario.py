@@ -37,8 +37,8 @@ def test_loads_minimal_config(tmp_path):
     assert sc.slits.n == 2
     assert sc.coherence.entries[0, 1] == 0.5
     assert sc.geometry.samples == 4096
-    assert not sc.oracle_enabled
-    assert sc.pattern_csv == "pattern.csv"
+    assert sc.oracle_enabled is False
+    assert sc.scale_w is False
 
 
 def test_parse_error_is_line_anchored(tmp_path):
