@@ -11,6 +11,7 @@ from duality_lab.coherence import CoherenceMatrix
 from duality_lab.engine import InterferencePattern, SlitArray
 
 MIN_SAMPLES_PER_FRINGE = 64
+PHASE_TOL = 1e-9  # largest wrapped pair phase, in radians, counted as aligned
 
 
 class EmptyWindow(ValueError):
@@ -110,17 +111,17 @@ def extract_michelson(pat: InterferencePattern) -> float:
     return (first.i_max - i_min) / (first.i_max + i_min)
 
 
-def aligned_phases(slits: SlitArray, coh: CoherenceMatrix, tol: float = 1e-9) -> bool:
+def aligned_phases(slits: SlitArray, coh: CoherenceMatrix) -> bool:
     """True when every weighted pair phase alpha_i - alpha_j + arg(g_ij) is a
-    multiple of 2*pi, i.e. all cosines can peak simultaneously at x = 0 and
-    the operational visibility reproduces the analytic one."""
+    multiple of 2*pi within PHASE_TOL, i.e. all cosines can peak simultaneously
+    at x = 0 and the operational visibility reproduces the analytic one."""
     alpha = slits.phases
     phi = np.angle(coh.entries) + alpha[:, None] - alpha[None, :]
     wrapped = np.angle(np.exp(1j * phi))
     relevant = (np.sqrt(np.outer(slits.intensities, slits.intensities)) > 0.0) & (
         coh.magnitudes() > 0.0
     )
-    return bool(np.all(np.abs(wrapped[relevant]) <= tol))
+    return bool(np.all(np.abs(wrapped[relevant]) <= PHASE_TOL))
 
 
 def load_pattern_csv(

@@ -16,13 +16,8 @@ import click
 import numpy as np
 
 from duality_lab import analysis, engine, measures, oracle
-from duality_lab.coherence import (
-    CoherenceMatrix,
-    CoherenceMatrixError,
-    degree_of_coherence,
-    random_coherence,
-)
-from duality_lab.scenario import ScenarioError, _read_json, load_scenario, load_sweep
+from duality_lab.coherence import degree_of_coherence, random_coherence
+from duality_lab.scenario import ScenarioError, _read_json, load_matrix, load_scenario, load_sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -38,8 +33,20 @@ def _fail(message) -> NoReturn:
     sys.exit(EXIT_INPUT)
 
 
-def _write_report(report: measures.DualityReport, path: Path) -> None:
-    path.write_text(report.to_json())
+def _write_json(obj, path: Path) -> str:
+    """Write obj as indented JSON with a final newline; returns the text."""
+    text = json.dumps(obj, indent=2) + "\n"
+    path.write_text(text)
+    return text
+
+
+def _verdict(reports) -> int:
+    """EXIT_OK when both duality relations hold in every report; otherwise
+    say so on stderr and return EXIT_VIOLATION."""
+    if all(r.pyth_holds and r.lin_holds for r in reports):
+        return EXIT_OK
+    click.echo("error: duality inequality violated beyond tolerance", err=True)
+    return EXIT_VIOLATION
 
 
 def run_scenario(config, out_dir, seed: int | None = None) -> int:
@@ -56,19 +63,16 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
         pat = engine.pattern(sc.slits, sc.coherence, sc.geometry)
         engine.write_pattern_csv(pat, out / PATTERN_CSV, scale_w=sc.scale_w)
         report = measures.duality_report(sc.slits.intensities, sc.coherence)
-        _write_report(report, out / REPORT_JSON)
+        (out / REPORT_JSON).write_text(report.to_json())
         if sc.oracle_enabled:
             _, conv = oracle.convergence_report(
                 sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
             )
-            (out / CONVERGENCE_JSON).write_text(json.dumps(conv, indent=2) + "\n")
+            _write_json(conv, out / CONVERGENCE_JSON)
     except (ScenarioError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
-    if not (report.pyth_holds and report.lin_holds):
-        click.echo("error: duality inequality violated beyond tolerance", err=True)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _verdict([report])
 
 
 def _sweep_instance(master_seed: int, n: int, seed: int, rank: int) -> measures.DualityReport:
@@ -104,13 +108,10 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
                 f"max_lin_lhs={max_lin_lhs!r},max_pyth_residual={max_pyth_res!r},"
                 f"max_lin_residual={max_lin_res!r},,,\n"
             )
-    except (ScenarioError, CoherenceMatrixError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
-    if not all(r.pyth_holds and r.lin_holds for r in reports):
-        click.echo("error: duality inequality violated beyond tolerance", err=True)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _verdict(reports)
 
 
 _config_opt = click.option(
@@ -141,7 +142,7 @@ class _Main(click.Group):
             _fail(exc.format_message())
         except click.Abort:
             _fail("aborted")
-        except (ScenarioError, CoherenceMatrixError, OSError) as exc:
+        except (ScenarioError, OSError) as exc:
             _fail(exc)
 
 
@@ -175,10 +176,10 @@ def measures_cmd(config, out, seed):
     report = measures.duality_report(sc.slits.intensities, sc.coherence)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(report, out_dir / REPORT_JSON)
-    click.echo(report.to_json(), nl=False)
-    if not (report.pyth_holds and report.lin_holds):
-        click.echo("error: duality inequality violated beyond tolerance", err=True)
+    text = report.to_json()
+    (out_dir / REPORT_JSON).write_text(text)
+    click.echo(text, nl=False)
+    if _verdict([report]):
         sys.exit(EXIT_VIOLATION)
 
 
@@ -218,8 +219,7 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
     }
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "analysis.json").write_text(json.dumps(result, indent=2) + "\n")
-    click.echo(json.dumps(result, indent=2))
+    click.echo(_write_json(result, out_dir / "analysis.json"), nl=False)
 
 
 @main.command("mc-validate")
@@ -239,8 +239,7 @@ def mc_validate_cmd(config, out, scale_w, seed):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_pattern_csv(mc, out_dir / "mc_pattern.csv", scale_w=scale_w or sc.scale_w)
-    (out_dir / CONVERGENCE_JSON).write_text(json.dumps(conv, indent=2) + "\n")
-    click.echo(json.dumps(conv, indent=2))
+    click.echo(_write_json(conv, out_dir / CONVERGENCE_JSON), nl=False)
 
 
 @main.command("sweep")
@@ -258,7 +257,7 @@ def gamma_n_cmd(config):
     """Print the n-point degree of coherence of a matrix or scenario config."""
     obj = _read_json(config)
     if isinstance(obj, dict) and "re" in obj and "im" in obj:
-        coh = CoherenceMatrix.from_json(json.dumps(obj))
+        coh = load_matrix(config)
     else:
         coh = load_scenario(config).coherence
     click.echo(repr(degree_of_coherence(coh)))

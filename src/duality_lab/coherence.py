@@ -73,7 +73,7 @@ class CoherenceMatrix:
         """Serialize as {"n": ..., "re": [[...]], "im": [[...]]}.
 
         Floats are written with shortest round-trip repr, so the matrix is
-        recovered bit-for-bit by from_json.
+        recovered bit-for-bit by scenario.load_matrix.
         """
         return json.dumps(
             {
@@ -82,20 +82,6 @@ class CoherenceMatrix:
                 "im": self.entries.imag.tolist(),
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> CoherenceMatrix:
-        obj = json.loads(text)
-        for key in ("n", "re", "im"):
-            if key not in obj:
-                raise CoherenceMatrixError(f"{key}: missing required key")
-        m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        n = int(obj["n"])
-        if m.ndim != 2 or m.shape != (n, n):
-            raise CoherenceMatrixError(
-                f"declared size {n} does not match matrix shape {m.shape}"
-            )
-        return validate(m)
 
 
 def validate(matrix) -> CoherenceMatrix:
@@ -182,11 +168,16 @@ class PolarizationSet:
         return self.vectors.shape[0]
 
 
-def _tidy(gram: np.ndarray) -> np.ndarray:
-    # Constructors only: remove Hermitian/diagonal rounding dust before validate.
-    g = 0.5 * (gram + gram.conj().T)
+def _gram(rows: np.ndarray, factor: np.ndarray | None = None) -> CoherenceMatrix:
+    # Normalized overlaps of the rows, times an optional elementwise factor,
+    # with Hermitian/diagonal rounding dust removed before validation.
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    g = unit @ unit.conj().T
+    if factor is not None:
+        g = g * factor
+    g = 0.5 * (g + g.conj().T)
     np.fill_diagonal(g, 1.0)
-    return g
+    return validate(g)
 
 
 def from_modes(
@@ -200,16 +191,11 @@ def from_modes(
     modes).  The overlap convention matches the field correlation <E_i E_j*>,
     so the result is exactly what the Monte-Carlo ensemble realizes.
     """
-    v = decomp.vectors
-    unit = v / np.linalg.norm(v, axis=1)[:, None]
-    g = unit @ unit.conj().T
-    if pols is not None:
-        if pols.n != decomp.n:
-            raise ValueError(
-                f"polarization count {pols.n} does not match mode rows {decomp.n}"
-            )
-        g = g * (pols.vectors @ pols.vectors.conj().T)
-    return validate(_tidy(g))
+    if pols is None:
+        return _gram(decomp.vectors)
+    if pols.n != decomp.n:
+        raise ValueError(f"polarization count {pols.n} does not match mode rows {decomp.n}")
+    return _gram(decomp.vectors, pols.vectors @ pols.vectors.conj().T)
 
 
 def random_coherence(n: int, rank: int, seed: int) -> CoherenceMatrix:
@@ -224,9 +210,7 @@ def random_coherence(n: int, rank: int, seed: int) -> CoherenceMatrix:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    unit = v / np.linalg.norm(v, axis=1)[:, None]
-    return validate(_tidy(unit @ unit.conj().T))
+    return _gram(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
 
 
 def degree_of_coherence(coh: CoherenceMatrix) -> float:

@@ -26,8 +26,29 @@ from duality_lab.coherence import CoherenceMatrix
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+WINDOW_FRINGES = 4.0  # half-width of the over_fringes window, in fringe widths
 PHASE_MODELS = ("small_angle", "exact")
 ENVELOPES = ("uniform", "gaussian")
+
+
+class ZeroTotalIntensity(ValueError):
+    """All slit intensities are zero."""
+
+
+def intensity_vector(values) -> np.ndarray:
+    """Slit intensities as a 1-D float array of at least 2 entries, none
+    negative, with a positive, finite sum (so every entry is finite too)."""
+    inten = np.asarray(values, dtype=float)
+    if inten.ndim != 1 or inten.size < 2:
+        raise ValueError(f"need at least 2 slit intensities in 1-D, got shape {inten.shape}")
+    if np.any(inten < 0.0):
+        raise ValueError("slit intensities must be nonnegative")
+    with np.errstate(over="ignore"):
+        total = inten.sum()
+    if not 0.0 < total < math.inf:
+        error = ZeroTotalIntensity if total == 0.0 else ValueError
+        raise error(f"sum of slit intensities must be positive and finite, got {total}")
+    return inten
 
 
 @dataclass(frozen=True)
@@ -45,15 +66,7 @@ class SlitArray:
     phases: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        inten = np.asarray(self.intensities, dtype=float)
-        if inten.ndim != 1 or inten.size < 2:
-            raise ValueError(f"need at least 2 slits, got {inten.size}")
-        if not np.all(np.isfinite(inten)):
-            raise ValueError("slit intensities must be finite")
-        if np.any(inten < 0.0):
-            raise ValueError("slit intensities must be nonnegative")
-        if inten.sum() <= 0.0:
-            raise ValueError("total slit intensity must be positive")
+        inten = intensity_vector(self.intensities)
         if not 0.0 < self.spacing < math.inf:
             raise ValueError(f"slit spacing must be positive and finite, got {self.spacing}")
         ph = self.phases
@@ -131,19 +144,18 @@ class ScreenGeometry:
         slits: SlitArray,
         wavelength: float,
         distance: float,
-        fringes: float = 4.0,
         samples: int = 4096,
         envelope: str = "uniform",
         sigma: float | None = None,
         phase_model: str = "small_angle",
     ) -> ScreenGeometry:
-        """Window spanning +-fringes fringe widths around the axis."""
+        """Window spanning +-WINDOW_FRINGES fringe widths around the axis."""
         w = _fringe_width(wavelength, distance, slits.spacing)
         return cls(
             wavelength=wavelength,
             distance=distance,
-            x_min=-fringes * w,
-            x_max=fringes * w,
+            x_min=-WINDOW_FRINGES * w,
+            x_max=WINDOW_FRINGES * w,
             samples=samples,
             envelope=envelope,
             sigma=sigma,

@@ -16,13 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from duality_lab.coherence import CoherenceMatrix, degree_of_coherence
-from duality_lab.engine import mutual_intensity
+# ZeroTotalIntensity comes from the intensity rule and stays importable from here
+from duality_lab.engine import ZeroTotalIntensity, intensity_vector, mutual_intensity  # noqa: F401
 
 INEQUALITY_TOL = 1e-12
-
-
-class ZeroTotalIntensity(ValueError):
-    """All slit intensities are zero."""
 
 
 class _PairSums(NamedTuple):
@@ -63,14 +60,7 @@ def _pair_weights(intensities, coh: CoherenceMatrix | None = None) -> _PairSums:
     exactly 1.0 each, so the weighted sums divide out exactly and the
     distinguishability limits land on 0 and 1 at double precision.
     """
-    inten = np.asarray(intensities, dtype=float)
-    if inten.ndim != 1 or inten.size < 2:
-        raise ValueError(f"need at least 2 slit intensities, got shape {inten.shape}")
-    if np.any(inten < 0.0):
-        raise ValueError("slit intensities must be nonnegative")
-    total = inten.sum()
-    if total <= 0.0:
-        raise ZeroTotalIntensity("sum of slit intensities is zero")
+    inten = intensity_vector(intensities)
     n = inten.size
     r = inten / inten.max()
     pair = np.sqrt(np.outer(r, r))
@@ -150,12 +140,8 @@ class BeamDensityMatrix:
 
 def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:
     """Build the path-basis density matrix from slit intensities and coherence."""
-    inten = np.asarray(intensities, dtype=float)
-    if np.any(inten < 0.0):
-        raise ValueError("slit intensities must be nonnegative")
+    inten = intensity_vector(intensities)
     total = inten.sum()
-    if total <= 0.0:
-        raise ZeroTotalIntensity("sum of slit intensities is zero")
     a_re, a_im = mutual_intensity(inten, coh)
     rho = (a_re + 1j * a_im) / total
     # diagonal coherences are 1 by definition, so rho_ii = I_i / total exactly

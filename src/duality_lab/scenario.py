@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -12,6 +13,7 @@ from duality_lab import coherence
 from duality_lab.engine import ScreenGeometry, SlitArray
 
 SCHEMA_VERSION = 1
+MAX_CELLS = 2**22  # cap on geometry.samples x slits.n, the kernel's table size
 
 
 class ScenarioError(ValueError):
@@ -39,15 +41,21 @@ def _get(obj, key, path, expect=None, default=_REQUIRED):
 def _read_json(path):
     """Parse a JSON file.  Syntax errors carry path:line:col; NaN, Infinity
     and -Infinity, which Python's json module would accept but JSON does not
-    define, are rejected by name."""
+    define, are rejected by name, and so are integers too large for a float."""
 
     def reject(token):
         raise ScenarioError(f"{path}: {token} is not a JSON number")
 
+    def parse_int(token):
+        # the length test keeps int() clear of its 4300-digit limit
+        if len(token) > 310 or abs(int(token)) > sys.float_info.max:
+            raise ScenarioError(f"{path}: integer {token[:12]}... is too large for a float")
+        return int(token)
+
     with open(path, "r") as f:
         text = f.read()
     try:
-        return json.loads(text, parse_constant=reject)
+        return json.loads(text, parse_constant=reject, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
@@ -62,14 +70,24 @@ def _read_config(path) -> dict:
     return obj
 
 
-def _complex_array(obj, path, shape=None) -> np.ndarray:
-    re = np.asarray(_get(obj, "re", path, list), dtype=float)
-    im = np.asarray(_get(obj, "im", path, list), dtype=float)
-    if re.shape != im.shape:
-        raise ScenarioError(f"{path}: re/im shapes differ, {re.shape} vs {im.shape}")
-    if shape is not None and re.shape != shape:
-        raise ScenarioError(f"{path}: expected shape {shape}, got {re.shape}")
-    return re + 1j * im
+def _float_array(obj, key, path, shape) -> np.ndarray:
+    """obj[key], a JSON array (of arrays, for two axes) of numbers, as a float
+    array of the given shape; None in shape admits any length on that axis.
+    Booleans, strings, lists and objects are refused, not converted."""
+    value = _get(obj, key, path, list)
+    cells = np.array(value, dtype=object)
+    if cells.ndim != len(shape) or any(w not in (None, got) for w, got in zip(shape, cells.shape)):
+        raise ScenarioError(f"{path}.{key}: expected shape {shape}, got {cells.shape}")
+    for flat, cell in enumerate(cells.flat):
+        if type(cell) not in (int, float):  # exact JSON types: bool is refused
+            where = "".join(f"[{i}]" for i in np.unravel_index(flat, cells.shape))
+            raise ScenarioError(f"{path}.{key}{where}: wrong type {type(cell).__name__}")
+    return cells.astype(float)
+
+
+def _complex_array(obj, path, shape) -> np.ndarray:
+    re = _float_array(obj, "re", path, shape)
+    return re + 1j * _float_array(obj, "im", path, re.shape)
 
 
 @dataclass(frozen=True)
@@ -94,34 +112,26 @@ def _resolve_coherence(spec, n: int, seed_override: int | None):
     route = routes[0]
     try:
         if route == "matrix":
-            m = _complex_array(spec["matrix"], "coherence.matrix", shape=(n, n))
-            return coherence.validate(m)
+            return coherence.validate(_complex_array(spec["matrix"], "coherence.matrix", (n, n)))
         if route == "modes":
             block = spec["modes"]
-            vectors = _complex_array(block, "coherence.modes")
+            modes = _complex_array(block, "coherence.modes", (n, None))
             pols = None
             if "polarizations" in block:
                 pvec = _complex_array(
-                    block["polarizations"], "coherence.modes.polarizations", shape=(n, 2)
+                    block["polarizations"], "coherence.modes.polarizations", (n, 2)
                 )
                 pols = coherence.PolarizationSet(pvec)
-            decomp = coherence.ModeDecomposition(vectors)
-            if decomp.n != n:
-                raise ScenarioError(
-                    f"coherence.modes: {decomp.n} mode rows for {n} slits"
-                )
-            return coherence.from_modes(decomp, pols)
+            return coherence.from_modes(coherence.ModeDecomposition(modes), pols)
         block = spec["random"]
         rank = _get(block, "rank", "coherence.random", int)
         seed = _get(block, "seed", "coherence.random", int)
         if seed_override is not None:
             seed = seed_override
         return coherence.random_coherence(n, rank, seed)
-    except coherence.CoherenceMatrixError as exc:
-        raise ScenarioError(f"coherence.{route}: {exc}") from exc
+    except ScenarioError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError(f"coherence.{route}: {exc}") from exc
 
 
@@ -137,13 +147,13 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
     n = _get(slits_spec, "n", "slits", int)
     if n < 2:
         raise ScenarioError(f"slits.n: need at least 2 slits, got {n}")
+    geom_spec = _get(obj, "geometry", "top level", dict)
+    samples = _get(geom_spec, "samples", "geometry", int)
+    if samples * n > MAX_CELLS:
+        raise ScenarioError(f"geometry.samples: {samples} x {n} slits is over {MAX_CELLS} cells")
     d = _get(slits_spec, "d", "slits", (int, float))
-    intensities = _get(slits_spec, "intensities", "slits", list)
-    if len(intensities) != n:
-        raise ScenarioError(f"slits.intensities: expected {n} entries, got {len(intensities)}")
-    phases = _get(slits_spec, "phases", "slits", list, default=None)
-    if phases is not None and len(phases) != n:
-        raise ScenarioError(f"slits.phases: expected {n} entries, got {len(phases)}")
+    intensities = _float_array(slits_spec, "intensities", "slits", (n,))
+    phases = _float_array(slits_spec, "phases", "slits", (n,)) if "phases" in slits_spec else None
     try:
         slits = SlitArray(intensities=intensities, spacing=float(d), phases=phases)
     except ValueError as exc:
@@ -151,7 +161,6 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
 
     coh = _resolve_coherence(_get(obj, "coherence", "top level", dict), n, seed_override)
 
-    geom_spec = _get(obj, "geometry", "top level", dict)
     sigma = _get(geom_spec, "sigma", "geometry", (int, float), default=None)
     try:
         geometry = ScreenGeometry(
@@ -159,7 +168,7 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
             distance=float(_get(geom_spec, "distance", "geometry", (int, float))),
             x_min=float(_get(geom_spec, "x_min", "geometry", (int, float))),
             x_max=float(_get(geom_spec, "x_max", "geometry", (int, float))),
-            samples=_get(geom_spec, "samples", "geometry", int),
+            samples=samples,
             envelope=_get(geom_spec, "envelope", "geometry", str, default="uniform"),
             sigma=None if sigma is None else float(sigma),
             phase_model=_get(geom_spec, "phase_model", "geometry", str, default="small_angle"),
@@ -188,6 +197,19 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
         oracle_seed=oracle_seed,
         scale_w=_get(outputs, "scale_w", "outputs", bool, default=False),
     )
+
+
+def load_matrix(path) -> coherence.CoherenceMatrix:
+    """Load a coherence-matrix file as CoherenceMatrix.to_json writes it: n a
+    JSON integer >= 2, re and im n x n arrays of JSON numbers."""
+    obj = _read_json(path)
+    n = _get(obj, "n", "top level", int)
+    if n < 2:
+        raise ScenarioError(f"top level.n: need at least 2 slits, got {n}")
+    try:
+        return coherence.validate(_complex_array(obj, "top level", (n, n)))
+    except coherence.CoherenceMatrixError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 class Sweep(NamedTuple):

@@ -220,6 +220,12 @@ class TestConfigTypes:
             ("geometry.envelope", 5, "geometry.envelope: wrong type int"),
             ("geometry.phase_model", None, "geometry.phase_model: wrong type NoneType"),
             ("geometry.sigma", "wide", "geometry.sigma: wrong type str"),
+            # these four once ran on converted values or died with a traceback
+            ("slits.intensities", [True, 0.7, "0.4"], "slits.intensities[0]: wrong type bool"),
+            ("slits.intensities", [{}, 0.7, 0.4], "slits.intensities[0]: wrong type dict"),
+            ("slits.intensities", [1e308] * 3, "slits: sum of slit intensities must be positive"),
+            pytest.param("slits.d", 10**400, "integer 100000000000... is too large for a float",
+                         id="slits.d-401-digit-integer"),
         ],
     )
     def test_wrong_type_exits_one(self, runner, tmp_path, path, value, fragment):
@@ -235,6 +241,23 @@ class TestConfigTypes:
         path.write_text(json.dumps({"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}))
         result = runner.invoke(main, ["gamma-n", "--config", str(path)])
         assert_input_error(result, "n: missing required key")
+
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            ({"re": "abc"}, "top level.re: wrong type str"),
+            ({"n": "2"}, "top level.n: wrong type str"),
+            ({"n": True}, "top level.n: wrong type bool"),
+            ({"re": [[1.0, "0.5"], ["0.5", 1.0]]}, "top level.re[0][1]: wrong type str"),
+        ],
+        ids=["string-re", "string-n", "bool-n", "string-entry"],
+    )
+    def test_gamma_n_matrix_wrong_type_exits_one(self, runner, tmp_path, change, fragment):
+        # each of these once died with a traceback or printed a gamma_n
+        path = tmp_path / "matrix.json"
+        matrix = {"n": 2, "re": [[1.0, 0.5], [0.5, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        path.write_text(json.dumps({**matrix, **change}))
+        assert_input_error(runner.invoke(main, ["gamma-n", "--config", str(path)]), fragment)
 
     def test_booleans_accepted_where_expected(self, tmp_path):
         cfg_obj = json.loads(THREE_SLIT.read_text())

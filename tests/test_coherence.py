@@ -11,6 +11,7 @@ from duality_lab.coherence import (
     NotPositiveSemidefinite,
     TooSmall,
 )
+from duality_lab.scenario import ScenarioError, load_matrix
 
 
 def test_identity_valid_and_fully_incoherent():
@@ -188,17 +189,21 @@ def test_degree_of_coherence_depends_only_on_moduli(seed, n):
     assert abs(dl.degree_of_coherence(coh) - dl.degree_of_coherence(twisted)) < 1e-14
 
 
-def test_json_round_trip_bit_faithful():
+def test_json_round_trip_bit_faithful(tmp_path):
+    path = tmp_path / "matrix.json"
     for seed in range(20):
         coh = dl.random_coherence(5, 3, seed=seed)
-        back = dl.CoherenceMatrix.from_json(coh.to_json())
-        assert np.array_equal(back.entries, coh.entries)
+        path.write_text(coh.to_json())
+        back = load_matrix(path)
+        assert back.entries.tobytes() == coh.entries.tobytes()
         assert back.n == coh.n
 
 
-def test_from_json_shape_mismatch():
-    with pytest.raises(dl.CoherenceMatrixError):
-        dl.CoherenceMatrix.from_json('{"n": 3, "re": [[1.0]], "im": [[0.0]]}')
+def test_load_matrix_shape_mismatch(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text('{"n": 3, "re": [[1.0]], "im": [[0.0]]}')
+    with pytest.raises(ScenarioError, match=r"top level\.re: expected shape \(3, 3\), got \(1, 1\)"):
+        load_matrix(path)
 
 
 def test_entries_are_immutable():

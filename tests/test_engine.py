@@ -59,6 +59,7 @@ class TestSlitArray:
             {"spacing": np.inf},
             {"spacing": np.nan},
             {"phases": [0.0, np.nan]},
+            {"intensities": [1e308] * 3},  # finite entries, overflowing sum
         ],
     )
     def test_rejects_non_finite(self, kw):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -229,6 +230,26 @@ class TestQuantumCoherence:
             c = dl.quantum_coherence(dl.density_from_beams(intensities, coh))
             vc = dl.visibility_analytic(intensities, coh)
             assert abs(c - vc) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "build, intensities, fragment",
+    [
+        (dl.duality_report, [np.nan, 1.0], "finite"),
+        (dl.duality_report, [np.inf, 1.0], "finite"),
+        (dl.duality_report, [1e308] * 3, "finite"),
+        (dl.density_from_beams, [[1.0, 2.0], [1.0, 1.0]], "1-D"),
+    ],
+    ids=["report-nan", "report-inf", "report-overflowing-sum", "density-two-axes"],
+)
+def test_invalid_intensities_refused(build, intensities, fragment):
+    # once: nan measures reported as a broken theorem, C = 0 next to
+    # V_C = 0.62, a misleading size mismatch.  An overflowing sum is refused
+    # without a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=fragment):
+            build(intensities, dl.validate(np.eye(len(intensities))))
 
 
 class TestReport:

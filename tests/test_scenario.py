@@ -1,10 +1,17 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duality_lab as dl
-from duality_lab.scenario import ScenarioError, load_scenario
+from duality_lab.cli import main
+from duality_lab.scenario import MAX_CELLS, ScenarioError, load_matrix, load_scenario, load_sweep
 
 
 def base_config(**overrides):
@@ -150,3 +157,74 @@ def test_bool_is_not_a_number(tmp_path, section, key, value):
     cfg[section][key] = value
     with pytest.raises(ScenarioError, match=f"{section}.{key}: wrong type bool"):
         load_scenario(write(tmp_path, cfg))
+
+
+def test_samples_cap_checked_before_any_array(tmp_path):
+    # one sample over the cap for two slits is refused; at the cap the config
+    # loads, and loading builds no grid
+    cfg = base_config()
+    cfg["geometry"]["samples"] = MAX_CELLS // 2 + 1
+    with pytest.raises(ScenarioError, match="geometry.samples: 2097153 x 2 slits"):
+        load_scenario(write(tmp_path, cfg))
+    cfg["geometry"]["samples"] = MAX_CELLS // 2
+    assert load_scenario(write(tmp_path, cfg)).geometry.samples == MAX_CELLS // 2
+
+
+THREE_SLIT = json.loads((Path(__file__).parents[1] / "scenarios" / "three_slit.json").read_text())
+FUZZ_BASES = {
+    "matrix": THREE_SLIT,
+    "modes": {**THREE_SLIT, "coherence": {"modes": {
+        "re": [[1.0, 0.5], [0.2, 1.0], [0.7, 0.0]], "im": [[0.0, 0.1], [0.0, 0.0], [0.3, 0.0]],
+        "polarizations": {"re": [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]], "im": [[0.0, 0.0]] * 3},
+    }}},
+    "random": {**THREE_SLIT, "coherence": {"random": {"rank": 2, "seed": 5}}},
+    "sweep": {"schema": 1, "sweep": {"n_min": 2, "n_max": 3, "seeds": 2, "rank_policy": "full"}},
+    "matrix file": json.loads(dl.random_coherence(3, 2, seed=1).to_json()),
+}
+DELETE = object()
+MUTANTS = [DELETE, None, True, False, "0.5", "full", [], [1.0], {}, 0, -1, 2, 2.5, 1e308, 10**400]
+
+
+def key_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def mutated(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(sorted(FUZZ_BASES)), data=st.data())
+def test_mutated_config_loads_or_names_the_error(base, data):
+    # any one or two values replaced or deleted: the loader either returns or
+    # raises ScenarioError, and the CLI exits 0 or 1 without a traceback
+    cfg = FUZZ_BASES[base]
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(sorted(key_paths(cfg), key=repr)))
+        cfg = mutated(cfg, path, data.draw(st.sampled_from(MUTANTS)))
+    load, command = {"sweep": (load_sweep, "sweep"), "matrix file": (load_matrix, "gamma-n")}.get(
+        base, (load_scenario, "measures")
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        try:
+            load(path)
+        except ScenarioError:
+            pass
+        args = [command, "--config", str(path)] + (["--out", tmp] if command != "gamma-n" else [])
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
