@@ -14,7 +14,7 @@ changed, and why, in CHANGES.md:
 import sys
 from pathlib import Path
 
-from duality_lab.cli import run_scenario
+from duality_lab.cli import CONVERGENCE_JSON, PATTERN_CSV, REPORT_JSON, run_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -27,7 +27,7 @@ def main() -> int:
     if status != 0:
         print(f"scenario run failed with status {status}", file=sys.stderr)
         return status
-    for name in ("pattern.csv", "report.json", "convergence.json"):
+    for name in (PATTERN_CSV, REPORT_JSON, CONVERGENCE_JSON):
         print(f"wrote {out / name}")
     return 0
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from duality_lab.coherence import CoherenceMatrix
 from duality_lab.engine import InterferencePattern, SlitArray
+from duality_lab.measures import michelson
 
 MIN_SAMPLES_PER_FRINGE = 64
 PHASE_TOL = 1e-9  # largest wrapped pair phase, in radians, counted as aligned
@@ -75,9 +76,7 @@ def find_primary_max(
     return PeakEstimate(x_star=x_star, i_max=i_max, grid_index=idx)
 
 
-def extract_vc(
-    pat: InterferencePattern, window: tuple[float, float] | None = None
-) -> float:
+def extract_vc(pat: InterferencePattern) -> float:
     """Operational corrected visibility from a sampled pattern:
     (I_max - I_inc) / ((n - 1) * I_inc), with I_inc the incoherent reference
     interpolated at the refined primary-maximum position.
@@ -86,7 +85,7 @@ def extract_vc(
     interference cosines peak together); with misaligned phases it falls
     below the analytic value, see aligned_phases().
     """
-    peak = find_primary_max(pat, window)
+    peak = find_primary_max(pat)
     i_inc = float(np.interp(peak.x_star, pat.grid, pat.incoherent))
     if i_inc <= 0.0:
         raise ZeroIncoherentIntensity("incoherent reference vanishes at the peak")
@@ -107,8 +106,7 @@ def extract_michelson(pat: InterferencePattern) -> float:
     between = pat.total[lo + 1 : hi]
     if between.size == 0:
         raise UndersampledGrid("no samples between adjacent primary maxima")
-    i_min = float(between.min())
-    return (first.i_max - i_min) / (first.i_max + i_min)
+    return michelson(first.i_max, float(between.min()))
 
 
 def aligned_phases(slits: SlitArray, coh: CoherenceMatrix) -> bool:

@@ -94,8 +94,6 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         max_pyth_lhs = max(r.pyth_lhs for r in reports)
         max_lin_lhs = max(r.lin_lhs for r in reports)
-        max_pyth_res = max(r.pyth_residual for r in reports)
-        max_lin_res = max(r.lin_residual for r in reports)
         with open(out / "sweep.csv", "w", newline="") as f:
             f.write("n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n")
             for (n, s), r in zip(cases, reports):
@@ -105,8 +103,7 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
                 )
             f.write(
                 f"summary,instances={len(cases)},max_pyth_lhs={max_pyth_lhs!r},"
-                f"max_lin_lhs={max_lin_lhs!r},max_pyth_residual={max_pyth_res!r},"
-                f"max_lin_residual={max_lin_res!r},,,\n"
+                f"max_lin_lhs={max_lin_lhs!r},,,,,\n"
             )
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -135,10 +135,9 @@ class ModeDecomposition:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2:
             raise ValueError(f"expected an (n, r) array, got shape {v.shape}")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(norms == 0.0):
-            bad = int(np.flatnonzero(norms == 0.0)[0])
-            raise ValueError(f"zero-norm mode row at slit {bad}")
+        zero = ~v.any(axis=1)  # not the norm, which over- or underflows
+        if zero.any():
+            raise ValueError(f"zero-norm mode row at slit {int(np.flatnonzero(zero)[0])}")
         object.__setattr__(self, "vectors", v)
         v.setflags(write=False)
 
@@ -170,7 +169,13 @@ class PolarizationSet:
 
 def _gram(rows: np.ndarray, factor: np.ndarray | None = None) -> CoherenceMatrix:
     # Normalized overlaps of the rows, times an optional elementwise factor,
-    # with Hermitian/diagonal rounding dust removed before validation.
+    # with Hermitian/diagonal rounding dust removed before validation.  Each
+    # row is first scaled by the power of two that brings its largest part
+    # into [0.5, 1): exact, so unit rows keep their bits, and no norm over-
+    # or underflows.
+    parts = np.ascontiguousarray(rows).view(float)  # re, im interleaved
+    _, exp = np.frexp(np.abs(parts).max(axis=1))
+    rows = np.ldexp(parts, -exp[:, None]).view(complex)
     unit = rows / np.linalg.norm(rows, axis=1)[:, None]
     g = unit @ unit.conj().T
     if factor is not None:

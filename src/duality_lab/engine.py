@@ -18,6 +18,7 @@ model, hypot enter the form, so its bits are reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +31,24 @@ WINDOW_FRINGES = 4.0  # half-width of the over_fringes window, in fringe widths
 PHASE_MODELS = ("small_angle", "exact")
 ENVELOPES = ("uniform", "gaussian")
 
+# Bound on n * sum_i I_i.  With S = sum_i I_i, |A_ij| <= sqrt(I_i I_j) and
+# P = sum_{i>j} sqrt(I_i I_j) <= (n - 1) S / 2 (Cauchy-Schwarz), each update
+# in _intensity_samples adds at most 2 sqrt(2) |c_k| (small angle) or
+# 2 sqrt(2) |v_j| (exact), and sum_k |c_k| and sum_j |v_j| are at most P, so
+# every partial sum and product stays below S + sqrt(2) (n - 1) S
+# <= sqrt(2) n S.  n S <= max / 2 keeps the kernel's largest intermediate
+# below the largest float.
+MAX_N_TIMES_SUM = sys.float_info.max / 2.0
+
 
 class ZeroTotalIntensity(ValueError):
     """All slit intensities are zero."""
 
 
 def intensity_vector(values) -> np.ndarray:
-    """Slit intensities as a 1-D float array of at least 2 entries, none
-    negative, with a positive, finite sum (so every entry is finite too)."""
+    """Slit intensities as a 1-D float array of n >= 2 entries, none
+    negative, with a positive sum of at most MAX_N_TIMES_SUM / n (so every
+    entry is finite too)."""
     inten = np.asarray(values, dtype=float)
     if inten.ndim != 1 or inten.size < 2:
         raise ValueError(f"need at least 2 slit intensities in 1-D, got shape {inten.shape}")
@@ -45,9 +56,13 @@ def intensity_vector(values) -> np.ndarray:
         raise ValueError("slit intensities must be nonnegative")
     with np.errstate(over="ignore"):
         total = inten.sum()
-    if not 0.0 < total < math.inf:
+    limit = MAX_N_TIMES_SUM / inten.size
+    if not 0.0 < total <= limit:
         error = ZeroTotalIntensity if total == 0.0 else ValueError
-        raise error(f"sum of slit intensities must be positive and finite, got {total}")
+        raise error(
+            f"sum of slit intensities must be positive and finite, at most {limit!r} "
+            f"for {inten.size} slits, got {total}"
+        )
     return inten
 
 

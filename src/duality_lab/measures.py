@@ -115,14 +115,16 @@ def michelson(i_max: float, i_min: float) -> float:
 
 def pythagorean_identity(intensities, coh: CoherenceMatrix) -> tuple[float, float, float]:
     """Evaluate D^2 + V_C^2 against its closed form 1 - s^2 + (weighted
-    coherence sum)^2.  Returns (lhs, rhs, |lhs - rhs|); the residual is
-    rounding-level because the relation is algebraic."""
+    coherence sum)^2.  Returns (lhs, rhs, |lhs - rhs|): the algebraic check
+    behind acceptance criterion 2, rounding-level because both sides come
+    from the same pair sums."""
     return _pair_weights(intensities, coh).pythagorean()
 
 
 def linear_identity(intensities, coh: CoherenceMatrix) -> tuple[float, float, float]:
     """Evaluate D' + V_C against 1 - (1/(n-1)) sum_{i != j}
-    sqrt(I_i I_j)(1 - |g_ij|) / sum_k I_k.  Returns (lhs, rhs, residual)."""
+    sqrt(I_i I_j)(1 - |g_ij|) / sum_k I_k.  Returns (lhs, rhs, |lhs - rhs|):
+    the algebraic check behind acceptance criterion 4."""
     return _pair_weights(intensities, coh).linear()
 
 
@@ -163,9 +165,9 @@ def quantum_coherence(density: BeamDensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """All measures for one (intensities, coherence) instance, with the
-    closed-form identity residuals and the inequality verdicts.  Field names
-    match the JSON wire format exactly."""
+    """All measures for one (intensities, coherence) instance, the left-hand
+    sides of both duality relations and their verdicts.  Field names match
+    the JSON wire format exactly."""
 
     n: int
     v_c: float
@@ -175,8 +177,6 @@ class DualityReport:
     c: float
     pyth_lhs: float
     lin_lhs: float
-    pyth_residual: float
-    lin_residual: float
     pyth_holds: bool
     lin_holds: bool
 
@@ -187,8 +187,8 @@ class DualityReport:
 def duality_report(intensities, coh: CoherenceMatrix) -> DualityReport:
     """Compute every measure and both duality checks for one instance."""
     sums = _pair_weights(intensities, coh)
-    pyth_lhs, _, pyth_res = sums.pythagorean()
-    lin_lhs, _, lin_res = sums.linear()
+    pyth_lhs, _, _ = sums.pythagorean()
+    lin_lhs, _, _ = sums.linear()
     return DualityReport(
         n=coh.n,
         v_c=sums.v_c,
@@ -198,8 +198,6 @@ def duality_report(intensities, coh: CoherenceMatrix) -> DualityReport:
         c=quantum_coherence(density_from_beams(intensities, coh)),
         pyth_lhs=pyth_lhs,
         lin_lhs=lin_lhs,
-        pyth_residual=pyth_res,
-        lin_residual=lin_res,
         pyth_holds=pyth_lhs <= 1.0 + INEQUALITY_TOL,
         lin_holds=lin_lhs <= 1.0 + INEQUALITY_TOL,
     )

@@ -125,6 +125,8 @@ def _resolve_coherence(spec, n: int, seed_override: int | None):
             return coherence.from_modes(coherence.ModeDecomposition(modes), pols)
         block = spec["random"]
         rank = _get(block, "rank", "coherence.random", int)
+        if rank > n:  # refused before random_coherence draws an n x rank array
+            raise ScenarioError(f"coherence.random.rank: {rank} is above slits.n = {n}")
         seed = _get(block, "seed", "coherence.random", int)
         if seed_override is not None:
             seed = seed_override
@@ -226,8 +228,8 @@ class Sweep(NamedTuple):
 def load_sweep(path, seed_override: int | None = None) -> Sweep:
     """Load and validate a sweep config, {"schema": 1, "sweep": {...}}: JSON
     integers n_min (default 2), n_max (8), seeds (100) and seed (0), and
-    rank_policy "full" (default), "rank1" or a positive integer, also as a
-    string.  seed_override replaces the master seed."""
+    rank_policy "full" (default), "rank1" or a positive integer up to n_max,
+    also as a string.  seed_override replaces the master seed."""
     spec = _get(_read_config(path), "sweep", "top level", dict)
     n_min = _get(spec, "n_min", "sweep", int, default=2)
     n_max = _get(spec, "n_max", "sweep", int, default=8)
@@ -248,9 +250,11 @@ def load_sweep(path, seed_override: int | None = None) -> Sweep:
         rank = int(policy)
     else:
         rank = policy
-    if rank is not None and (type(rank) is not int or rank < 1):  # rejects JSON true too
+    # type() rejects JSON true; the upper bound comes before random_coherence
+    # draws an n x rank array
+    if rank is not None and (type(rank) is not int or not 1 <= rank <= n_max):
         raise ScenarioError(
-            f"sweep.rank_policy: expected full, rank1 or a positive integer, got {policy!r}"
+            f"sweep.rank_policy: expected full, rank1 or an integer in [1, {n_max}], got {policy!r}"
         )
     seed = seed if seed_override is None else seed_override
     return Sweep(n_min, n_max, seeds, seed, rank)

@@ -14,8 +14,7 @@ GOLDEN = REPO / "tests" / "golden" / "three_slit"
 
 REPORT_KEYS = [
     "n", "v_c", "d", "d_prime", "gamma_n", "c",
-    "pyth_lhs", "lin_lhs", "pyth_residual", "lin_residual",
-    "pyth_holds", "lin_holds",
+    "pyth_lhs", "lin_lhs", "pyth_holds", "lin_holds",
 ]
 
 
@@ -226,6 +225,9 @@ class TestConfigTypes:
             ("slits.intensities", [1e308] * 3, "slits: sum of slit intensities must be positive"),
             pytest.param("slits.d", 10**400, "integer 100000000000... is too large for a float",
                          id="slits.d-401-digit-integer"),
+            # a finite sum whose pattern peak, up to n x sum, overflows
+            ("slits.intensities", [8e307, 8e307, 0.0], "slits: sum of slit intensities must be"),
+            ("coherence", {"random": {"rank": 4, "seed": 1}}, "coherence.random.rank: 4 is above"),
         ],
     )
     def test_wrong_type_exits_one(self, runner, tmp_path, path, value, fragment):
@@ -357,7 +359,11 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs"
         assert len(lines) == 1 + 3 * 20 + 1
-        assert lines[-1].startswith("summary,instances=60,")
+        summary = lines[-1].split(",")
+        assert len(summary) == 9
+        assert summary[0] == "summary" and summary[1] == "instances=60"
+        assert [f.split("=")[0] for f in summary[1:4]] == ["instances", "max_pyth_lhs", "max_lin_lhs"]
+        assert summary[4:] == [""] * 5
         for line in lines[1:-1]:
             fields = line.split(",")
             assert len(fields) == 9
@@ -392,6 +398,8 @@ class TestSweepCommand:
             ({"n_min": 2.9}, "sweep.n_min: wrong type float"),
             ({"seeds": True}, "sweep.seeds: wrong type bool"),
             ({"seed": -1}, "sweep.seed: need a nonnegative integer"),
+            ({"rank_policy": 5}, "sweep.rank_policy: expected full, rank1 or an integer in [1, 4]"),
+            ({"rank_policy": "100000000000"}, "sweep.rank_policy: expected full, rank1 or an int"),
         ],
     )
     def test_bad_config_exits_one(self, runner, tmp_path, sweep, fragment):

@@ -80,6 +80,15 @@ def test_from_modes_identical_rows_fully_coherent():
     assert dl.degree_of_coherence(coh) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e308, 1e-170], ids=["huge", "tiny"])
+def test_from_modes_rows_near_float_limits(value):
+    # rows whose norms over- and underflow once gave the identity and a
+    # zero-norm error
+    coh = dl.from_modes(dl.ModeDecomposition(np.full((2, 1), value)))
+    assert np.array_equal(coh.entries, np.ones((2, 2)))
+
+
 def test_from_modes_orthogonal_rows_incoherent():
     coh = dl.from_modes(dl.ModeDecomposition(np.eye(3) * 2.0))
     assert np.allclose(coh.entries, np.eye(3))

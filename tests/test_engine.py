@@ -60,6 +60,7 @@ class TestSlitArray:
             {"spacing": np.nan},
             {"phases": [0.0, np.nan]},
             {"intensities": [1e308] * 3},  # finite entries, overflowing sum
+            {"intensities": [8e307, 8e307]},  # finite sum, overflowing pattern peak
         ],
     )
     def test_rejects_non_finite(self, kw):

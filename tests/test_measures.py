@@ -258,8 +258,7 @@ class TestReport:
         obj = json.loads(rep.to_json())
         assert list(obj.keys()) == [
             "n", "v_c", "d", "d_prime", "gamma_n", "c",
-            "pyth_lhs", "lin_lhs", "pyth_residual", "lin_residual",
-            "pyth_holds", "lin_holds",
+            "pyth_lhs", "lin_lhs", "pyth_holds", "lin_holds",
         ]
         assert obj["n"] == 2
         assert obj["pyth_holds"] is True and obj["lin_holds"] is True
