@@ -41,9 +41,7 @@ from duality_lab.measures import (
     distinguishability,
     distinguishability_prime,
     duality_report,
-    linear_identity,
     michelson,
-    pythagorean_identity,
     quantum_coherence,
     visibility_analytic,
 )
@@ -77,13 +75,11 @@ __all__ = [
     "fringe_width",
     "from_modes",
     "intensity_at",
-    "linear_identity",
     "load_pattern_csv",
     "load_scenario",
     "mc_pattern",
     "michelson",
     "pattern",
-    "pythagorean_identity",
     "quantum_coherence",
     "random_coherence",
     "realize_fields",

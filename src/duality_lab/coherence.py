@@ -105,13 +105,16 @@ def validate(matrix) -> CoherenceMatrix:
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise NotFinite(f"g[{i},{j}] = {m[i, j]} is not finite")
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    # entries near the float limit overflow these deviations to inf, which
+    # every tolerance refuses
+    with np.errstate(over="ignore"):
+        herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        diag_dev = float(np.max(np.abs(np.diag(m) - 1.0)))
+        mag_max = float(np.max(np.abs(m)))
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |g_ij - conj(g_ji)| = {herm_dev:.3e}")
-    diag_dev = float(np.max(np.abs(np.diag(m) - 1.0)))
     if diag_dev > DIAGONAL_TOL:
         raise DiagonalNotUnit(f"max |g_ii - 1| = {diag_dev:.3e}")
-    mag_max = float(np.max(np.abs(m)))
     if mag_max > 1.0 + MODULUS_TOL:
         raise NotPositiveSemidefinite(f"off-diagonal modulus {mag_max:.6f} exceeds 1")
     eigs = np.linalg.eigvalsh(m)
@@ -156,7 +159,8 @@ class PolarizationSet:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array, got shape {v.shape}")
-        norms = np.linalg.norm(v, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused
+            norms = np.linalg.norm(v, axis=1)
         if np.max(np.abs(norms - 1.0)) > POLARIZATION_NORM_TOL:
             raise ValueError("polarization vectors must have unit norm")
         object.__setattr__(self, "vectors", v)

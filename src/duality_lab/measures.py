@@ -4,7 +4,9 @@ All pair sums run over ordered pairs (i, j), i != j, normalized by 1/(n-1),
 so every quantity lands in [0, 1].  Two relations are checked: the
 Pythagorean form D^2 + V_C^2 <= 1 and the linear form D' + V_C <= 1, both
 saturated exactly when every pair with nonzero intensity product is fully
-coherent.
+coherent.  The report holds each left-hand side and whether it stays within
+INEQUALITY_TOL of 1; in exact arithmetic they equal 1 - s^2 + V_C^2 and
+1 - s + V_C, which the tests recompute at 50 digits from the same inputs.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ INEQUALITY_TOL = 1e-12
 
 
 class _PairSums(NamedTuple):
-    """Sums over ordered pairs, each over (n-1) sum_k I_k, of sqrt(I_i I_j) (s),
-    sqrt(I_i I_j)|g_ij| (v_c) and sqrt(I_i I_j)(1 - |g_ij|) (rest).  Every
-    measure and relation is written once, here."""
+    """Sums over ordered pairs, each over (n-1) sum_k I_k, of sqrt(I_i I_j)
+    (s) and sqrt(I_i I_j)|g_ij| (v_c).  D and D' are written once, here."""
 
     s: float
     v_c: float | None = None
-    rest: float | None = None
 
     @property
     def d(self) -> float:
@@ -39,22 +39,11 @@ class _PairSums(NamedTuple):
     def d_prime(self) -> float:
         return 1.0 - self.s
 
-    def pythagorean(self) -> tuple[float, float, float]:
-        d = self.d
-        lhs = d * d + self.v_c * self.v_c
-        rhs = (1.0 - self.s * self.s) + self.v_c * self.v_c
-        return lhs, rhs, abs(lhs - rhs)
-
-    def linear(self) -> tuple[float, float, float]:
-        lhs = self.d_prime + self.v_c
-        rhs = 1.0 - self.rest
-        return lhs, rhs, abs(lhs - rhs)
-
 
 def _pair_weights(intensities, coh: CoherenceMatrix | None = None) -> _PairSums:
     """Ordered-pair sums of the weights sqrt(I_i I_j), alone and, given a
-    coherence matrix, times |g_ij| and 1 - |g_ij|, over the normalizer
-    (n-1) * sum(I); computed on intensities rescaled by their maximum.
+    coherence matrix, times |g_ij|, over the normalizer (n-1) * sum(I);
+    computed on intensities rescaled by their maximum.
 
     The rescaling is exact for the limit cases: equal intensities become
     exactly 1.0 each, so the weighted sums divide out exactly and the
@@ -71,10 +60,7 @@ def _pair_weights(intensities, coh: CoherenceMatrix | None = None) -> _PairSums:
         return _PairSums(s)
     if coh.n != n:
         raise ValueError(f"coherence matrix size {coh.n} does not match {n} slits")
-    mag = coh.magnitudes()
-    return _PairSums(
-        s, float((pair * mag).sum() / norm), float((pair * (1.0 - mag)).sum() / norm)
-    )
+    return _PairSums(s, float((pair * coh.magnitudes()).sum() / norm))
 
 
 def visibility_analytic(intensities, coh: CoherenceMatrix) -> float:
@@ -111,21 +97,6 @@ def michelson(i_max: float, i_min: float) -> float:
     if i_max <= 0.0:
         raise ValueError("I_max must be positive")
     return (i_max - i_min) / (i_max + i_min)
-
-
-def pythagorean_identity(intensities, coh: CoherenceMatrix) -> tuple[float, float, float]:
-    """Evaluate D^2 + V_C^2 against its closed form 1 - s^2 + (weighted
-    coherence sum)^2.  Returns (lhs, rhs, |lhs - rhs|): the algebraic check
-    behind acceptance criterion 2, rounding-level because both sides come
-    from the same pair sums."""
-    return _pair_weights(intensities, coh).pythagorean()
-
-
-def linear_identity(intensities, coh: CoherenceMatrix) -> tuple[float, float, float]:
-    """Evaluate D' + V_C against 1 - (1/(n-1)) sum_{i != j}
-    sqrt(I_i I_j)(1 - |g_ij|) / sum_k I_k.  Returns (lhs, rhs, |lhs - rhs|):
-    the algebraic check behind acceptance criterion 4."""
-    return _pair_weights(intensities, coh).linear()
 
 
 @dataclass(frozen=True)
@@ -187,13 +158,14 @@ class DualityReport:
 def duality_report(intensities, coh: CoherenceMatrix) -> DualityReport:
     """Compute every measure and both duality checks for one instance."""
     sums = _pair_weights(intensities, coh)
-    pyth_lhs, _, _ = sums.pythagorean()
-    lin_lhs, _, _ = sums.linear()
+    d, d_prime, v_c = sums.d, sums.d_prime, sums.v_c
+    pyth_lhs = d * d + v_c * v_c
+    lin_lhs = d_prime + v_c
     return DualityReport(
         n=coh.n,
-        v_c=sums.v_c,
-        d=sums.d,
-        d_prime=sums.d_prime,
+        v_c=v_c,
+        d=d,
+        d_prime=d_prime,
         gamma_n=degree_of_coherence(coh),
         c=quantum_coherence(density_from_beams(intensities, coh)),
         pyth_lhs=pyth_lhs,

@@ -107,14 +107,22 @@ def mc_pattern(
     # sum_k |sum_i E_i u_i|^2 factored through the realization Gram matrix
     # sum_k E_k E_k^dagger: same ensemble statistic, O(N n^2) instead of O(N n X)
     gram = np.zeros((slits.n, slits.n), dtype=complex)
+    # The sum of N realizations is N times their mean, which may overflow
+    # where the mean does not.  Fields are summed scaled by 2^-shift with
+    # 4^shift >= N, the smallest such power, and the mean is scaled back.
+    # Power-of-two scaling is exact, so the pattern keeps its bits unless a
+    # scaled product E_i E_j* falls below the normal range, i.e. below
+    # 4^shift * 2^-1022 (about 2e-302 at N = 10^6).
+    shift = ((realizations - 1).bit_length() + 1) // 2
     for start in range(0, realizations, _CHUNK):
         count = min(_CHUNK, realizations - start)
         fields = np.empty((count, slits.n), dtype=complex)
         for k in range(count):
             fields[k] = realize_fields(spec, start + k)
+        fields *= 2.0**-shift
         gram += fields.T @ fields.conj()
     acc = ((gram @ propagate.conj()) * propagate).sum(axis=0).real
-    return screen_pattern(slits, geometry, x, acc / realizations)
+    return screen_pattern(slits, geometry, x, (acc / realizations) * 4.0**shift)
 
 
 def convergence_report(

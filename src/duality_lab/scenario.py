@@ -229,7 +229,8 @@ def load_sweep(path, seed_override: int | None = None) -> Sweep:
     """Load and validate a sweep config, {"schema": 1, "sweep": {...}}: JSON
     integers n_min (default 2), n_max (8), seeds (100) and seed (0), and
     rank_policy "full" (default), "rank1" or a positive integer up to n_max,
-    also as a string.  seed_override replaces the master seed."""
+    also as a string of at most as many digits as n_max.  seed_override
+    replaces the master seed."""
     spec = _get(_read_config(path), "sweep", "top level", dict)
     n_min = _get(spec, "n_min", "sweep", int, default=2)
     n_max = _get(spec, "n_max", "sweep", int, default=8)
@@ -247,7 +248,9 @@ def load_sweep(path, seed_override: int | None = None) -> Sweep:
     elif policy == "rank1":
         rank = 1
     elif isinstance(policy, str) and policy.isascii() and policy.isdigit():
-        rank = int(policy)
+        # a longer digit string is out of range, and past 4300 digits int()
+        # would raise an error that names no key
+        rank = int(policy) if len(policy) <= len(str(n_max)) else policy
     else:
         rank = policy
     # type() rejects JSON true; the upper bound comes before random_coherence

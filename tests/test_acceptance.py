@@ -13,6 +13,8 @@ import duality_lab as dl
 from duality_lab.cli import run_sweep
 from duality_lab.oracle import mc_pattern
 
+from exact_reference import EPS, bounds, deviations, exact
+
 WAVELENGTH = 500e-9
 DISTANCE = 1.0
 SPACING = 50e-6
@@ -76,21 +78,44 @@ def test_criterion_01_two_slit_reduction():
     )
 
 
-def test_criterion_02_pythagorean_identity(ensemble):
-    worst = max(dl.pythagorean_identity(i, c)[2] for i, c in ensemble)
-    verdict(2, worst < 1e-12, f"pythagorean identity residual {worst:.2e} (<1e-12) over 10^4")
+@pytest.fixture(scope="module")
+def checked(ensemble):
+    # (report, deviations from the 50-digit reference, derived bounds)
+    out = []
+    for intensities, coh in ensemble:
+        rep, ref = dl.duality_report(intensities, coh), exact(intensities, coh)
+        out.append((rep, deviations(rep, ref), bounds(coh.n, ref)))
+    return out
 
 
-def test_criterion_03_pythagorean_inequality_and_saturation(ensemble):
-    max_lhs = max(dl.pythagorean_identity(i, c)[0] for i, c in ensemble)
+def against_reference(checked, key):
+    """Worst deviation of one report field from the 50-digit reference, in
+    eps, the worst deviation over its derived bound, and the bound range."""
+    devs = [getattr(dev, key) for _, dev, _ in checked]
+    limits = [getattr(bound, key) for _, _, bound in checked]
+    ratio = max(d / b if b else (0.0 if d == 0.0 else math.inf) for d, b in zip(devs, limits))
+    return max(devs) / EPS, ratio, min(limits) / EPS, max(limits) / EPS
+
+
+def test_criterion_02_pythagorean_identity(checked):
+    worst, ratio, low, high = against_reference(checked, "pyth")
+    verdict(
+        2, ratio <= 1.0,
+        f"pyth_lhs vs 50-digit 1 - s^2 + V_C^2: worst {worst:.2f} eps, "
+        f"{ratio:.2f} of its bound from counted rounding steps ({low:.2f}..{high:.1f} eps) "
+        f"over 10^4",
+    )
+
+
+def test_criterion_03_pythagorean_inequality_and_saturation(checked):
+    max_lhs = max(rep.pyth_lhs for rep, _, _ in checked)
     rng = np.random.default_rng(3)
     worst_sat = 0.0
     for _ in range(2000):
         n = int(rng.integers(2, 9))
         coh = dl.random_coherence(n, 1, seed=int(rng.integers(0, 2**63)))
         intensities = rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0)
-        lhs, _, _ = dl.pythagorean_identity(intensities, coh)
-        worst_sat = max(worst_sat, abs(lhs - 1.0))
+        worst_sat = max(worst_sat, abs(dl.duality_report(intensities, coh).pyth_lhs - 1.0))
     ok = max_lhs <= 1.0 + 1e-12 and worst_sat <= 1e-9
     verdict(
         3, ok,
@@ -99,24 +124,21 @@ def test_criterion_03_pythagorean_inequality_and_saturation(ensemble):
     )
 
 
-def test_criterion_04_linear_identity_and_saturation(ensemble):
-    worst_res = 0.0
-    max_lhs = 0.0
-    for intensities, coh in ensemble:
-        lhs, _, res = dl.linear_identity(intensities, coh)
-        worst_res = max(worst_res, res)
-        max_lhs = max(max_lhs, lhs)
+def test_criterion_04_linear_identity_and_saturation(checked):
+    worst, ratio, low, high = against_reference(checked, "lin")
+    max_lhs = max(rep.lin_lhs for rep, _, _ in checked)
     rng = np.random.default_rng(4)
     worst_sat = 0.0
     for _ in range(1000):
         i1, i2 = rng.uniform(0.01, 10.0, 2)
-        lhs, _, _ = dl.linear_identity([i1, i2], coherence_with(1.0))
+        lhs = dl.duality_report([i1, i2], coherence_with(1.0)).lin_lhs
         worst_sat = max(worst_sat, abs(lhs - 1.0))
-    ok = worst_res < 1e-12 and max_lhs <= 1.0 + 1e-12 and worst_sat <= 1e-12
+    ok = ratio <= 1.0 and max_lhs <= 1.0 + 1e-12 and worst_sat <= 1e-12
     verdict(
         4, ok,
-        f"linear relation: residual {worst_res:.2e} (<1e-12), max lhs - 1 = "
-        f"{max_lhs - 1.0:.2e} (<=1e-12), n=2 saturation dev {worst_sat:.2e} (<=1e-12)",
+        f"lin_lhs vs 50-digit 1 - s + V_C: worst {worst:.2f} eps, {ratio:.2f} of its bound "
+        f"from counted rounding steps ({low:.2f}..{high:.1f} eps); max lhs - 1 = {max_lhs - 1.0:.2e} "
+        f"(<=1e-12), n=2 saturation dev {worst_sat:.2e} (<=1e-12)",
     )
 
 

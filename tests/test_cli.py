@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import duality_lab as dl
+from duality_lab import measures
 from duality_lab.cli import main, run_scenario, run_sweep
 
 REPO = Path(__file__).resolve().parents[1]
@@ -400,6 +402,8 @@ class TestSweepCommand:
             ({"seed": -1}, "sweep.seed: need a nonnegative integer"),
             ({"rank_policy": 5}, "sweep.rank_policy: expected full, rank1 or an integer in [1, 4]"),
             ({"rank_policy": "100000000000"}, "sweep.rank_policy: expected full, rank1 or an int"),
+            # past 4300 digits int() raises a message that names no key
+            ({"rank_policy": "9" * 5000}, "sweep.rank_policy: expected full, rank1 or an int"),
         ],
     )
     def test_bad_config_exits_one(self, runner, tmp_path, sweep, fragment):
@@ -424,6 +428,44 @@ class TestSweepCommand:
         run_sweep(cfg, tmp_path / "a")
         run_sweep(cfg, tmp_path / "b", seed=123)
         assert (tmp_path / "a" / "sweep.csv").read_bytes() != (tmp_path / "b" / "sweep.csv").read_bytes()
+
+
+@pytest.fixture(params=["pyth_holds", "lin_holds"])
+def violated(request, monkeypatch):
+    # the relations are theorems, so only a faulty report can break one
+    real = measures.duality_report
+
+    def faulty(intensities, coh):
+        return dataclasses.replace(real(intensities, coh), **{request.param: False})
+
+    monkeypatch.setattr(measures, "duality_report", faulty)
+    return request.param
+
+
+VIOLATION = "error: duality inequality violated beyond tolerance"
+
+
+class TestViolationExit:
+    def test_measures_exits_two_and_keeps_report(self, runner, tmp_path, violated):
+        cfg = saturated_two_slit(tmp_path)
+        result = runner.invoke(main, ["measures", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [VIOLATION]
+        assert json.loads((tmp_path / "report.json").read_text())[violated] is False
+
+    def test_run_scenario_returns_two(self, tmp_path, violated, capsys):
+        assert run_scenario(saturated_two_slit(tmp_path), tmp_path / "out") == 2
+        assert capsys.readouterr().err == VIOLATION + "\n"
+        assert (tmp_path / "out" / "report.json").exists()
+
+    def test_run_sweep_returns_two(self, tmp_path, violated, capsys):
+        cfg = write_scenario(
+            tmp_path, {"schema": 1, "sweep": {"n_min": 2, "n_max": 3, "seeds": 2}}, name="sweep.json"
+        )
+        assert run_sweep(cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == VIOLATION + "\n"
+        assert (tmp_path / "out" / "sweep.csv").exists()
 
 
 class TestRunScenario:

@@ -45,6 +45,14 @@ def test_non_hermitian_rejected():
         dl.validate(m)
 
 
+@pytest.mark.filterwarnings("error")
+def test_near_float_limit_refused_without_warning():
+    # g_ij - conj(g_ji) once overflowed with a RuntimeWarning before the
+    # refusal; the overflowing deviation is inf and still refused
+    with pytest.raises(NotHermitian, match="inf"):
+        dl.validate([[1.0, 1e308], [-1e308, 1.0]])
+
+
 def test_bad_diagonal_rejected():
     m = np.eye(2, dtype=complex)
     m[1, 1] = 0.9
@@ -114,6 +122,12 @@ def test_polarization_overlap_scales_coherence():
 def test_polarization_requires_unit_norm():
     with pytest.raises(ValueError):
         dl.PolarizationSet(np.array([[1.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_polarization_overflowing_norm_refused_without_warning():
+    with pytest.raises(ValueError, match="unit norm"):
+        dl.PolarizationSet(np.array([[1e308, 0.0], [1.0, 0.0]]))
 
 
 def test_zero_norm_mode_row_rejected():

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import duality_lab as dl
 from duality_lab.measures import ZeroTotalIntensity
+
+from exact_reference import EPS, bounds, deviations, exact
 
 
 def coherence_with(g, n=2):
@@ -42,6 +45,16 @@ def naive_weight_fraction(intensities):
             if i != j:
                 acc += math.sqrt(I[i] * I[j]) / total
     return acc / (n - 1)
+
+
+def checked_report(intensities, coh):
+    """The duality report and its 50-digit reference, after checking every
+    report field against the reference within its derived bound."""
+    rep, ref = dl.duality_report(intensities, coh), exact(intensities, coh)
+    limits = bounds(coh.n, ref)
+    for key, dev, limit in zip(limits._fields, deviations(rep, ref), limits):
+        assert dev <= limit, (key, dev / EPS, limit / EPS)
+    return rep, ref
 
 
 def random_instance(seed, n_max=8):
@@ -150,47 +163,77 @@ class TestMichelson:
 class TestIdentities:
     def test_full_coherence_saturates(self):
         for n in (2, 4, 7):
-            lhs, rhs, res = dl.pythagorean_identity(np.arange(1, n + 1, dtype=float), coherence_with(1.0, n=n))
-            assert abs(lhs - 1.0) < 1e-12
-            assert res < 1e-12
-            lhs2, _, res2 = dl.linear_identity(np.arange(1, n + 1, dtype=float), coherence_with(1.0, n=n))
-            assert abs(lhs2 - 1.0) < 1e-12
-            assert res2 < 1e-12
+            rep, ref = checked_report(np.arange(1, n + 1, dtype=float), coherence_with(1.0, n=n))
+            assert abs(rep.pyth_lhs - 1.0) < 1e-12
+            assert abs(rep.lin_lhs - 1.0) < 1e-12
+            assert abs(ref.pyth - 1) < 1e-45 and abs(ref.lin - 1) < 1e-45
 
     def test_identity_coherence_leaves_distinguishability(self):
         I = [1.0, 0.2, 0.5]
-        lhs, _, _ = dl.pythagorean_identity(I, dl.validate(np.eye(3)))
-        d = dl.distinguishability(I)
-        assert lhs == pytest.approx(d * d, abs=1e-15)
-        assert lhs <= 1.0
+        rep, _ = checked_report(I, dl.validate(np.eye(3)))
+        assert rep.v_c == 0.0
+        assert rep.d == dl.distinguishability(I)
+        assert rep.pyth_lhs == rep.d * rep.d
+        assert rep.pyth_lhs <= 1.0
 
     def test_equal_intensity_incoherent_linear(self):
-        lhs, _, res = dl.linear_identity([2.0, 2.0, 2.0], dl.validate(np.eye(3)))
-        assert lhs == 0.0
-        assert res == 0.0
+        rep, ref = checked_report([2.0, 2.0, 2.0], dl.validate(np.eye(3)))
+        assert rep.lin_lhs == 0.0
+        assert ref.lin == 0
 
     def test_rhs_matches_naive(self):
         for seed in range(200):
             intensities, coh = random_instance(seed)
             s = naive_weight_fraction(intensities)
             vc = naive_visibility(intensities, coh)
-            lhs, rhs, res = dl.pythagorean_identity(intensities, coh)
-            assert rhs == pytest.approx(1.0 - s * s + vc * vc, abs=1e-12)
-            assert res < 1e-12
-            lhs2, rhs2, res2 = dl.linear_identity(intensities, coh)
-            assert rhs2 == pytest.approx(1.0 - (s - vc), abs=1e-12)
-            assert res2 < 1e-12
+            _, ref = checked_report(intensities, coh)
+            assert float(ref.pyth) == pytest.approx(1.0 - s * s + vc * vc, abs=1e-12)
+            assert float(ref.lin) == pytest.approx(1.0 - (s - vc), abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_inequalities_hold(self, seed):
         intensities, coh = random_instance(seed)
-        lhs, _, res = dl.pythagorean_identity(intensities, coh)
-        assert lhs <= 1.0 + 1e-12
-        assert res < 1e-12
-        lhs2, _, res2 = dl.linear_identity(intensities, coh)
-        assert lhs2 <= 1.0 + 1e-12
-        assert res2 < 1e-12
+        rep, _ = checked_report(intensities, coh)
+        assert rep.pyth_lhs <= 1.0 + 1e-12 and rep.pyth_holds
+        assert rep.lin_lhs <= 1.0 + 1e-12 and rep.lin_holds
+
+
+class TestExactReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dark=st.booleans(),
+        rank1=st.booleans(),
+        blend=st.sampled_from([0.0, 1e-12, 1e-6, 0.5]),
+        skew=st.sampled_from([0.0, 3e-11]),
+    )
+    def test_every_measure_within_its_bound(self, seed, dark, rank1, blend, skew):
+        # dark slits, fully coherent (saturating) and nearly saturating
+        # instances, and a coherence matrix that is Hermitian only within
+        # the validation tolerance, so V_C and C read different moduli
+        rng = np.random.default_rng(seed)
+        intensities, coh = random_instance(seed)
+        n = coh.n
+        if rank1:
+            coh = dl.random_coherence(n, 1, seed=seed)
+        m = (1.0 - blend) * coh.entries + blend * np.eye(n)
+        m[0, 1] += skew * (1.0 + 1.0j)
+        np.fill_diagonal(m, 1.0)
+        if dark:
+            intensities[int(rng.integers(0, n))] = 0.0
+        checked_report(intensities * 10.0 ** rng.uniform(-100, 100), dl.validate(m))
+
+    def test_c_matches_exact_v_c(self):
+        # the quantum bridge of Bera et al. (PRA 92, 012118): C = V_C.  C
+        # comes from the density matrix, so this is a second route to V_C;
+        # full-rank matrices keep every modulus below 1, where the two agree
+        for seed in range(100):
+            intensities, coh = random_instance(seed)
+            coh = dl.random_coherence(coh.n, coh.n, seed=seed)
+            ref = exact(intensities, coh)
+            c = dl.quantum_coherence(dl.density_from_beams(intensities, coh))
+            assert abs(Decimal(c) - ref.v_c) <= bounds(coh.n, ref).c
 
 
 class TestDensityMatrix:
@@ -301,9 +344,12 @@ class TestInvariances:
         inten_p = np.asarray(intensities)[perm]
         assert abs(dl.visibility_analytic(inten_p, coh_p) - dl.visibility_analytic(intensities, coh)) < 1e-12
         assert abs(dl.distinguishability(inten_p) - dl.distinguishability(intensities)) < 1e-12
-        lhs_a, _, _ = dl.pythagorean_identity(intensities, coh)
-        lhs_b, _, _ = dl.pythagorean_identity(inten_p, coh_p)
-        assert abs(lhs_a - lhs_b) < 1e-12
+        # the 50-digit reference does not depend on the order, so both
+        # orders lie within their derived bounds of the same value
+        rep_a, ref = checked_report(intensities, coh)
+        rep_b, _ = checked_report(inten_p, coh_p)
+        limit = bounds(n, ref).pyth
+        assert abs(rep_a.pyth_lhs - rep_b.pyth_lhs) <= 2 * limit < 1e-12
 
     def test_visibility_monotone_in_coherence(self):
         # blending toward full coherence scales every modulus up together
@@ -327,8 +373,7 @@ class TestInvariances:
         # dark slit: saturation holds when the bright pair is fully coherent
         m = np.eye(3, dtype=complex)
         m[0, 1] = m[1, 0] = 1.0
-        coh = dl.validate(m)
-        lhs, _, _ = dl.pythagorean_identity([1.0, 2.0, 0.0], coh)
-        assert lhs == pytest.approx(1.0, abs=1e-12)
-        lhs2, _, _ = dl.linear_identity([1.0, 2.0, 0.0], coh)
-        assert lhs2 == pytest.approx(1.0, abs=1e-12)
+        rep, ref = checked_report([1.0, 2.0, 0.0], dl.validate(m))
+        assert rep.pyth_lhs == pytest.approx(1.0, abs=1e-12)
+        assert rep.lin_lhs == pytest.approx(1.0, abs=1e-12)
+        assert abs(ref.pyth - 1) < 1e-45 and abs(ref.lin - 1) < 1e-45

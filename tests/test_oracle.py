@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import duality_lab as dl
+from duality_lab.engine import MAX_N_TIMES_SUM
 from duality_lab.oracle import convergence_report, ensemble_spec, mc_pattern, realize_fields
 
 WAVELENGTH = 500e-9
@@ -126,6 +129,24 @@ class TestMcPattern:
         slits, coh, geom = standard_setup(samples=512)
         mc = mc_pattern(slits, coh, geom, 500, seed=3)
         assert np.allclose(mc.incoherent, slits.intensities.sum())
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("phase_model", ["small_angle", "exact"])
+    def test_finite_at_the_intensity_bound(self, n, phase_model):
+        # the ensemble sum is N times the mean: once it overflowed to inf
+        # and nan with a RuntimeWarning inside the bound the engine accepts
+        slits = dl.SlitArray(intensities=np.full(n, MAX_N_TIMES_SUM / n / n), spacing=SPACING)
+        geom = dl.ScreenGeometry.over_fringes(
+            slits, WAVELENGTH, DISTANCE, samples=64, phase_model=phase_model
+        )
+        coh = dl.validate(np.ones((n, n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = mc_pattern(slits, coh, geom, 100, seed=0)
+            analytic = dl.pattern(slits, coh, geom)
+        assert np.isfinite(mc.total).all()
+        peak = int(np.argmax(analytic.total))
+        assert abs(mc.total[peak] / analytic.total[peak] - 1.0) <= 5.0 / np.sqrt(100)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_screen_fields_are_the_engine_bits(self, seed):
