@@ -6,7 +6,8 @@ on fixed-order IEEE-754 arithmetic plus the platform libm's cos/sin/hypot; the
 convergence figure also goes through LAPACK/BLAS in the Monte-Carlo oracle.
 Regenerating the goldens is a change of behaviour: run this only when output
 behaviour changes deliberately, review the diff, and log which files and rows
-changed, and why, in CHANGES.md:
+changed, and why, in CHANGES.md; the script prints `changed` or `unchanged`
+for each file:
 
     python3 scripts/regen_goldens.py
 """
@@ -23,12 +24,15 @@ def main() -> int:
     scenario = REPO / "scenarios" / "three_slit.json"
     out = REPO / "tests" / "golden" / "three_slit"
     out.mkdir(parents=True, exist_ok=True)
+    names = (PATTERN_CSV, REPORT_JSON, CONVERGENCE_JSON)
+    old = {name: (out / name).read_bytes() if (out / name).exists() else None for name in names}
     status = run_scenario(scenario, out)
     if status != 0:
         print(f"scenario run failed with status {status}", file=sys.stderr)
         return status
-    for name in (PATTERN_CSV, REPORT_JSON, CONVERGENCE_JSON):
-        print(f"wrote {out / name}")
+    for name in names:
+        verdict = "unchanged" if (out / name).read_bytes() == old[name] else "changed"
+        print(f"wrote {out / name}: {verdict}")
     return 0
 
 

@@ -151,7 +151,10 @@ class ScreenGeometry:
         x = np.asarray(x, dtype=float)
         if self.envelope == "uniform":
             return np.ones_like(x)
-        return np.exp(-(x * x) / (2.0 * self.sigma * self.sigma))
+        # libm's exp per sample: numpy's SIMD exp can differ in the last bit
+        arg = -(x * x) / (2.0 * self.sigma * self.sigma)
+        env = map(math.exp, arg.ravel().tolist())
+        return np.fromiter(env, float, arg.size).reshape(x.shape)
 
     @classmethod
     def over_fringes(

@@ -8,6 +8,11 @@ eigenpairs of A and c_m independent complex circular Gaussians of unit
 variance, so the ensemble second moments <E_i E_j*> reproduce A exactly.
 Propagating every realization to the screen and averaging |field|^2
 converges to the analytic pattern at the usual 1/sqrt(N) Monte-Carlo rate.
+
+An ensemble is one stream: realization k is row k of the coefficients drawn
+from default_rng(seed), so the ensemble mean of E E^dagger is F W F^dagger
+with F = modes * sqrt(lambda) and W the mean of c c^dagger over the rows.
+W has entries of order one, so the sum behind it cannot overflow.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ EIGENVALUE_FLOOR = -1e-10
 # this many realizations so results do not depend on available memory.
 _CHUNK = 512
 
+# Cap on the ensemble size: mc_pattern costs about 0.21 s per 10^6
+# realizations for three slits, so 2^24 (1.7e7) is about 3.5 s there; the
+# per-realization cost grows as r^2 with the mode count r.
+MAX_REALIZATIONS = 2**24
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -45,8 +55,8 @@ class EnsembleSpec:
     modes: np.ndarray
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ValueError("need at least one realization")
+        if not 1 <= self.realizations <= MAX_REALIZATIONS:
+            raise ValueError(f"need 1 to {MAX_REALIZATIONS} realizations")
         self.eigenvalues.setflags(write=False)
         self.modes.setflags(write=False)
 
@@ -73,16 +83,24 @@ def ensemble_spec(
     )
 
 
-def realize_fields(spec: EnsembleSpec, k: int) -> np.ndarray:
-    """Complex field amplitudes at the slits for realization k.
+def _coefficients(rng: np.random.Generator, count: int, r: int) -> np.ndarray:
+    # count rows of unit-variance circular Gaussians, equal however rows are split
+    z = rng.standard_normal((count, 2, r))
+    return np.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
 
-    Deterministic given (seed, k): each realization owns an independent
-    substream, so ensembles of different sizes share their common prefix.
+
+def realize_fields(spec: EnsembleSpec, k: int | np.ndarray) -> np.ndarray:
+    """Slit field amplitudes of realization k, one row per index if k is an array.
+
+    Realization k is row k of the seeded stream that mc_pattern averages, so
+    ensembles of different sizes share their first realizations.  A call
+    draws rows 0..max(k), so it costs O(max(k)).
     """
-    rng = np.random.default_rng((spec.seed, k))
-    r = spec.eigenvalues.size
-    coeff = np.sqrt(0.5) * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-    return spec.modes @ (np.sqrt(spec.eigenvalues) * coeff)
+    if np.min(k) < 0:
+        raise IndexError("realization indices start at 0")
+    rng = np.random.default_rng(spec.seed)
+    coeff = _coefficients(rng, int(np.max(k)) + 1, spec.eigenvalues.size)[k, None, :]
+    return (coeff * (spec.modes * np.sqrt(spec.eigenvalues))).sum(axis=-1)
 
 
 def mc_pattern(
@@ -104,25 +122,17 @@ def mc_pattern(
     spec = ensemble_spec(slits, coh, realizations, seed)
     x = geometry.grid()
     propagate = slit_phase_factors(geometry, slits, x).T  # (n, samples)
-    # sum_k |sum_i E_i u_i|^2 factored through the realization Gram matrix
-    # sum_k E_k E_k^dagger: same ensemble statistic, O(N n^2) instead of O(N n X)
-    gram = np.zeros((slits.n, slits.n), dtype=complex)
-    # The sum of N realizations is N times their mean, which may overflow
-    # where the mean does not.  Fields are summed scaled by 2^-shift with
-    # 4^shift >= N, the smallest such power, and the mean is scaled back.
-    # Power-of-two scaling is exact, so the pattern keeps its bits unless a
-    # scaled product E_i E_j* falls below the normal range, i.e. below
-    # 4^shift * 2^-1022 (about 2e-302 at N = 10^6).
-    shift = ((realizations - 1).bit_length() + 1) // 2
-    for start in range(0, realizations, _CHUNK):
-        count = min(_CHUNK, realizations - start)
-        fields = np.empty((count, slits.n), dtype=complex)
-        for k in range(count):
-            fields[k] = realize_fields(spec, start + k)
-        fields *= 2.0**-shift
-        gram += fields.T @ fields.conj()
+    # mean_k |sum_i E_i u_i|^2 = u G u^dagger, G = F W F^dagger with F = modes *
+    # sqrt(lambda), W = mean_k c_k c_k^dagger: O(N n^2); the c sum cannot overflow
+    rng = np.random.default_rng(spec.seed)
+    w = np.zeros((slits.n, slits.n), dtype=complex)
+    for start in range(0, spec.realizations, _CHUNK):
+        c = _coefficients(rng, min(_CHUNK, spec.realizations - start), slits.n)
+        w += c.T @ c.conj()
+    f = spec.modes * np.sqrt(spec.eigenvalues)
+    gram = f @ (w / spec.realizations) @ f.conj().T
     acc = ((gram @ propagate.conj()) * propagate).sum(axis=0).real
-    return screen_pattern(slits, geometry, x, (acc / realizations) * 4.0**shift)
+    return screen_pattern(slits, geometry, x, acc)
 
 
 def convergence_report(

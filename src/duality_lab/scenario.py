@@ -11,6 +11,7 @@ import numpy as np
 
 from duality_lab import coherence
 from duality_lab.engine import ScreenGeometry, SlitArray
+from duality_lab.oracle import MAX_REALIZATIONS
 
 SCHEMA_VERSION = 1
 MAX_CELLS = 2**22  # cap on geometry.samples x slits.n, the kernel's table size
@@ -188,6 +189,8 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
         oracle_seed = seed_override
     if enabled and realizations < 100:
         raise ScenarioError("oracle.realizations: need at least 100 when enabled")
+    if realizations > MAX_REALIZATIONS:
+        raise ScenarioError(f"oracle.realizations: need at most {MAX_REALIZATIONS}")
 
     outputs = _get(obj, "outputs", "top level", dict, default={})
     return Scenario(

@@ -230,6 +230,8 @@ class TestConfigTypes:
             # a finite sum whose pattern peak, up to n x sum, overflows
             ("slits.intensities", [8e307, 8e307, 0.0], "slits: sum of slit intensities must be"),
             ("coherence", {"random": {"rank": 4, "seed": 1}}, "coherence.random.rank: 4 is above"),
+            # above oracle.MAX_REALIZATIONS: refused at load time, never drawn
+            ("oracle.realizations", 10**12, "oracle.realizations: need at most 16777216"),
         ],
     )
     def test_wrong_type_exits_one(self, runner, tmp_path, path, value, fragment):

@@ -243,6 +243,16 @@ class TestPattern:
         assert np.allclose(pat.incoherent, expected, rtol=1e-12)
         assert pat.total[0] < pat.total[len(pat.total) // 2]
 
+    def test_gaussian_envelope_is_libm_exp(self):
+        # every sample is math.exp of the same argument, bit for bit, so the
+        # envelope does not carry numpy's SIMD exp
+        sigma = 1.3 * W
+        geom = geometry(samples=4096, envelope="gaussian", sigma=sigma)
+        x = geom.grid()
+        ref = [math.exp(-(v * v) / (2.0 * sigma * sigma)) for v in x.tolist()]
+        assert geom.envelope_values(x).tolist() == ref
+        assert geom.envelope_values(x[7]).tolist() == ref[7]
+
 
 def double_sum(slits, coh, geom, x):
     """I(x) from the double sum in the engine module docstring, evaluated in
@@ -333,6 +343,26 @@ def kernel_replica(slits, coh, geom, xs):
     return totals
 
 
+def double_sum_tolerance(slits, geom, weight):
+    """Largest difference of two routes to the double sum whose off-diagonal
+    terms have total magnitude weight, on geom's grid.
+
+    The routes round the phase argument of term ij differently: each forms
+    omega*tau_ij and adds alpha_i - alpha_j + arg g_ij in a few rounded
+    steps, so the arguments differ by a few eps times their size, and term ij
+    by that times its weight.  The exact model forms omega*t_i from absolute
+    paths of about geom.distance metres, whose rounding adds
+    8*pi*eps*distance/wavelength.
+    """
+    eps = np.finfo(float).eps
+    scale = 2.0 * np.pi * slits.spacing / (geom.wavelength * geom.distance)
+    phase_max = (slits.n - 1) * scale * max(abs(geom.x_min), abs(geom.x_max)) + 3.0 * np.pi
+    phase_err = 8.0 * eps * (phase_max + 1.0)
+    if geom.phase_model == "exact":
+        phase_err += 8.0 * np.pi * eps * geom.distance / geom.wavelength
+    return phase_err * weight
+
+
 def frozen_three_slit():
     scenario = dl.load_scenario(REPO / "scenarios" / "three_slit.json")
     with open(REPO / "tests" / "golden" / "three_slit" / "pattern.csv", newline="") as f:
@@ -391,21 +421,9 @@ class TestDoubleSumReference:
         slits, coh, geom = random_case(n, model)
         pat = dl.pattern(slits, coh, geom)
         ref = np.array([double_sum(slits, coh, geom, x) for x in pat.grid.tolist()])
-        # The two routes round the phase argument of term ij differently: each
-        # forms omega*tau_ij and adds alpha_i - alpha_j + arg g_ij in a few
-        # rounded steps, so the arguments differ by a few eps times their
-        # size, and term ij by that times its weight sqrt(I_i I_j)|g_ij|.
-        # The exact model forms omega*t_i from absolute paths of about
-        # DISTANCE metres, whose rounding adds 8*pi*eps*DISTANCE/WAVELENGTH.
-        eps = np.finfo(float).eps
-        scale = 2.0 * np.pi * SPACING / (WAVELENGTH * DISTANCE)
-        phase_max = (n - 1) * scale * np.max(np.abs(pat.grid)) + 3.0 * np.pi
-        phase_err = 8.0 * eps * (phase_max + 1.0)
-        if model == "exact":
-            phase_err += 8.0 * np.pi * eps * DISTANCE / WAVELENGTH
         amps = np.sqrt(slits.intensities)
         weight = np.sum(np.abs(coh.entries) * np.outer(amps, amps)) - slits.intensities.sum()
-        assert np.max(np.abs(pat.total - ref)) <= phase_err * weight
+        assert np.max(np.abs(pat.total - ref)) <= double_sum_tolerance(slits, geom, weight)
 
 
 class TestCsv:

@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 
 import duality_lab as dl
 from duality_lab.engine import MAX_N_TIMES_SUM
-from duality_lab.oracle import convergence_report, ensemble_spec, mc_pattern, realize_fields
+from duality_lab.oracle import (
+    MAX_REALIZATIONS,
+    convergence_report,
+    ensemble_spec,
+    mc_pattern,
+    realize_fields,
+)
+from test_engine import double_sum_tolerance
 
 WAVELENGTH = 500e-9
 DISTANCE = 1.0
@@ -37,13 +45,26 @@ class TestRealizeFields:
         assert np.array_equal(realize_fields(spec, 3), realize_fields(spec, 3))
         assert not np.array_equal(realize_fields(spec, 3), realize_fields(spec, 4))
 
+    def test_rows_are_one_stream(self):
+        # realization k is row k of one seeded stream, however it is asked for
+        slits, coh, _ = standard_setup()
+        spec = ensemble_spec(slits, coh, 10, seed=7)
+        rows = realize_fields(spec, np.arange(1000))
+        assert rows.shape == (1000, 3)
+        for k in (0, 1, 511, 512, 999):
+            assert rows[k].tobytes() == realize_fields(spec, k).tobytes()
+        assert rows[:700].tobytes() == realize_fields(spec, np.arange(700)).tobytes()
+        assert rows[[4, 2]].tobytes() == realize_fields(spec, [4, 2]).tobytes()
+        with pytest.raises(IndexError):
+            realize_fields(spec, [-1, 3])
+
     def test_incoherent_fields_uncorrelated(self):
         # J = diag(I): off-diagonal sample moments vanish, diagonals match I
         slits = dl.SlitArray(intensities=[1.0, 0.5, 2.0], spacing=SPACING)
         coh = dl.validate(np.eye(3))
         spec = ensemble_spec(slits, coh, 1, seed=21)
         N = 30_000
-        fields = np.array([realize_fields(spec, k) for k in range(N)])
+        fields = realize_fields(spec, np.arange(N))
         cov = np.einsum("ki,kj->ij", fields, fields.conj()) / N
         j = mutual_intensity(slits, coh)
         assert np.max(np.abs(cov - j)) <= 5.0 / np.sqrt(N) * np.max(np.abs(j))
@@ -52,7 +73,7 @@ class TestRealizeFields:
         slits = dl.SlitArray(intensities=[1.0, 0.7, 0.4], spacing=SPACING)
         coh = dl.validate(np.ones((3, 3)))
         spec = ensemble_spec(slits, coh, 1, seed=2)
-        fields = np.array([realize_fields(spec, k) for k in range(200)])
+        fields = realize_fields(spec, np.arange(200))
         sv = np.linalg.svd(fields, compute_uv=False)
         assert sv[1] / sv[0] < 1e-12
 
@@ -63,7 +84,7 @@ class TestRealizeFields:
         )
         spec = ensemble_spec(slits, coh, 1, seed=13)
         N = 100_000
-        fields = np.array([realize_fields(spec, k) for k in range(N)])
+        fields = realize_fields(spec, np.arange(N))
         cov = np.einsum("ki,kj->ij", fields, fields.conj()) / N
         j = mutual_intensity(slits, coh)
         assert np.max(np.abs(cov - j)) <= 5.0 / np.sqrt(N) * np.max(np.abs(j))
@@ -72,6 +93,10 @@ class TestRealizeFields:
         slits, coh, _ = standard_setup()
         with pytest.raises(ValueError):
             ensemble_spec(slits, coh, 0, seed=1)
+        # the bound is checked on the recipe alone; nothing is drawn
+        assert ensemble_spec(slits, coh, MAX_REALIZATIONS, seed=1).realizations == MAX_REALIZATIONS
+        with pytest.raises(ValueError, match=str(MAX_REALIZATIONS)):
+            ensemble_spec(slits, coh, MAX_REALIZATIONS + 1, seed=1)
         other = dl.SlitArray(intensities=[1.0, 1.0], spacing=SPACING)
         with pytest.raises(ValueError, match="does not match"):
             ensemble_spec(other, coh, 10, seed=1)
@@ -147,6 +172,31 @@ class TestMcPattern:
         assert np.isfinite(mc.total).all()
         peak = int(np.argmax(analytic.total))
         assert abs(mc.total[peak] / analytic.total[peak] - 1.0) <= 5.0 / np.sqrt(100)
+
+    @pytest.mark.parametrize("phase_model", ["small_angle", "exact"])
+    def test_gram_route_is_the_per_realization_mean(self, phase_model):
+        # mean_k |sum_i E_i(k) exp(i omega t_i0(x))|^2 over the fields that
+        # realize_fields returns, propagated with the scalar delay() rather
+        # than slit_phase_factors; N crosses the 512-realization chunk
+        N = 600
+        slits = dl.SlitArray(
+            intensities=[1.0, 0.7, 0.4], spacing=SPACING, phases=[0.0, 0.9, -2.1]
+        )
+        coh = dl.random_coherence(3, 2, 5)
+        geom = dl.ScreenGeometry.over_fringes(
+            slits, WAVELENGTH, DISTANCE, samples=64, phase_model=phase_model
+        )
+        mc = mc_pattern(slits, coh, geom, N, seed=8)
+        fields = realize_fields(ensemble_spec(slits, coh, N, seed=8), np.arange(N))
+        direct = []
+        for x in mc.grid.tolist():
+            u = [cmath.exp(1j * geom.omega * dl.delay(geom, slits, i, 0, x)) for i in range(3)]
+            direct.append(np.mean(np.abs(fields @ np.array(u)) ** 2))
+        # off-diagonal term ij of realization k has magnitude |E_i(k) E_j(k)|
+        mags = np.abs(fields)
+        weight = np.mean(mags.sum(axis=1) ** 2 - (mags**2).sum(axis=1))
+        bound = double_sum_tolerance(slits, geom, weight)
+        assert np.max(np.abs(mc.total - np.array(direct))) <= bound
 
     @pytest.mark.parametrize("seed", range(6))
     def test_screen_fields_are_the_engine_bits(self, seed):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import duality_lab as dl
 from duality_lab.cli import main
+from duality_lab.oracle import MAX_REALIZATIONS
 from duality_lab.scenario import MAX_CELLS, ScenarioError, load_matrix, load_scenario, load_sweep
 
 
@@ -130,6 +131,16 @@ def test_oracle_needs_enough_realizations(tmp_path):
     cfg = base_config(oracle={"enabled": True, "realizations": 10, "seed": 0})
     with pytest.raises(ScenarioError, match="oracle.realizations"):
         load_scenario(write(tmp_path, cfg))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_oracle_realizations_are_bounded(tmp_path, enabled):
+    # only loaded: an ensemble this size is never drawn
+    cfg = base_config(oracle={"enabled": enabled, "realizations": 10**12, "seed": 0})
+    with pytest.raises(ScenarioError, match="oracle.realizations: need at most"):
+        load_scenario(write(tmp_path, cfg))
+    cfg["oracle"]["realizations"] = MAX_REALIZATIONS
+    assert load_scenario(write(tmp_path, cfg)).oracle_realizations == MAX_REALIZATIONS
 
 
 def test_gaussian_geometry(tmp_path):
