@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the frozen golden outputs for the bundled three-slit scenario.
 
-tests/test_cli.py compares these files byte for byte.  The pattern bytes rest
-on fixed-order IEEE-754 arithmetic plus the platform libm's cos/sin/hypot; the
-convergence figure also goes through LAPACK/BLAS in the Monte-Carlo oracle.
+tests/test_cli.py compares these files byte for byte.  Both patterns are the
+same fixed-order kernel's form of their own matrix, so their bytes rest on
+IEEE-754 arithmetic plus the platform libm's cos/sin/hypot; the convergence
+figure's matrix, the Monte-Carlo oracle's ensemble covariance, is built
+through LAPACK/BLAS (eigh and matrix products).
 Regenerating the goldens is a change of behaviour: run this only when output
 behaviour changes deliberately, review the diff, and log which files and rows
 changed, and why, in CHANGES.md; the script prints `changed` or `unchanged`

@@ -130,11 +130,18 @@ def load_pattern_csv(
     The CSV carries no geometry metadata, so the caller supplies the slit
     count and the fringe width (engine.fringe_width); when the file was
     written with positions in fringe-width units, pass scale_w=True to
-    recover metres.
+    recover metres.  Every cell must be a finite number.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float)
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValueError(f"expected 3 columns x,total,incoherent in {path}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0].tolist()
+        column = ("x", "total", "incoherent")[col]
+        raise ValueError(
+            f"{path}: line {row + 2}, column {column}: non-finite value {data[row, col]}"
+        )
     x = data[:, 0] * fringe_width if scale_w else data[:, 0]
     return InterferencePattern(
         grid=x, total=data[:, 1], incoherent=data[:, 2], n=n, fringe_width=fringe_width

@@ -12,7 +12,9 @@ the double sum is evaluated as the Hermitian quadratic form u(x) A u(x)^H
 over its lower triangle, which keeps it real by construction; rounding dust
 below zero is clipped.  Only elementwise IEEE-754 operations in a fixed order
 (sqrt among them) and the platform libm's cos, sin and, for the exact phase
-model, hypot enter the form, so its bits are reproducible.
+model, hypot enter the form, so its bits are reproducible.  screen_pattern
+is the one evaluator of that form: the analytic pattern passes A from
+mutual_intensity, the Monte-Carlo oracle its ensemble covariance.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ WINDOW_FRINGES = 4.0  # half-width of the over_fringes window, in fringe widths
 PHASE_MODELS = ("small_angle", "exact")
 ENVELOPES = ("uniform", "gaussian")
 
-# Bound on n * sum_i I_i.  With S = sum_i I_i, |A_ij| <= sqrt(I_i I_j) and
-# P = sum_{i>j} sqrt(I_i I_j) <= (n - 1) S / 2 (Cauchy-Schwarz), each update
-# in _intensity_samples adds at most 2 sqrt(2) |c_k| (small angle) or
-# 2 sqrt(2) |v_j| (exact), and sum_k |c_k| and sum_j |v_j| are at most P, so
-# every partial sum and product stays below S + sqrt(2) (n - 1) S
-# <= sqrt(2) n S.  n S <= max / 2 keeps the kernel's largest intermediate
-# below the largest float.
+# Bound on n * sum_i I_i.  For a PSD matrix A with trace T, |A_ij| <=
+# sqrt(A_ii A_jj) and P = sum_{i>j} sqrt(A_ii A_jj) <= (n - 1) T / 2
+# (Cauchy-Schwarz), each update in _intensity_samples adds at most
+# 2 sqrt(2) |c_k| (small angle) or 2 sqrt(2) |v_j| (exact), and sum_k |c_k|
+# and sum_j |v_j| are at most P, so every partial sum and product stays below
+# T + sqrt(2) (n - 1) T <= sqrt(2) n T.  n T <= max / 2 keeps the kernel's
+# largest intermediate below the largest float.  The analytic A has
+# T = sum_i I_i.  An ensemble covariance can have a larger trace, so the
+# Monte-Carlo pattern rests on test_finite_at_the_intensity_bound instead.
 MAX_N_TIMES_SUM = sys.float_info.max / 2.0
 
 
@@ -230,33 +234,6 @@ def delay(geometry: ScreenGeometry, slits: SlitArray, i: int, j: int, x: float) 
     return (path_i - path_j) / SPEED_OF_LIGHT
 
 
-def slit_phase_factors(geometry: ScreenGeometry, slits: SlitArray, x) -> np.ndarray:
-    """Per-slit propagation phase factors u_i(x) = exp(i*omega*t_i(x)).
-
-    Shaped (len(x), n); only phase differences matter, and they satisfy
-    theta_i - theta_j = omega * tau_ij for the geometry's phase model.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = slits.n
-    if geometry.phase_model == "small_angle":
-        theta = _small_angle_scale(geometry, slits) * np.outer(x, np.arange(n))
-    else:
-        theta = _exact_phases(geometry, slits, x).T
-    return np.exp(1j * theta)
-
-
-def _small_angle_scale(geometry: ScreenGeometry, slits: SlitArray) -> float:
-    # phase step per slit and per metre of screen: omega*tau_ij = (i-j)*scale*x
-    return 2.0 * np.pi * slits.spacing / (geometry.wavelength * geometry.distance)
-
-
-def _exact_phases(geometry: ScreenGeometry, slits: SlitArray, x: np.ndarray) -> np.ndarray:
-    # slit-major (n, len(x)) table of omega*t_i(x) from exact path lengths
-    pos = slit_positions(slits.n, slits.spacing)
-    paths = np.hypot(geometry.distance, x[None, :] - pos[:, None])
-    return (2.0 * np.pi / geometry.wavelength) * paths
-
-
 def mutual_intensity(
     intensities, coh: CoherenceMatrix, phases=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,6 +242,7 @@ def mutual_intensity(
     phases: the pattern is u A u* times the envelope, and A = <E_i E_j*> is
     what the oracle samples.  Built from real ufuncs only: numpy's complex
     multiply fuses multiply-adds on some CPUs, which would tie A to the build.
+    The diagonal is exactly A_ii = I_i, since g_ii = 1.
     """
     amps = np.sqrt(intensities)
     if coh.n != amps.size:
@@ -277,27 +255,30 @@ def mutual_intensity(
     phases = np.zeros(amps.size) if phases is None else phases
     dphi = np.subtract.outer(phases, phases)
     cos, sin = np.cos(dphi), np.sin(dphi)
-    return weight * (g_re * cos - g_im * sin), weight * (g_re * sin + g_im * cos)
+    a_re = weight * (g_re * cos - g_im * sin)
+    a_im = weight * (g_re * sin + g_im * cos)
+    np.fill_diagonal(a_re, intensities)
+    np.fill_diagonal(a_im, 0.0)
+    return a_re, a_im
 
 
 def _intensity_samples(
-    slits: SlitArray, coh: CoherenceMatrix, geometry: ScreenGeometry, x: np.ndarray
+    slits: SlitArray, geometry: ScreenGeometry, x: np.ndarray, a_re: np.ndarray, a_im: np.ndarray
 ) -> np.ndarray:
-    # The Hermitian form u A u^H (A_ii = I_i) is evaluated as
-    #   q(x) = sum_i I_i + 2 sum_{i>j} Re(A_ij u_i(x) conj(u_j(x))),
+    # The Hermitian form u A u^H is evaluated as
+    #   q(x) = sum_i A_ii + 2 sum_{i>j} Re(A_ij u_i(x) conj(u_j(x))),
     # which is real by construction, using only correctly rounded scalar sums
     # and elementwise real ufuncs applied in a fixed order (no einsum, BLAS or
     # multi-element numpy reduction).  Each sample's bits then depend only on
     # IEEE-754 arithmetic and on the platform libm's cos/sin (and hypot in
     # the exact model), which is what makes seeded outputs byte-stable.
-    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
     n = slits.n
-    q = np.full(x.shape, math.fsum(slits.intensities.tolist()))
+    q = np.full(x.shape, math.fsum(a_re.diagonal().tolist()))
     if geometry.phase_model == "small_angle":
         # u_i(x) = exp(i*i*scale*x), so q is the trigonometric polynomial
         # c_0 + 2 sum_{k>=1} Re(c_k exp(i*k*scale*x)), with c_k the sum of
         # the k-th lower diagonal A_{j+k,j}.
-        scale = _small_angle_scale(geometry, slits)
+        scale = 2.0 * np.pi * slits.spacing / (geometry.wavelength * geometry.distance)
         for k in range(1, n):
             re = 2.0 * math.fsum(a_re.diagonal(-k).tolist())
             im = 2.0 * math.fsum(a_im.diagonal(-k).tolist())
@@ -305,7 +286,10 @@ def _intensity_samples(
             q += re * np.cos(arg)
             q -= im * np.sin(arg)
     else:
-        theta = _exact_phases(geometry, slits, x)
+        # slit-major (n, len(x)) table of omega*t_i(x) from exact path lengths
+        pos = slit_positions(n, slits.spacing)
+        paths = np.hypot(geometry.distance, x[None, :] - pos[:, None])
+        theta = (2.0 * np.pi / geometry.wavelength) * paths
         cos = np.cos(theta)
         sin = np.sin(theta, out=theta)
         # v_j = sum_{i>j} A_ij u_i accumulated row by row in real arithmetic,
@@ -325,15 +309,16 @@ def _intensity_samples(
 
 
 def screen_pattern(
-    slits: SlitArray, geometry: ScreenGeometry, x: np.ndarray, q: np.ndarray
+    slits: SlitArray, geometry: ScreenGeometry, x: np.ndarray, a_re: np.ndarray, a_im: np.ndarray
 ) -> InterferencePattern:
-    """Put a sampled Hermitian form q(x) = u(x) A u(x)^H on the screen: the
-    total is the envelope times q clipped at zero (rounding dust), the
-    incoherent reference the envelope times sum_i I_i."""
+    """Put the Hermitian form q(x) = u(x) A u(x)^H of the PSD matrix
+    A = a_re + i a_im, read from its diagonal and lower triangle, on the
+    screen: the total is the envelope times q clipped at zero (rounding
+    dust), the incoherent reference the envelope times sum_i I_i."""
     env = geometry.envelope_values(x)
     return InterferencePattern(
         grid=x,
-        total=env * np.maximum(q, 0.0),
+        total=env * np.maximum(_intensity_samples(slits, geometry, x, a_re, a_im), 0.0),
         incoherent=env * math.fsum(slits.intensities.tolist()),
         n=slits.n,
         fringe_width=fringe_width(geometry, slits),
@@ -351,8 +336,8 @@ def pattern(
     equal intensities and zero phases the total reproduces the classic n-slit
     grating profile.
     """
-    x = geometry.grid()
-    return screen_pattern(slits, geometry, x, _intensity_samples(slits, coh, geometry, x))
+    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    return screen_pattern(slits, geometry, geometry.grid(), a_re, a_im)
 
 
 def intensity_at(
@@ -360,8 +345,8 @@ def intensity_at(
 ) -> float:
     """Total intensity at a single screen position."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    q = _intensity_samples(slits, coh, geometry, x)
-    return float(screen_pattern(slits, geometry, x, q).total[0])
+    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    return float(screen_pattern(slits, geometry, x, a_re, a_im).total[0])
 
 
 def write_pattern_csv(pat: InterferencePattern, path, scale_w: bool = False) -> None:

@@ -6,13 +6,16 @@ exp(i(alpha_i - alpha_j)) of engine.mutual_intensity, slit phases included:
 each realization is E = sum_m sqrt(lambda_m) u_m c_m with (lambda_m, u_m) the
 eigenpairs of A and c_m independent complex circular Gaussians of unit
 variance, so the ensemble second moments <E_i E_j*> reproduce A exactly.
-Propagating every realization to the screen and averaging |field|^2
-converges to the analytic pattern at the usual 1/sqrt(N) Monte-Carlo rate.
+The ensemble mean of |field|^2 on the screen converges to the analytic
+pattern at the usual 1/sqrt(N) Monte-Carlo rate.
 
 An ensemble is one stream: realization k is row k of the coefficients drawn
-from default_rng(seed), so the ensemble mean of E E^dagger is F W F^dagger
-with F = modes * sqrt(lambda) and W the mean of c c^dagger over the rows.
-W has entries of order one, so the sum behind it cannot overflow.
+from default_rng(seed), so the ensemble mean of E E^dagger is the covariance
+G = F W F^dagger with F = modes * sqrt(lambda) and W the mean of c c^dagger
+over the rows.  W has entries of order one, so the sum behind it cannot
+overflow.  The mean screen intensity is the Hermitian form u G u^dagger,
+which engine.screen_pattern evaluates with the same fixed-order kernel as
+the analytic pattern's u A u^dagger.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from duality_lab.engine import (
     mutual_intensity,
     pattern,
     screen_pattern,
-    slit_phase_factors,
 )
 
 EIGENVALUE_FLOOR = -1e-10
+
+# Smallest ensemble size that mc_pattern averages and a scenario may enable.
+MIN_REALIZATIONS = 100
 
 # Fixed reduction granularity: ensemble sums are accumulated in chunks of
 # this many realizations so results do not depend on available memory.
@@ -112,18 +117,17 @@ def mc_pattern(
 ) -> InterferencePattern:
     """Ensemble-averaged intensity pattern from sampled field realizations.
 
-    Each realization, whose slit fields already carry the slit phases, is
-    propagated to the screen as sqrt(envelope(x)) * sum_i E_i u_i(x) and the
-    intensities are averaged over the ensemble.  Deterministic given the
-    seed: chunked accumulation in a fixed order makes reruns bit-identical.
+    Each realization, whose slit fields already carry the slit phases, lands
+    on the screen as sqrt(envelope(x)) * sum_i E_i u_i(x); the mean of its
+    intensity over the ensemble is the envelope times u G u^dagger, with G
+    the ensemble covariance of the fields.  Deterministic given the seed:
+    chunked accumulation in a fixed order makes reruns bit-identical.
     """
-    if realizations < 100:
-        raise ValueError("need at least 100 realizations for a meaningful average")
+    if realizations < MIN_REALIZATIONS:
+        raise ValueError(f"need at least {MIN_REALIZATIONS} realizations for a meaningful average")
     spec = ensemble_spec(slits, coh, realizations, seed)
-    x = geometry.grid()
-    propagate = slit_phase_factors(geometry, slits, x).T  # (n, samples)
-    # mean_k |sum_i E_i u_i|^2 = u G u^dagger, G = F W F^dagger with F = modes *
-    # sqrt(lambda), W = mean_k c_k c_k^dagger: O(N n^2); the c sum cannot overflow
+    # G = F W F^dagger with F = modes * sqrt(lambda), W = mean_k c_k c_k^dagger:
+    # O(N n^2); the c sum cannot overflow
     rng = np.random.default_rng(spec.seed)
     w = np.zeros((slits.n, slits.n), dtype=complex)
     for start in range(0, spec.realizations, _CHUNK):
@@ -131,8 +135,7 @@ def mc_pattern(
         w += c.T @ c.conj()
     f = spec.modes * np.sqrt(spec.eigenvalues)
     gram = f @ (w / spec.realizations) @ f.conj().T
-    acc = ((gram @ propagate.conj()) * propagate).sum(axis=0).real
-    return screen_pattern(slits, geometry, x, acc)
+    return screen_pattern(slits, geometry, geometry.grid(), gram.real, gram.imag)
 
 
 def convergence_report(

@@ -11,7 +11,7 @@ import numpy as np
 
 from duality_lab import coherence
 from duality_lab.engine import ScreenGeometry, SlitArray
-from duality_lab.oracle import MAX_REALIZATIONS
+from duality_lab.oracle import MAX_REALIZATIONS, MIN_REALIZATIONS
 
 SCHEMA_VERSION = 1
 MAX_CELLS = 2**22  # cap on geometry.samples x slits.n, the kernel's table size
@@ -187,8 +187,8 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
         raise ScenarioError(f"oracle.seed: need a nonnegative integer, got {oracle_seed}")
     if seed_override is not None:
         oracle_seed = seed_override
-    if enabled and realizations < 100:
-        raise ScenarioError("oracle.realizations: need at least 100 when enabled")
+    if enabled and realizations < MIN_REALIZATIONS:
+        raise ScenarioError(f"oracle.realizations: need at least {MIN_REALIZATIONS} when enabled")
     if realizations > MAX_REALIZATIONS:
         raise ScenarioError(f"oracle.realizations: need at most {MAX_REALIZATIONS}")
 

@@ -127,6 +127,26 @@ class TestAnalyzeCommand:
         assert analysis["v_c_operational"] == pytest.approx(1.0, abs=1e-6)
         assert analysis["michelson"] == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("column", ["x", "total", "incoherent"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_rejects_non_finite_cell(self, runner, tmp_path, value, column):
+        # inf in the central total cell once wrote "i_max": Infinity and nan
+        # in the incoherent one "v_c_operational": NaN, both with exit 0
+        lines = (GOLDEN / "pattern.csv").read_text().splitlines()
+        row = len(lines) // 2
+        cells = lines[row].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[row] = ",".join(cells)
+        csv = tmp_path / "pattern.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", str(out)]
+        )
+        assert_input_error(result, f"line {row + 1}, column {column}: non-finite value")
+        assert result.output.count("error:") == 1
+        assert not (out / "analysis.json").exists()
+
 
 class TestMcValidateCommand:
     def test_writes_convergence(self, runner, tmp_path):
