@@ -4,11 +4,12 @@ sampled patterns, plus CSV re-import for offline analysis."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from duality_lab.coherence import CoherenceMatrix
-from duality_lab.engine import InterferencePattern, SlitArray
+from duality_lab.engine import InterferencePattern, SlitArray, mutual_intensity
 from duality_lab.measures import michelson
 
 MIN_SAMPLES_PER_FRINGE = 64
@@ -110,16 +111,13 @@ def extract_michelson(pat: InterferencePattern) -> float:
 
 
 def aligned_phases(slits: SlitArray, coh: CoherenceMatrix) -> bool:
-    """True when every weighted pair phase alpha_i - alpha_j + arg(g_ij) is a
-    multiple of 2*pi within PHASE_TOL, i.e. all cosines can peak simultaneously
+    """True when every nonzero entry of A = mutual_intensity(I, g, alpha) has
+    |arctan2(Im A_ij, Re A_ij)| <= PHASE_TOL: every pair phase alpha_i -
+    alpha_j + arg(g_ij) is a multiple of 2*pi, so all cosines peak together
     at x = 0 and the operational visibility reproduces the analytic one."""
-    alpha = slits.phases
-    phi = np.angle(coh.entries) + alpha[:, None] - alpha[None, :]
-    wrapped = np.angle(np.exp(1j * phi))
-    relevant = (np.sqrt(np.outer(slits.intensities, slits.intensities)) > 0.0) & (
-        coh.magnitudes() > 0.0
-    )
-    return bool(np.all(np.abs(wrapped[relevant]) <= PHASE_TOL))
+    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    nonzero = (a_re != 0.0) | (a_im != 0.0)
+    return bool(np.all(np.abs(np.arctan2(a_im[nonzero], a_re[nonzero])) <= PHASE_TOL))
 
 
 def load_pattern_csv(
@@ -130,10 +128,16 @@ def load_pattern_csv(
     The CSV carries no geometry metadata, so the caller supplies the slit
     count and the fringe width (engine.fringe_width); when the file was
     written with positions in fringe-width units, pass scale_w=True to
-    recover metres.  Every cell must be a finite number.
+    recover metres.  The first line must be the engine's header and at least
+    one data row must follow; every cell must be a finite number.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 3:
+    lines = Path(path).read_text().splitlines()
+    if lines[:1] != ["x,total,incoherent"]:
+        raise ValueError(f"{path}: first line is not the header x,total,incoherent")
+    if not any(line.strip() for line in lines[1:]):
+        raise ValueError(f"{path}: no data rows after the header")
+    data = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=float, ndmin=2)
+    if data.shape[1] != 3:
         raise ValueError(f"expected 3 columns x,total,incoherent in {path}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:

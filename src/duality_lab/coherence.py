@@ -2,8 +2,10 @@
 
 The coherence matrix collects the pairwise normalized field correlations
 g_ij between n slits: unit diagonal, Hermitian, positive semidefinite and
-all moduli at most 1.  Physically realizable matrices are Gram matrices of
-field modes, which is also how random test instances are generated here.
+all moduli at most 1.  validate() stores the exact Hermitian part of its
+input with unit diagonal, the one g that every reader uses as stored.
+Physically realizable matrices are Gram matrices of field modes, which is
+also how random test instances are generated here.
 """
 
 from __future__ import annotations
@@ -85,9 +87,10 @@ class CoherenceMatrix:
 
 
 def validate(matrix) -> CoherenceMatrix:
-    """Check a raw complex matrix and wrap it as a CoherenceMatrix.
+    """Check a raw complex matrix and store a new array, its exact Hermitian
+    part 0.5 * (m + m^H) with diagonal exactly 1; the input is left as is.
 
-    Rejections:
+    Rejections, judged on the raw input:
       TooSmall                 fewer than 2 slits
       NotFinite                some entry is NaN or infinite
       NotHermitian             max |g_ij - conj(g_ji)| > 1e-10
@@ -117,10 +120,12 @@ def validate(matrix) -> CoherenceMatrix:
         raise DiagonalNotUnit(f"max |g_ii - 1| = {diag_dev:.3e}")
     if mag_max > 1.0 + MODULUS_TOL:
         raise NotPositiveSemidefinite(f"off-diagonal modulus {mag_max:.6f} exceeds 1")
-    eigs = np.linalg.eigvalsh(m)
+    g = 0.5 * (m + m.conj().T)
+    np.fill_diagonal(g, 1.0)
+    eigs = np.linalg.eigvalsh(g)
     if eigs[0] < PSD_FLOOR:
         raise NotPositiveSemidefinite(f"smallest eigenvalue {eigs[0]:.3e}")
-    return CoherenceMatrix(n=n, entries=m)
+    return CoherenceMatrix(n=n, entries=g)
 
 
 @dataclass(frozen=True)
@@ -171,22 +176,9 @@ class PolarizationSet:
         return self.vectors.shape[0]
 
 
-def _gram(rows: np.ndarray, factor: np.ndarray | None = None) -> CoherenceMatrix:
-    # Normalized overlaps of the rows, times an optional elementwise factor,
-    # with Hermitian/diagonal rounding dust removed before validation.  Each
-    # row is first scaled by the power of two that brings its largest part
-    # into [0.5, 1): exact, so unit rows keep their bits, and no norm over-
-    # or underflows.
-    parts = np.ascontiguousarray(rows).view(float)  # re, im interleaved
-    _, exp = np.frexp(np.abs(parts).max(axis=1))
-    rows = np.ldexp(parts, -exp[:, None]).view(complex)
+def _gram(rows: np.ndarray) -> CoherenceMatrix:
     unit = rows / np.linalg.norm(rows, axis=1)[:, None]
-    g = unit @ unit.conj().T
-    if factor is not None:
-        g = g * factor
-    g = 0.5 * (g + g.conj().T)
-    np.fill_diagonal(g, 1.0)
-    return validate(g)
+    return validate(unit @ unit.conj().T)
 
 
 def from_modes(
@@ -194,17 +186,23 @@ def from_modes(
 ) -> CoherenceMatrix:
     """Coherence matrix of a mode decomposition, optionally with polarization.
 
-    g_ij is the normalized overlap of rows i and j of the decomposition,
-    multiplied by the polarization overlap when Jones states are supplied
-    (orthogonal polarizations kill the coherence of otherwise identical
-    modes).  The overlap convention matches the field correlation <E_i E_j*>,
-    so the result is exactly what the Monte-Carlo ensemble realizes.
+    g_ij is the normalized overlap of rows i and j; with Jones states, of the
+    Kronecker rows m_i (x) p_i, the field at slit i (orthogonal polarizations
+    kill the coherence of otherwise identical modes).  The overlap convention
+    matches the field correlation <E_i E_j*>, so the result is exactly what
+    the Monte-Carlo ensemble realizes.
     """
-    if pols is None:
-        return _gram(decomp.vectors)
-    if pols.n != decomp.n:
-        raise ValueError(f"polarization count {pols.n} does not match mode rows {decomp.n}")
-    return _gram(decomp.vectors, pols.vectors @ pols.vectors.conj().T)
+    # Each mode row is first scaled by the power of two that brings its
+    # largest part into [0.5, 1): exact, so unit rows keep their bits, no
+    # norm over- or underflows and no Jones product overflows.
+    parts = np.ascontiguousarray(decomp.vectors).view(float)  # re, im interleaved
+    _, exp = np.frexp(np.abs(parts).max(axis=1))
+    rows = np.ldexp(parts, -exp[:, None]).view(complex)
+    if pols is not None:
+        if pols.n != decomp.n:
+            raise ValueError(f"polarization count {pols.n} does not match mode rows {decomp.n}")
+        rows = (rows[:, :, None] * pols.vectors[:, None, :]).reshape(decomp.n, -1)
+    return _gram(rows)
 
 
 def random_coherence(n: int, rank: int, seed: int) -> CoherenceMatrix:

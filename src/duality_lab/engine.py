@@ -242,15 +242,14 @@ def mutual_intensity(
     phases: the pattern is u A u* times the envelope, and A = <E_i E_j*> is
     what the oracle samples.  Built from real ufuncs only: numpy's complex
     multiply fuses multiply-adds on some CPUs, which would tie A to the build.
-    The diagonal is exactly A_ii = I_i, since g_ii = 1.
+    Im A_ii is exactly 0, as g_ii = 1; Re A_ii is set to I_i, not sqrt(I_i)^2.
     """
     amps = np.sqrt(intensities)
     if coh.n != amps.size:
         raise ValueError(
             f"coherence matrix size {coh.n} does not match slit count {amps.size}"
         )
-    g_re = 0.5 * (coh.entries.real + coh.entries.real.T)
-    g_im = 0.5 * (coh.entries.imag - coh.entries.imag.T)
+    g_re, g_im = coh.entries.real, coh.entries.imag
     weight = np.multiply.outer(amps, amps)
     phases = np.zeros(amps.size) if phases is None else phases
     dphi = np.subtract.outer(phases, phases)
@@ -258,7 +257,6 @@ def mutual_intensity(
     a_re = weight * (g_re * cos - g_im * sin)
     a_im = weight * (g_re * sin + g_im * cos)
     np.fill_diagonal(a_re, intensities)
-    np.fill_diagonal(a_im, 0.0)
     return a_re, a_im
 
 

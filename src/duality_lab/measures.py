@@ -116,10 +116,7 @@ def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:
     inten = intensity_vector(intensities)
     total = inten.sum()
     a_re, a_im = mutual_intensity(inten, coh)
-    rho = (a_re + 1j * a_im) / total
-    # diagonal coherences are 1 by definition, so rho_ii = I_i / total exactly
-    np.fill_diagonal(rho, inten / total)
-    return BeamDensityMatrix(n=inten.size, rho=rho)
+    return BeamDensityMatrix(n=inten.size, rho=(a_re + 1j * a_im) / total)
 
 
 def quantum_coherence(density: BeamDensityMatrix) -> float:

@@ -3,10 +3,11 @@
 `exact(intensities, coh)` evaluates s, V_C, D^2, D', gamma_n, C and both
 left-hand sides with stdlib decimal from the same float inputs the library
 reads.  Decimal(float) is exact and every operation rounds at 50 digits, so
-the reference is exact to far below double resolution.  Moduli |g_ij| are
-clipped at 1 as CoherenceMatrix.magnitudes() does for V_C and gamma_n; C is
-taken from the Hermitian part of g, unclipped, as density_from_beams builds
-it.  In exact arithmetic C = V_C unless some |g_ij| exceeds 1.
+the reference is exact to far below double resolution.  g is read as
+validate() stores it, exactly Hermitian, so V_C, gamma_n and C all read the
+same modulus |g_ij| of each pair: clipped at 1 for V_C and gamma_n, as
+CoherenceMatrix.magnitudes() does, and unclipped for C, as density_from_beams
+builds it.  In exact arithmetic C = V_C unless some |g_ij| exceeds 1.
 
 `bounds(n, ref)` gives, per measure, the largest deviation the double
 computation in measures.py can have from the reference: each step is
@@ -48,27 +49,18 @@ def exact(intensities, coh) -> Exact:
         inten = [Decimal(float(x)) for x in intensities]
         g = coh.entries.tolist()
         n = len(inten)
-        pairs = mag_sum = herm_sum = weight_sum = Decimal(0)
+        pairs = mag_sum = mod_sum = weight_sum = Decimal(0)
         for i in range(n):
             for j in range(i + 1, n):
-                # each unordered pair once; a product of two doubles is
-                # exact at 50 digits
+                # each unordered pair once, counted twice; a product of two
+                # doubles is exact at 50 digits
                 w = (inten[i] * inten[j]).sqrt()
-                g_ij, g_ji = g[i][j], g[j][i]
-                m_ij = _modulus(g_ij.real, g_ij.imag)
-                if g_ji == g_ij.conjugate():
-                    m_ji = herm = m_ij
-                else:
-                    m_ji = _modulus(g_ji.real, g_ji.imag)
-                    herm = _modulus(
-                        (Decimal(g_ij.real) + Decimal(g_ji.real)) / 2,
-                        (Decimal(g_ij.imag) - Decimal(g_ji.imag)) / 2,
-                    )
-                m_ij, m_ji = min(m_ij, 1), min(m_ji, 1)
+                assert g[j][i] == g[i][j].conjugate()
+                mod = _modulus(g[i][j].real, g[i][j].imag)
                 pairs += 2 * w
-                weight_sum += w * (m_ij + m_ji)
-                herm_sum += 2 * w * herm
-                mag_sum += m_ij + m_ji
+                weight_sum += 2 * w * min(mod, 1)
+                mod_sum += 2 * w * mod
+                mag_sum += 2 * min(mod, 1)
         norm = (n - 1) * sum(inten)
         s = pairs / norm
         v_c = weight_sum / norm
@@ -79,7 +71,7 @@ def exact(intensities, coh) -> Exact:
             d2=d2,
             d_prime=1 - s,
             gamma_n=mag_sum / (n * (n - 1)),
-            c=herm_sum / norm,
+            c=mod_sum / norm,
             pyth=d2 + v_c * v_c,
             lin=1 - s + v_c,
         )
@@ -112,8 +104,9 @@ def bounds(n: int, ref: Exact) -> PerMeasure:
       s = sum / norm                              1          -> k_s = n^2 + 3.5
       v_c: pair * |g| adds MODULUS_U + 1          -> k_v = n^2 + 4.5 + MODULUS_U
       gamma_n: moduli, sum, one division          -> n(n-1) + MODULUS_U
-      C: sqrt I twice and their product (3), the Hermitian part (1), times
-         g (1), over sum I (n - 1 + 1), modulus, sum, over (n-1) (1)
+      C: sqrt I twice and their product (3), times g (1), over sum I
+         (n - 1, and 2 for numpy's complex-by-real division, which
+         multiplies by the reciprocal), modulus, sum, over (n-1) (1)
                                                   -> k_c = n^2 + 5 + MODULUS_U
     D^2 is checked as the exact square of the double D: 1 - s*s carries
     (2 k_s + 1)u of s^2 and u of D^2, and sqrt then squaring adds 2u of D^2;

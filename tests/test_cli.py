@@ -147,6 +147,32 @@ class TestAnalyzeCommand:
         assert result.output.count("error:") == 1
         assert not (out / "analysis.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "keep, fragment",
+        [
+            (slice(0, 2), "pattern has fewer than 2 samples"),
+            (slice(0, 1), "no data rows after the header"),
+            (slice(1, None), "first line is not the header x,total,incoherent"),
+        ],
+        ids=["one_row", "header_only", "no_header"],
+    )
+    def test_rejects_short_or_headerless_csv(self, runner, tmp_path, keep, fragment):
+        # one row once failed as "expected 3 columns", a bare header printed
+        # numpy's UserWarning first, and a missing header silently dropped
+        # the first row with exit 0
+        lines = (GOLDEN / "pattern.csv").read_text().splitlines(keepends=True)
+        csv = tmp_path / "pattern.csv"
+        csv.write_text("".join(lines[keep]))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", str(out)]
+        )
+        assert_input_error(result, fragment)
+        assert result.output.count("error:") == 1
+        assert len(result.output.splitlines()) == 1
+        assert not (out / "analysis.json").exists()
+
 
 class TestMcValidateCommand:
     def test_writes_convergence(self, runner, tmp_path):

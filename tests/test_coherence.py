@@ -11,6 +11,7 @@ from duality_lab.coherence import (
     NotPositiveSemidefinite,
     TooSmall,
 )
+from duality_lab.engine import mutual_intensity
 from duality_lab.scenario import ScenarioError, load_matrix
 
 
@@ -81,6 +82,41 @@ def test_non_square_rejected():
         dl.validate(np.ones((2, 3)))
 
 
+def _nearly_valid(seed):
+    # a realizable matrix made Hermitian and unit-diagonal only within the
+    # 1e-10 validation tolerances
+    rng = np.random.default_rng(seed)
+    m = np.array(dl.random_coherence(4, 5, seed=seed).entries)
+    return m + 2e-11 * (rng.uniform(-1.0, 1.0, (4, 4)) + 1j * rng.uniform(-1.0, 1.0, (4, 4)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_validate_stores_exact_hermitian_part_with_unit_diagonal(seed):
+    g = dl.validate(_nearly_valid(seed)).entries
+    assert np.array_equal(g, g.conj().T)
+    assert np.all(np.diag(g) == 1.0 + 0.0j)
+    m = _nearly_valid(seed)
+    assert np.array_equal(g, np.where(np.eye(4, dtype=bool), 1.0, 0.5 * (m + m.conj().T)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_validate_leaves_the_input_writable_and_unchanged(seed):
+    m = _nearly_valid(seed)
+    before = m.copy()
+    dl.validate(m)
+    assert m.flags.writeable
+    assert m.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mutual_intensity_of_the_stored_matrix_has_real_diagonal(seed):
+    # Im A_ii = I_i Im g_ii with zero phase difference, exactly 0 without a fill
+    coh = dl.validate(_nearly_valid(seed))
+    phases = np.random.default_rng(seed).uniform(-3.0, 3.0, 4)
+    _, a_im = mutual_intensity([1.0, 0.3, 2.5, 1e-3], coh, phases)
+    assert np.all(np.diag(a_im) == 0.0)
+
+
 def test_from_modes_identical_rows_fully_coherent():
     decomp = dl.ModeDecomposition(np.tile([1.0 + 2.0j, 0.5], (4, 1)))
     coh = dl.from_modes(decomp)
@@ -94,6 +130,15 @@ def test_from_modes_rows_near_float_limits(value):
     # rows whose norms over- and underflow once gave the identity and a
     # zero-norm error
     coh = dl.from_modes(dl.ModeDecomposition(np.full((2, 1), value)))
+    assert np.array_equal(coh.entries, np.ones((2, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.finfo(float).max, 1e-170], ids=["largest", "tiny"])
+def test_polarized_rows_near_float_limits(value):
+    # Jones components may exceed 1 by the 1e-12 norm tolerance
+    pols = dl.PolarizationSet(np.array([[1.0 + 4e-13, 0.0], [1.0 + 4e-13, 0.0]]))
+    coh = dl.from_modes(dl.ModeDecomposition(np.full((2, 1), value)), pols)
     assert np.array_equal(coh.entries, np.ones((2, 2)))
 
 

@@ -211,7 +211,8 @@ class TestExactReference:
     def test_every_measure_within_its_bound(self, seed, dark, rank1, blend, skew):
         # dark slits, fully coherent (saturating) and nearly saturating
         # instances, and a coherence matrix that is Hermitian only within
-        # the validation tolerance, so V_C and C read different moduli
+        # the validation tolerance, which validate stores as its exact
+        # Hermitian part, so V_C and C still read the same moduli
         rng = np.random.default_rng(seed)
         intensities, coh = random_instance(seed)
         n = coh.n
