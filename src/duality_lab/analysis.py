@@ -28,6 +28,10 @@ class ZeroIncoherentIntensity(ValueError):
     """Incoherent reference vanishes at the primary maximum."""
 
 
+class NonIncreasingGrid(ValueError):
+    """Pattern CSV whose x column does not strictly increase."""
+
+
 @dataclass(frozen=True)
 class PeakEstimate:
     """Refined primary-maximum location and height.
@@ -129,14 +133,23 @@ def load_pattern_csv(
     count and the fringe width (engine.fringe_width); when the file was
     written with positions in fringe-width units, pass scale_w=True to
     recover metres.  The first line must be the engine's header and at least
-    one data row must follow; every cell must be a finite number.
+    one data row must follow; every cell must be a finite number and x must
+    strictly increase (NonIncreasingGrid otherwise).  Errors name the line
+    of the file, blank lines counted.
     """
     lines = Path(path).read_text().splitlines()
     if lines[:1] != ["x,total,incoherent"]:
         raise ValueError(f"{path}: first line is not the header x,total,incoherent")
-    if not any(line.strip() for line in lines[1:]):
+    # the file's line number of each data row: blank lines are skipped here
+    # rather than by np.loadtxt, which would lose the count
+    numbers, rows = [], []
+    for number, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            numbers.append(number)
+            rows.append(line)
+    if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    data = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=float, ndmin=2)
+    data = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
     if data.shape[1] != 3:
         raise ValueError(f"expected 3 columns x,total,incoherent in {path}")
     bad = np.argwhere(~np.isfinite(data))
@@ -144,9 +157,18 @@ def load_pattern_csv(
         row, col = bad[0].tolist()
         column = ("x", "total", "incoherent")[col]
         raise ValueError(
-            f"{path}: line {row + 2}, column {column}: non-finite value {data[row, col]}"
+            f"{path}: line {numbers[row]}, column {column}: non-finite value {data[row, col]}"
         )
-    x = data[:, 0] * fringe_width if scale_w else data[:, 0]
+    x = data[:, 0]
+    stalls = np.flatnonzero(~(x[1:] > x[:-1]))
+    if stalls.size:
+        row = int(stalls[0]) + 1
+        raise NonIncreasingGrid(
+            f"{path}: line {numbers[row]}: x {float(x[row])!r} does not exceed the "
+            f"previous row's {float(x[row - 1])!r}"
+        )
+    if scale_w:
+        x = x * fringe_width
     return InterferencePattern(
         grid=x, total=data[:, 1], incoherent=data[:, 2], n=n, fringe_width=fringe_width
     )

@@ -8,11 +8,15 @@ The screen intensity is
 with per-slit on-screen intensities I_i(x) = I_i * envelope(x), pair delays
 tau_ij fixed by the slit geometry, and phi_ij = alpha_i - alpha_j + arg(g_ij)
 combining the intrinsic slit phases with the coherence phases.  Internally
-the double sum is evaluated as the Hermitian quadratic form u(x) A u(x)^H
-over its lower triangle, which keeps it real by construction; rounding dust
-below zero is clipped.  Only elementwise IEEE-754 operations in a fixed order
-(sqrt among them) and the platform libm's cos, sin and, for the exact phase
-model, hypot enter the form, so its bits are reproducible.  screen_pattern
+the double sum is evaluated as the Hermitian quadratic form u(x) A u(x)^H,
+read from A's diagonal and lower triangle, in a form that is real by
+construction.  The small-angle model sums it as a trigonometric polynomial
+whose coefficients are A's lower diagonal sums; rounding dust below zero is
+clipped.  The exact phase model factors A = F F^H by pivoted Cholesky and
+sums sum_m |sum_i F_im u_i(x)|^2, which is nonnegative and costs O(r n) per
+sample for a rank-r A.  Only elementwise IEEE-754 operations in a fixed
+order (sqrt among them) and the platform libm's cos, sin and, for the exact
+phase model, hypot enter the form, so its bits are reproducible.  screen_pattern
 is the one evaluator of that form: the analytic pattern passes A from
 mutual_intensity, the Monte-Carlo oracle its ensemble covariance.
 """
@@ -34,11 +38,14 @@ PHASE_MODELS = ("small_angle", "exact")
 ENVELOPES = ("uniform", "gaussian")
 
 # Bound on n * sum_i I_i.  For a PSD matrix A with trace T, |A_ij| <=
-# sqrt(A_ii A_jj) and P = sum_{i>j} sqrt(A_ii A_jj) <= (n - 1) T / 2
+# sqrt(A_ii A_jj).  Small angle: P = sum_{i>j} sqrt(A_ii A_jj) <= (n - 1) T / 2
 # (Cauchy-Schwarz), each update in _intensity_samples adds at most
-# 2 sqrt(2) |c_k| (small angle) or 2 sqrt(2) |v_j| (exact), and sum_k |c_k|
-# and sum_j |v_j| are at most P, so every partial sum and product stays below
-# T + sqrt(2) (n - 1) T <= sqrt(2) n T.  n T <= max / 2 keeps the kernel's
+# 2 sqrt(2) |c_k| and sum_k |c_k| <= P, so every partial sum and product
+# stays below T + sqrt(2) (n - 1) T <= sqrt(2) n T.  Exact model: every
+# entry and product in the factor A = F F^H stays below T, |s_m| <= sum_i
+# |F_im|, each partial part of s_m below sqrt(2) sum_i |F_im|, and
+# q = sum_m |s_m|^2 <= n sum_im |F_im|^2 = n T (Cauchy-Schwarz), so every
+# square stays below 2 n T.  n T <= max / 2 keeps the kernel's
 # largest intermediate below the largest float.  The analytic A has
 # T = sum_i I_i.  An ensemble covariance can have a larger trace, so the
 # Monte-Carlo pattern rests on test_finite_at_the_intensity_bound instead.
@@ -260,22 +267,80 @@ def mutual_intensity(
     return a_re, a_im
 
 
+def pivoted_cholesky(
+    a_re: np.ndarray, a_im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor the Hermitian PSD matrix A = a_re + i a_im, read from its
+    diagonal and lower triangle, as A[perm][:, perm] ~ F F^H.
+
+    Returns perm and the real and imaginary parts of F, an n x r matrix that
+    is lower trapezoidal with a real positive diagonal: row k belongs to slit
+    perm[k].  Outer-product Cholesky with complete pivoting (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10): step k
+    takes the first largest remaining diagonal entry as pivot and stops,
+    with r = k, once that entry is at most tol = n * eps * max(diag A).
+    Every step is elementwise real ufuncs in a fixed order, so F's bits
+    depend on IEEE-754 arithmetic alone.
+
+    Each kept entry carries the rounding of at most 2r + 2 steps, so
+    |A - F F^H|_ij <= gamma_{2r+2} sum_k |F_ik| |F_jk| outside the dropped
+    residual R, with gamma_m = m eps/2 / (1 - m eps/2).  R has diagonal at
+    most tol; as a PSD matrix it changes the form u A u^H by at most
+    n trace(R) <= n (n - r) tol for any u with |u_i| = 1.
+    """
+    n = a_re.shape[0]
+    lower = np.tri(n, dtype=bool)
+    r_re = np.where(lower, a_re, a_re.T)
+    r_im = np.where(lower, a_im, -a_im.T)
+    f_re = np.zeros((n, n))
+    f_im = np.zeros((n, n))
+    perm = np.arange(n)
+    # max and argmax only compare, so no summation order enters
+    tol = n * np.finfo(float).eps * np.max(a_re.diagonal())
+    rank = n
+    for k in range(n):
+        p = k + int(np.argmax(r_re.diagonal()[k:]))
+        if not r_re[p, p] > tol:
+            rank = k
+            break
+        if p != k:
+            for arr in (r_re, r_im):
+                arr[[k, p]] = arr[[p, k]]
+                arr[:, [k, p]] = arr[:, [p, k]]
+            for arr in (f_re, f_im, perm):
+                arr[[k, p]] = arr[[p, k]]
+        pivot = math.sqrt(r_re[k, k])
+        col_re = r_re[k + 1 :, k] / pivot
+        col_im = r_im[k + 1 :, k] / pivot
+        f_re[k, k] = pivot
+        f_re[k + 1 :, k] = col_re
+        f_im[k + 1 :, k] = col_im
+        # R -= c c^H on the trailing block, real and imaginary parts
+        rest_re = r_re[k + 1 :, k + 1 :]
+        rest_im = r_im[k + 1 :, k + 1 :]
+        rest_re -= np.multiply.outer(col_re, col_re)
+        rest_re -= np.multiply.outer(col_im, col_im)
+        rest_im -= np.multiply.outer(col_im, col_re)
+        rest_im += np.multiply.outer(col_re, col_im)
+    return perm, f_re[:, :rank], f_im[:, :rank]
+
+
 def _intensity_samples(
     slits: SlitArray, geometry: ScreenGeometry, x: np.ndarray, a_re: np.ndarray, a_im: np.ndarray
 ) -> np.ndarray:
-    # The Hermitian form u A u^H is evaluated as
-    #   q(x) = sum_i A_ii + 2 sum_{i>j} Re(A_ij u_i(x) conj(u_j(x))),
-    # which is real by construction, using only correctly rounded scalar sums
-    # and elementwise real ufuncs applied in a fixed order (no einsum, BLAS or
-    # multi-element numpy reduction).  Each sample's bits then depend only on
-    # IEEE-754 arithmetic and on the platform libm's cos/sin (and hypot in
-    # the exact model), which is what makes seeded outputs byte-stable.
+    # The Hermitian form q(x) = sum_ij u_i(x) A_ij conj(u_j(x)) is evaluated
+    # in a form that is real by construction, using only correctly rounded
+    # scalar sums and elementwise real ufuncs applied in a fixed order (no
+    # einsum, BLAS or multi-element numpy reduction).  Each sample's bits then
+    # depend only on IEEE-754 arithmetic and on the platform libm's cos/sin
+    # (and hypot in the exact model), which is what makes seeded outputs
+    # byte-stable.
     n = slits.n
-    q = np.full(x.shape, math.fsum(a_re.diagonal().tolist()))
     if geometry.phase_model == "small_angle":
         # u_i(x) = exp(i*i*scale*x), so q is the trigonometric polynomial
-        # c_0 + 2 sum_{k>=1} Re(c_k exp(i*k*scale*x)), with c_k the sum of
-        # the k-th lower diagonal A_{j+k,j}.
+        # c_0 + 2 sum_{k>=1} Re(c_k exp(i*k*scale*x)), with c_0 the trace and
+        # c_k the sum of the k-th lower diagonal A_{j+k,j}.
+        q = np.full(x.shape, math.fsum(a_re.diagonal().tolist()))
         scale = 2.0 * np.pi * slits.spacing / (geometry.wavelength * geometry.distance)
         for k in range(1, n):
             re = 2.0 * math.fsum(a_re.diagonal(-k).tolist())
@@ -284,25 +349,29 @@ def _intensity_samples(
             q += re * np.cos(arg)
             q -= im * np.sin(arg)
     else:
-        # slit-major (n, len(x)) table of omega*t_i(x) from exact path lengths
+        # A = F F^H, so q(x) = sum_m |s_m(x)|^2 with s_m = sum_i F_im u_i(x):
+        # u_i(x) = exp(i omega t_i(x)) from exact path lengths, accumulated
+        # slit by slit in pivot order over the nonzero prefix of F's row.
+        perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
+        rank = f_re.shape[1]
         pos = slit_positions(n, slits.spacing)
-        paths = np.hypot(geometry.distance, x[None, :] - pos[:, None])
-        theta = (2.0 * np.pi / geometry.wavelength) * paths
-        cos = np.cos(theta)
-        sin = np.sin(theta, out=theta)
-        # v_j = sum_{i>j} A_ij u_i accumulated row by row in real arithmetic,
-        # then q += 2 Re(v_j conj(u_j)) slit by slit.
-        v_re = np.zeros_like(theta)
-        v_im = np.zeros_like(theta)
-        for i in range(1, n):
-            row_re = a_re[i, :i, None]
-            row_im = a_im[i, :i, None]
-            v_re[:i] += row_re * cos[i]
-            v_re[:i] -= row_im * sin[i]
-            v_im[:i] += row_re * sin[i]
-            v_im[:i] += row_im * cos[i]
-        for j in range(n - 1):
-            q += 2.0 * (v_re[j] * cos[j] + v_im[j] * sin[j])
+        wavenumber = 2.0 * np.pi / geometry.wavelength
+        s_re = np.zeros((rank, x.size))
+        s_im = np.zeros((rank, x.size))
+        for k, i in enumerate(perm.tolist()):
+            theta = wavenumber * np.hypot(geometry.distance, x - pos[i])
+            cos, sin = np.cos(theta), np.sin(theta)
+            m = min(k + 1, rank)
+            row_re = f_re[k, :m, None]
+            row_im = f_im[k, :m, None]
+            s_re[:m] += row_re * cos
+            s_re[:m] -= row_im * sin
+            s_im[:m] += row_re * sin
+            s_im[:m] += row_im * cos
+        q = np.zeros_like(x)
+        for m in range(rank):
+            q += s_re[m] * s_re[m]
+            q += s_im[m] * s_im[m]
     return q
 
 

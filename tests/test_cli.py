@@ -147,6 +147,43 @@ class TestAnalyzeCommand:
         assert result.output.count("error:") == 1
         assert not (out / "analysis.json").exists()
 
+    def test_names_the_file_line_after_a_blank_line(self, runner, tmp_path):
+        # numpy skips the blank line 6, which once made a nan on line 11
+        # read as "line 10"
+        lines = (GOLDEN / "pattern.csv").read_text().splitlines()
+        lines[9] = "nan," + lines[9].split(",", 1)[1]
+        lines.insert(5, "")
+        csv = tmp_path / "pattern.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", str(out)]
+        )
+        assert_input_error(result, "line 11, column x: non-finite value")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "order, fragment",
+        [
+            (lambda rows: rows[:1] + rows, "line 3: x -0.04 does not exceed the previous row's -0.04"),
+            (lambda rows: rows[::-1], "line 3: x 0.03998046398046399 does not exceed the previous"),
+        ],
+        ids=["first_row_doubled", "reversed"],
+    )
+    def test_rejects_x_that_does_not_increase(self, runner, tmp_path, order, fragment):
+        # a doubled first row once divided by a zero step and exited 0, and a
+        # reversed grid reported "-511.9 samples per fringe"
+        lines = (GOLDEN / "pattern.csv").read_text().splitlines(keepends=True)
+        csv = tmp_path / "pattern.csv"
+        csv.write_text("".join(lines[:1] + order(lines[1:])))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", str(out)]
+        )
+        assert_input_error(result, fragment)
+        assert result.output.count("error:") == 1
+        assert not (out / "analysis.json").exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "keep, fragment",

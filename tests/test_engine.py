@@ -3,13 +3,15 @@ import csv
 import ctypes
 import ctypes.util
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import duality_lab as dl
-from duality_lab.engine import SPEED_OF_LIGHT, slit_positions
+from duality_lab.engine import SPEED_OF_LIGHT, mutual_intensity, pivoted_cholesky, slit_positions
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -280,15 +282,17 @@ def double_sum(slits, coh, geom, x):
 def kernel_replica(slits, coh, geom, xs):
     """pattern().total for a uniform envelope, rebuilt in Python floats with
     the kernel's operations in the kernel's order: the same products, sums
-    and math.fsum of the lower diagonals of A, with math.cos/math.sin and the
-    C library's hypot for the libm calls.  Bit equality with the kernel shows
-    that its bytes are fixed by its code, IEEE-754 arithmetic and libm, and
-    not by how numpy vectorises or reduces.
+    and math.fsum of the lower diagonals of A (small angle), or the same
+    pivoted Cholesky factor and per-slit sums (exact), with math.cos/math.sin
+    and the C library's hypot for the libm calls.  Bit equality with the
+    kernel shows that its bytes are fixed by its code, IEEE-754 arithmetic
+    and libm, and not by how numpy vectorises or reduces.
     """
     assert geom.envelope == "uniform"
     n = slits.n
     g_re, g_im = coh.entries.real.tolist(), coh.entries.imag.tolist()
-    amps = [math.sqrt(v) for v in slits.intensities.tolist()]
+    inten = slits.intensities.tolist()
+    amps = [math.sqrt(v) for v in inten]
     alpha = slits.phases.tolist()
     a_re = [[0.0] * n for _ in range(n)]
     a_im = [[0.0] * n for _ in range(n)]
@@ -300,7 +304,8 @@ def kernel_replica(slits, coh, geom, xs):
             weight = amps[i] * amps[j]
             a_re[i][j] = weight * (re * cos - im * sin)
             a_im[i][j] = weight * (re * sin + im * cos)
-    incoherent = math.fsum(slits.intensities.tolist())
+        a_re[i][i] = inten[i]
+    incoherent = math.fsum(inten)
     totals = []
     if geom.phase_model == "small_angle":
         scale = 2.0 * math.pi * slits.spacing / (geom.wavelength * geom.distance)
@@ -319,28 +324,69 @@ def kernel_replica(slits, coh, geom, xs):
                 q = q - im * math.sin(kscale * x)
             totals.append(1.0 * max(q, 0.0))
         return totals
+    perm, f_re, f_im = replica_cholesky(a_re, a_im)
+    rank = len(f_re[0])
     libm = ctypes.CDLL(ctypes.util.find_library("m"))
     libm.hypot.restype = ctypes.c_double
     libm.hypot.argtypes = (ctypes.c_double, ctypes.c_double)
     pos = [((n - 1) / 2.0 - i) * slits.spacing for i in range(n)]
     wavenumber = 2.0 * math.pi / geom.wavelength
     for x in xs:
-        theta = [wavenumber * libm.hypot(geom.distance, x - p) for p in pos]
-        cos = [math.cos(t) for t in theta]
-        sin = [math.sin(t) for t in theta]
-        v_re = [0.0] * n
-        v_im = [0.0] * n
-        for i in range(1, n):
-            for j in range(i):
-                v_re[j] = v_re[j] + a_re[i][j] * cos[i]
-                v_re[j] = v_re[j] - a_im[i][j] * sin[i]
-                v_im[j] = v_im[j] + a_re[i][j] * sin[i]
-                v_im[j] = v_im[j] + a_im[i][j] * cos[i]
-        q = incoherent
-        for j in range(n - 1):
-            q = q + 2.0 * (v_re[j] * cos[j] + v_im[j] * sin[j])
+        s_re = [0.0] * rank
+        s_im = [0.0] * rank
+        for k, i in enumerate(perm):
+            theta = wavenumber * libm.hypot(geom.distance, x - pos[i])
+            cos, sin = math.cos(theta), math.sin(theta)
+            for m in range(min(k + 1, rank)):
+                s_re[m] = s_re[m] + f_re[k][m] * cos
+                s_re[m] = s_re[m] - f_im[k][m] * sin
+                s_im[m] = s_im[m] + f_re[k][m] * sin
+                s_im[m] = s_im[m] + f_im[k][m] * cos
+        q = 0.0
+        for m in range(rank):
+            q = q + s_re[m] * s_re[m]
+            q = q + s_im[m] * s_im[m]
         totals.append(1.0 * max(q, 0.0))
     return totals
+
+
+def replica_cholesky(a_re, a_im):
+    """engine.pivoted_cholesky on nested lists of Python floats, with the
+    same pivot choice (first largest remaining diagonal entry), stop rule and
+    order of operations; returns perm and the rows of F as lists."""
+    n = len(a_re)
+    r_re = [[a_re[i][j] if i >= j else a_re[j][i] for j in range(n)] for i in range(n)]
+    r_im = [[a_im[i][j] if i >= j else -a_im[j][i] for j in range(n)] for i in range(n)]
+    f_re = [[0.0] * n for _ in range(n)]
+    f_im = [[0.0] * n for _ in range(n)]
+    perm = list(range(n))
+    tol = n * sys.float_info.epsilon * max(a_re[i][i] for i in range(n))
+    rank = n
+    for k in range(n):
+        diag = [r_re[i][i] for i in range(k, n)]
+        p = k + diag.index(max(diag))
+        if not r_re[p][p] > tol:
+            rank = k
+            break
+        for rows in (r_re, r_im, f_re, f_im, perm):
+            rows[k], rows[p] = rows[p], rows[k]
+        for rows in (r_re, r_im):
+            for row in rows:
+                row[k], row[p] = row[p], row[k]
+        pivot = math.sqrt(r_re[k][k])
+        col_re = [r_re[i][k] / pivot for i in range(n)]
+        col_im = [r_im[i][k] / pivot for i in range(n)]
+        f_re[k][k] = pivot
+        for i in range(k + 1, n):
+            f_re[i][k] = col_re[i]
+            f_im[i][k] = col_im[i]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                r_re[i][j] = r_re[i][j] - col_re[i] * col_re[j]
+                r_re[i][j] = r_re[i][j] - col_im[i] * col_im[j]
+                r_im[i][j] = r_im[i][j] - col_im[i] * col_re[j]
+                r_im[i][j] = r_im[i][j] + col_re[i] * col_im[j]
+    return perm, [row[:rank] for row in f_re], [row[:rank] for row in f_im]
 
 
 def double_sum_tolerance(slits, geom, weight):
@@ -393,7 +439,7 @@ class TestKernelBits:
         assert [t for _, t, _ in rows] == [repr(r) for r in ref]
 
     @pytest.mark.parametrize("model", ["small_angle", "exact"])
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
     def test_pattern_is_the_kernel(self, n, model):
         slits, coh, geom = random_case(n, model)
         pat = dl.pattern(slits, coh, geom)
@@ -416,7 +462,7 @@ class TestDoubleSumReference:
         assert worst <= 1e-13 * peak
 
     @pytest.mark.parametrize("model", ["small_angle", "exact"])
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
     def test_pattern_matches_double_sum(self, n, model):
         slits, coh, geom = random_case(n, model)
         pat = dl.pattern(slits, coh, geom)
@@ -424,6 +470,78 @@ class TestDoubleSumReference:
         amps = np.sqrt(slits.intensities)
         weight = np.sum(np.abs(coh.entries) * np.outer(amps, amps)) - slits.intensities.sum()
         assert np.max(np.abs(pat.total - ref)) <= double_sum_tolerance(slits, geom, weight)
+
+
+def factor_case(name):
+    """(a_re, a_im, rank) of a mutual-intensity matrix: rank-4 modes at
+    n=128, random_case's rank 16 at n=32, and the identity at n=16."""
+    rng = np.random.default_rng(7)
+    if name == "random":
+        slits, coh, _ = random_case(32, "exact")
+        rank = 16
+    else:
+        n = 128 if name == "modes" else 16
+        slits = dl.SlitArray(
+            intensities=rng.uniform(0.1, 2.0, n),
+            spacing=SPACING,
+            phases=rng.uniform(-np.pi, np.pi, n),
+        )
+        if name == "modes":
+            modes = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+            coh, rank = dl.from_modes(dl.ModeDecomposition(modes)), 4
+        else:
+            coh, rank = dl.validate(np.eye(n)), n
+    return (*mutual_intensity(slits.intensities, coh, slits.phases), rank)
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize("name", ["modes", "random", "identity"])
+    def test_stops_at_the_rank(self, name):
+        a_re, a_im, rank = factor_case(name)
+        perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
+        assert f_re.shape == f_im.shape == (a_re.shape[0], rank)
+        assert sorted(perm.tolist()) == list(range(a_re.shape[0]))
+        assert np.all(np.triu(f_re, 1) == 0.0) and np.all(np.triu(f_im) == 0.0)
+
+    @pytest.mark.parametrize("last, rank", [(2.0, 1), (2.5, 2)])
+    def test_stops_at_n_eps_max_diag(self, last, rank):
+        # tol = n eps max(diag A) = 2 eps: a remaining pivot of 2 eps stops
+        a_re = np.diag([1.0, last * sys.float_info.epsilon])
+        assert pivoted_cholesky(a_re, np.zeros((2, 2)))[1].shape == (2, rank)
+
+    @pytest.mark.parametrize("name", ["modes", "random", "identity"])
+    def test_reproduces_a_within_its_rounding_bound(self, name):
+        # Entry (i, j), i >= j in pivot order, of E = A - F F^H in exact
+        # rational arithmetic.  Pivot columns (j < r) carry the rounding of at
+        # most 2r products and subtractions, one division and one sqrt:
+        # |E_ij| <= gamma_{2r+2} sum_k |F_ik| |F_jk| for real and imaginary
+        # parts alike.  In the dropped block (i, j >= r) E is the computed
+        # residual plus that rounding; the stop rule caps the residual's
+        # diagonal at tol = n eps max(diag A), and a PSD residual has no entry
+        # above its largest diagonal one.  So the dropped block moves
+        # u A u^H by at most (n - r)^2 tol <= n (n - r) tol for |u_i| = 1.
+        a_re, a_im, _ = factor_case(name)
+        perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
+        n, r = f_re.shape
+        half_eps = sys.float_info.epsilon / 2.0
+        gamma = (2 * r + 2) * half_eps / (1.0 - (2 * r + 2) * half_eps)
+        tol = n * sys.float_info.epsilon * float(np.max(a_re.diagonal()))
+        ar, ai, p = a_re.tolist(), a_im.tolist(), perm.tolist()
+        rows = [list(zip(re, im)) for re, im in zip(f_re.tolist(), f_im.tolist())]
+        frac = [[(Fraction(v), Fraction(w)) for v, w in row] for row in rows]
+        mod = [[math.hypot(v, w) for v, w in row] for row in rows]
+        for i in range(n):
+            for j in range(i + 1):
+                hi, lo = max(p[i], p[j]), min(p[i], p[j])
+                re = ar[hi][lo]
+                im = 0.0 if i == j else (ai[hi][lo] if p[i] > p[j] else -ai[hi][lo])
+                e_re, e_im = Fraction(re), Fraction(im)
+                for (a, b), (c, d) in zip(frac[i], frac[j]):
+                    e_re -= a * c + b * d
+                    e_im -= b * c - a * d
+                weight = math.fsum(s * t for s, t in zip(mod[i], mod[j]))
+                bound = gamma * weight + ((1.0 + gamma) * tol if j >= r else 0.0)
+                assert abs(e_re) <= bound and abs(e_im) <= bound, (i, j)
 
 
 class TestCsv:
