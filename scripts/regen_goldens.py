@@ -3,9 +3,12 @@
 
 tests/test_cli.py compares these files byte for byte.  Both patterns are the
 same fixed-order kernel's form of their own matrix, so their bytes rest on
-IEEE-754 arithmetic plus the platform libm's cos/sin/hypot; the convergence
-figure's matrix, the Monte-Carlo oracle's ensemble covariance, is built
-through LAPACK/BLAS (eigh and matrix products).
+IEEE-754 arithmetic plus the platform libm's cos/sin/hypot: in the
+small-angle model one cos/sin pair per sample, then multiplies and adds.
+The convergence figure's matrix, the Monte-Carlo oracle's ensemble
+covariance, is built through LAPACK/BLAS (eigh and matrix products).
+The script imports duality_lab from this checkout's src/, not from an
+installed copy.
 Regenerating the goldens is a change of behaviour: run this only when output
 behaviour changes deliberately, review the diff, and log which files and rows
 changed, and why, in CHANGES.md; the script prints `changed` or `unchanged`
@@ -17,12 +20,14 @@ for each file:
 import sys
 from pathlib import Path
 
-from duality_lab.cli import CONVERGENCE_JSON, PATTERN_CSV, REPORT_JSON, run_scenario
-
 REPO = Path(__file__).resolve().parents[1]
 
 
 def main() -> int:
+    # the checkout's own source, not whatever copy of duality_lab is installed
+    sys.path.insert(0, str(REPO / "src"))
+    from duality_lab.cli import CONVERGENCE_JSON, PATTERN_CSV, REPORT_JSON, run_scenario
+
     scenario = REPO / "scenarios" / "three_slit.json"
     out = REPO / "tests" / "golden" / "three_slit"
     out.mkdir(parents=True, exist_ok=True)

@@ -11,14 +11,17 @@ combining the intrinsic slit phases with the coherence phases.  Internally
 the double sum is evaluated as the Hermitian quadratic form u(x) A u(x)^H,
 read from A's diagonal and lower triangle, in a form that is real by
 construction.  The small-angle model sums it as a trigonometric polynomial
-whose coefficients are A's lower diagonal sums; rounding dust below zero is
-clipped.  The exact phase model factors A = F F^H by pivoted Cholesky and
-sums sum_m |sum_i F_im u_i(x)|^2, which is nonnegative and costs O(r n) per
+whose coefficients are A's lower diagonal sums: one libm cos/sin pair per
+sample gives the first harmonic, and each higher one follows from the
+previous by multiplies and adds; rounding dust below zero is clipped.  The
+exact phase model factors A = F F^H by pivoted Cholesky and sums
+sum_m |sum_i F_im u_i(x)|^2, which is nonnegative and costs O(r n) per
 sample for a rank-r A.  Only elementwise IEEE-754 operations in a fixed
 order (sqrt among them) and the platform libm's cos, sin and, for the exact
-phase model, hypot enter the form, so its bits are reproducible.  screen_pattern
-is the one evaluator of that form: the analytic pattern passes A from
-mutual_intensity, the Monte-Carlo oracle its ensemble covariance.
+phase model, hypot enter the form, so its bits are reproducible.
+screen_pattern is the one evaluator of that form: the analytic pattern
+passes A from mutual_intensity, the Monte-Carlo oracle its ensemble
+covariance.
 """
 
 from __future__ import annotations
@@ -39,16 +42,19 @@ ENVELOPES = ("uniform", "gaussian")
 
 # Bound on n * sum_i I_i.  For a PSD matrix A with trace T, |A_ij| <=
 # sqrt(A_ii A_jj).  Small angle: P = sum_{i>j} sqrt(A_ii A_jj) <= (n - 1) T / 2
-# (Cauchy-Schwarz), each update in _intensity_samples adds at most
-# 2 sqrt(2) |c_k| and sum_k |c_k| <= P, so every partial sum and product
-# stays below T + sqrt(2) (n - 1) T <= sqrt(2) n T.  Exact model: every
-# entry and product in the factor A = F F^H stays below T, |s_m| <= sum_i
-# |F_im|, each partial part of s_m below sqrt(2) sum_i |F_im|, and
-# q = sum_m |s_m|^2 <= n sum_im |F_im|^2 = n T (Cauchy-Schwarz), so every
-# square stays below 2 n T.  n T <= max / 2 keeps the kernel's
-# largest intermediate below the largest float.  The analytic A has
-# T = sum_i I_i.  An ensemble covariance can have a larger trace, so the
-# Monte-Carlo pattern rests on test_finite_at_the_intensity_bound instead.
+# (Cauchy-Schwarz).  The phasor z_k of _intensity_samples has
+# |z_k| <= 1 + O(k u) with u = eps/2 (the bound in its comment), so its
+# parts stay below 2, each update adds at most 2 sqrt(2) |c_k| (1 + O(n u)),
+# sum_k |c_k| <= P, and every partial sum and product stays below
+# T + sqrt(2) (n - 1) T (1 + O(n u)) <= sqrt(2) n T for any n with n^2 u
+# far below 1.  Exact model: every entry and product in the factor
+# A = F F^H stays below T, |s_m| <= sum_i |F_im|, each partial part of s_m
+# below sqrt(2) sum_i |F_im|, and q = sum_m |s_m|^2 <= n sum_im |F_im|^2
+# = n T (Cauchy-Schwarz), so every square stays below 2 n T.  n T <= max / 2
+# keeps the kernel's largest intermediate below the largest float.  The
+# analytic A has T = sum_i I_i.  An ensemble covariance can have a larger
+# trace, so the Monte-Carlo pattern rests on test_finite_at_the_intensity_bound
+# instead.
 MAX_N_TIMES_SUM = sys.float_info.max / 2.0
 
 
@@ -235,9 +241,11 @@ def delay(geometry: ScreenGeometry, slits: SlitArray, i: int, j: int, x: float) 
         raise IndexError(f"slit indices ({i}, {j}) out of range for n={n}")
     if geometry.phase_model == "small_angle":
         return (i - j) * slits.spacing * x / (geometry.distance * SPEED_OF_LIGHT)
-    pos = slit_positions(n, slits.spacing)
-    path_i = float(np.hypot(geometry.distance, x - pos[i]))
-    path_j = float(np.hypot(geometry.distance, x - pos[j]))
+    # the two entries of slit_positions(n, spacing), formed the same way
+    pos_i = ((n - 1) / 2.0 - i) * slits.spacing
+    pos_j = ((n - 1) / 2.0 - j) * slits.spacing
+    path_i = float(np.hypot(geometry.distance, x - pos_i))
+    path_j = float(np.hypot(geometry.distance, x - pos_j))
     return (path_i - path_j) / SPEED_OF_LIGHT
 
 
@@ -337,17 +345,41 @@ def _intensity_samples(
     # byte-stable.
     n = slits.n
     if geometry.phase_model == "small_angle":
-        # u_i(x) = exp(i*i*scale*x), so q is the trigonometric polynomial
-        # c_0 + 2 sum_{k>=1} Re(c_k exp(i*k*scale*x)), with c_0 the trace and
-        # c_k the sum of the k-th lower diagonal A_{j+k,j}.
+        # u_i(x) = exp(i*i*theta) with theta = scale*x, so q is the
+        # trigonometric polynomial c_0 + 2 sum_{k>=1} Re(c_k z_k), with c_0
+        # the trace, c_k the sum of the k-th lower diagonal A_{j+k,j} and
+        # z_k = exp(i*k*theta).  One libm pair gives z_1 = (cos theta,
+        # sin theta); z_k = z_{k-1} z_1 follows in real ufuncs in a fixed
+        # order, Re = Re*cos - Im*sin and Im = Re*sin + Im*cos, as numpy's
+        # complex multiply may fuse multiply-adds.
+        # Rounding growth: with cos/sin within lam*u of the true values
+        # (u = eps/2), z_1 is within (|theta| + sqrt(2) lam) u of
+        # exp(i*theta) for the real theta = scale*x, and each product adds a
+        # relative error of at most sqrt(2) gamma_2 (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., Lemma 3.5), so to
+        # first order |z_k - exp(i*k*theta)| <= k (|theta| + sqrt(2) (2 + lam)) u
+        # and |z_k| <= 1 + O(k u).
         q = np.full(x.shape, math.fsum(a_re.diagonal().tolist()))
         scale = 2.0 * np.pi * slits.spacing / (geometry.wavelength * geometry.distance)
+        theta = scale * x
+        cos, sin = np.cos(theta), np.sin(theta)
+        z_re, z_im = cos.copy(), sin.copy()
+        re_next, term = np.empty_like(x), np.empty_like(x)
         for k in range(1, n):
+            if k > 1:
+                np.multiply(z_re, cos, out=re_next)
+                np.multiply(z_im, sin, out=term)
+                re_next -= term
+                np.multiply(z_re, sin, out=term)
+                z_im *= cos
+                z_im += term
+                z_re, re_next = re_next, z_re
             re = 2.0 * math.fsum(a_re.diagonal(-k).tolist())
             im = 2.0 * math.fsum(a_im.diagonal(-k).tolist())
-            arg = (k * scale) * x
-            q += re * np.cos(arg)
-            q -= im * np.sin(arg)
+            np.multiply(z_re, re, out=term)
+            q += term
+            np.multiply(z_im, im, out=term)
+            q -= term
     else:
         # A = F F^H, so q(x) = sum_m |s_m(x)|^2 with s_m = sum_i F_im u_i(x):
         # u_i(x) = exp(i omega t_i(x)) from exact path lengths, accumulated

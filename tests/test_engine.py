@@ -281,10 +281,11 @@ def double_sum(slits, coh, geom, x):
 
 def kernel_replica(slits, coh, geom, xs):
     """pattern().total for a uniform envelope, rebuilt in Python floats with
-    the kernel's operations in the kernel's order: the same products, sums
-    and math.fsum of the lower diagonals of A (small angle), or the same
-    pivoted Cholesky factor and per-slit sums (exact), with math.cos/math.sin
-    and the C library's hypot for the libm calls.  Bit equality with the
+    the kernel's operations in the kernel's order: the same products, sums,
+    math.fsum of the lower diagonals of A and phasor recurrence
+    z_k = z_{k-1} z_1 (small angle), or the same pivoted Cholesky factor and
+    per-slit sums (exact), with math.cos/math.sin and the C library's hypot
+    for the libm calls.  Bit equality with the
     kernel shows that its bytes are fixed by its code, IEEE-754 arithmetic
     and libm, and not by how numpy vectorises or reduces.
     """
@@ -311,17 +312,21 @@ def kernel_replica(slits, coh, geom, xs):
         scale = 2.0 * math.pi * slits.spacing / (geom.wavelength * geom.distance)
         coeffs = [
             (
-                k * scale,
                 2.0 * math.fsum(a_re[j + k][j] for j in range(n - k)),
                 2.0 * math.fsum(a_im[j + k][j] for j in range(n - k)),
             )
             for k in range(1, n)
         ]
         for x in xs:
+            theta = scale * x
+            cos, sin = math.cos(theta), math.sin(theta)
+            z_re, z_im = cos, sin
             q = incoherent
-            for kscale, re, im in coeffs:
-                q = q + re * math.cos(kscale * x)
-                q = q - im * math.sin(kscale * x)
+            for k, (re, im) in enumerate(coeffs, start=1):
+                if k > 1:
+                    z_re, z_im = z_re * cos - z_im * sin, z_re * sin + z_im * cos
+                q = q + re * z_re
+                q = q - im * z_im
             totals.append(1.0 * max(q, 0.0))
         return totals
     perm, f_re, f_im = replica_cholesky(a_re, a_im)
@@ -438,8 +443,11 @@ class TestKernelBits:
         ref = kernel_replica(scenario.slits, scenario.coherence, scenario.geometry, xs)
         assert [t for _, t, _ in rows] == [repr(r) for r in ref]
 
-    @pytest.mark.parametrize("model", ["small_angle", "exact"])
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+    @pytest.mark.parametrize(
+        "n, model",
+        [(n, model) for model in ("small_angle", "exact") for n in (2, 3, 5, 8, 32)]
+        + [(128, "small_angle")],
+    )
     def test_pattern_is_the_kernel(self, n, model):
         slits, coh, geom = random_case(n, model)
         pat = dl.pattern(slits, coh, geom)
@@ -470,6 +478,72 @@ class TestDoubleSumReference:
         amps = np.sqrt(slits.intensities)
         weight = np.sum(np.abs(coh.entries) * np.outer(amps, amps)) - slits.intensities.sum()
         assert np.max(np.abs(pat.total - ref)) <= double_sum_tolerance(slits, geom, weight)
+
+
+# libm's cos and sin are within one ulp, so within LIBM_ERR * u of the true
+# value on [-1, 1], with u = eps/2 the unit roundoff
+LIBM_ERR = 2.0
+
+
+def recurrence_case(n, aligned):
+    """Real nonnegative rank-4 modes as in the wide_grating benchmark, with
+    zero or random slit phases, on 64 points of the +-4 fringe window."""
+    rng = np.random.default_rng(300 + n)
+    slits = dl.SlitArray(
+        intensities=rng.uniform(0.1, 2.0, n),
+        spacing=SPACING,
+        phases=None if aligned else rng.uniform(-np.pi, np.pi, n),
+    )
+    coh = dl.from_modes(dl.ModeDecomposition(rng.uniform(0.0, 1.0, (n, 4))))
+    return slits, coh, geometry(slits=slits, samples=64)
+
+
+class TestSmallAngleRecurrence:
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "random_phases"])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_within_the_rounding_bound(self, n, aligned):
+        # The kernel builds z_k = exp(i k theta) by the recurrence
+        # z_k = z_{k-1} z_1; the reference sums per-term math.cos/math.sin of
+        # k*scale*x with math.fsum, on the same float coefficients.  To first
+        # order in u, with w_k = |2 c_k| and theta = scale*x, they differ by
+        # at most u times the sum of
+        #   recurrence (engine comment)      sum_k w_k k (|theta| + sqrt(2) (2 + LIBM_ERR))
+        #   kernel products, 2n - 2 sums     (2n - 1) (c_0 + sum_k w_k)
+        #   reference argument fl(fl(k scale) x)    sum_k w_k 2 k |theta|
+        #   reference libm and products      (sqrt(2) LIBM_ERR + 1) sum_k w_k
+        #   reference fsum                   |ref|
+        slits, coh, geom = recurrence_case(n, aligned)
+        pat = dl.pattern(slits, coh, geom)
+        a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+        c_0 = math.fsum(a_re.diagonal().tolist())
+        coeffs = [
+            (
+                2.0 * math.fsum(a_re.diagonal(-k).tolist()),
+                2.0 * math.fsum(a_im.diagonal(-k).tolist()),
+            )
+            for k in range(1, n)
+        ]
+        weights = [math.hypot(re, im) for re, im in coeffs]
+        weight_sum = math.fsum(weights)
+        scale = 2.0 * math.pi * slits.spacing / (geom.wavelength * geom.distance)
+        u = sys.float_info.epsilon / 2.0
+        worst = 0.0
+        for x, total in zip(pat.grid.tolist(), pat.total.tolist()):
+            terms = [c_0]
+            for k, (re, im) in enumerate(coeffs, start=1):
+                terms += [re * math.cos(k * scale * x), -im * math.sin(k * scale * x)]
+            ref = math.fsum(terms)
+            theta = abs(scale * x)
+            per_k = 3.0 * theta + math.sqrt(2.0) * (2.0 + LIBM_ERR)
+            bound = u * (
+                math.fsum(k * w * per_k for k, w in enumerate(weights, start=1))
+                + (2 * n - 1) * (c_0 + weight_sum)
+                + (math.sqrt(2.0) * LIBM_ERR + 1.0) * weight_sum
+                + abs(ref)
+            )
+            worst = max(worst, abs(total - max(ref, 0.0)) / bound)
+        print(f"n={n} aligned={aligned}: worst |pattern - per-term sum| / bound = {worst:.3g}")
+        assert worst <= 1.0
 
 
 def factor_case(name):
