@@ -15,8 +15,9 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from duality_lab import analysis, engine, measures, oracle
-from duality_lab.coherence import degree_of_coherence, random_coherence
+from duality_lab import analysis, coherence, engine, measures, oracle
+# bench/tracing.py wraps cli.random_coherence, so the name stays importable
+from duality_lab.coherence import degree_of_coherence, random_coherence  # noqa: F401
 from duality_lab.scenario import ScenarioError, _read_json, load_matrix, load_scenario, load_sweep
 
 EXIT_OK = 0
@@ -75,25 +76,44 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
     return _verdict([report])
 
 
-def _sweep_instance(master_seed: int, n: int, seed: int, rank: int) -> measures.DualityReport:
-    rng = np.random.default_rng((master_seed, n, seed))
-    # uniform on the intensity simplex, rescaled to exercise scale invariance
-    intensities = rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0)
-    coh = random_coherence(n, rank, seed=int(rng.integers(0, 2**63)))
-    return measures.duality_report(intensities, coh)
+# Largest number of matrix entries evaluated as one stack, 4 MB of complex
+# entries per array: a long run of large n is cut into stacks of this size.
+_STACK_ENTRIES = 1 << 18
+
+
+def _sweep_reports(
+    master_seed: int, n: int, seeds: range, rank: int
+) -> list[measures.DualityReport]:
+    """Reports of instances (n, s) for s in seeds, evaluated as one stack.
+    Each instance is drawn from its own (master_seed, n, s) stream, and its
+    mode rows are random_coherence(n, rank, seed)'s for the drawn seed."""
+    intensities, rows = [], []
+    for s in seeds:
+        rng = np.random.default_rng((master_seed, n, s))
+        # uniform on the intensity simplex, rescaled to exercise scale invariance
+        intensities.append(rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0))
+        rows.append(coherence._random_rows(n, rank, seed=int(rng.integers(0, 2**63))))
+    g = coherence._hermitian_part(coherence._unit_gram(np.array(rows)))
+    return measures._reports(engine._intensity_rows(np.array(intensities)), g)
 
 
 def run_sweep(config, out_dir, seed: int | None = None) -> int:
     """Run the random-instance sweep described by a sweep config and write
-    one CSV row per instance plus a trailing summary row."""
+    one CSV row per instance plus a trailing summary row, which also names
+    the first instance of largest left-hand side of each relation."""
     out = Path(out_dir)
     try:
         sweep = load_sweep(config, seed_override=seed)
-        cases = [(n, s) for n in range(sweep.n_min, sweep.n_max + 1) for s in range(sweep.seeds)]
-        reports = [_sweep_instance(sweep.seed, n, s, sweep.rank or n) for n, s in cases]
+        cases, reports = [], []
+        for n in range(sweep.n_min, sweep.n_max + 1):
+            stack = max(1, _STACK_ENTRIES // (n * n))
+            for start in range(0, sweep.seeds, stack):
+                seeds = range(start, min(start + stack, sweep.seeds))
+                cases += [(n, s) for s in seeds]
+                reports += _sweep_reports(sweep.seed, n, seeds, sweep.rank or n)
         out.mkdir(parents=True, exist_ok=True)
-        max_pyth_lhs = max(r.pyth_lhs for r in reports)
-        max_lin_lhs = max(r.lin_lhs for r in reports)
+        pyth_at = max(range(len(reports)), key=lambda k: reports[k].pyth_lhs)
+        lin_at = max(range(len(reports)), key=lambda k: reports[k].lin_lhs)
         with open(out / "sweep.csv", "w", newline="") as f:
             f.write("n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n")
             for (n, s), r in zip(cases, reports):
@@ -102,8 +122,10 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
                     f"{r.c!r},{r.pyth_lhs!r},{r.lin_lhs!r}\n"
                 )
             f.write(
-                f"summary,instances={len(cases)},max_pyth_lhs={max_pyth_lhs!r},"
-                f"max_lin_lhs={max_lin_lhs!r},,,,,\n"
+                f"summary,instances={len(cases)},max_pyth_lhs={reports[pyth_at].pyth_lhs!r},"
+                f"max_lin_lhs={reports[lin_at].lin_lhs!r},"
+                f"max_pyth_at={cases[pyth_at][0]}:{cases[pyth_at][1]},"
+                f"max_lin_at={cases[lin_at][0]}:{cases[lin_at][1]},,,\n"
             )
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)

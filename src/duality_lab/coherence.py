@@ -6,6 +6,12 @@ all moduli at most 1.  validate() stores the exact Hermitian part of its
 input with unit diagonal, the one g that every reader uses as stored.
 Physically realizable matrices are Gram matrices of field modes, which is
 also how random test instances are generated here.
+
+The checks and the Gram product are written once, as private cores over
+leading batch axes ([..., n, n] matrices, [..., n, r] mode rows): the sweep
+evaluates each n as one stack, and validate(), from_modes() and
+random_coherence() are the no-batch case of the same cores, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -67,9 +73,7 @@ class CoherenceMatrix:
         The clip removes rounding dust just above 1 (validation admits up to
         1 + 1e-10) so that averaged measures stay inside [0, 1].
         """
-        mag = np.minimum(np.abs(self.entries), 1.0)
-        np.fill_diagonal(mag, 0.0)
-        return mag
+        return _magnitudes(self.entries)
 
     def to_json(self) -> str:
         """Serialize as {"n": ..., "re": [[...]], "im": [[...]]}.
@@ -101,18 +105,39 @@ def validate(matrix) -> CoherenceMatrix:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise CoherenceMatrixError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    return CoherenceMatrix(n=m.shape[0], entries=_hermitian_part(m))
+
+
+def _set_diagonal(a: np.ndarray, value) -> None:
+    """Write value on the diagonal of every n x n matrix of a stack."""
+    k = np.arange(a.shape[-1])
+    a[..., k, k] = value
+
+
+def _matrix_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each n x n matrix of a C-contiguous stack, taken over its n*n
+    entries in one reduction: the order numpy sums a single matrix in, so a
+    stack sums each member to the bits of that member alone."""
+    return a.reshape(*a.shape[:-2], -1).sum(axis=-1)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """validate()'s checks and stored matrix for a stack of raw complex
+    matrices [..., n, n]; a new array, the input is left as is.  A stack is
+    refused by the first check that any of its matrices fails."""
+    n = m.shape[-1]
     if n < 2:
         raise TooSmall(f"need at least 2 slits, got n={n}")
     finite = np.isfinite(m)
     if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise NotFinite(f"g[{i},{j}] = {m[i, j]} is not finite")
+        at = tuple(np.argwhere(~finite)[0])
+        raise NotFinite(f"g[{at[-2]},{at[-1]}] = {m[at]} is not finite")
+    m_h = m.conj().swapaxes(-1, -2)
     # entries near the float limit overflow these deviations to inf, which
     # every tolerance refuses
     with np.errstate(over="ignore"):
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        diag_dev = float(np.max(np.abs(np.diag(m) - 1.0)))
+        herm_dev = float(np.max(np.abs(m - m_h)))
+        diag_dev = float(np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1) - 1.0)))
         mag_max = float(np.max(np.abs(m)))
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |g_ij - conj(g_ji)| = {herm_dev:.3e}")
@@ -120,12 +145,19 @@ def validate(matrix) -> CoherenceMatrix:
         raise DiagonalNotUnit(f"max |g_ii - 1| = {diag_dev:.3e}")
     if mag_max > 1.0 + MODULUS_TOL:
         raise NotPositiveSemidefinite(f"off-diagonal modulus {mag_max:.6f} exceeds 1")
-    g = 0.5 * (m + m.conj().T)
-    np.fill_diagonal(g, 1.0)
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] < PSD_FLOOR:
-        raise NotPositiveSemidefinite(f"smallest eigenvalue {eigs[0]:.3e}")
-    return CoherenceMatrix(n=n, entries=g)
+    g = 0.5 * (m + m_h)
+    _set_diagonal(g, 1.0)
+    lowest = float(np.min(np.linalg.eigvalsh(g)[..., 0]))
+    if lowest < PSD_FLOOR:
+        raise NotPositiveSemidefinite(f"smallest eigenvalue {lowest:.3e}")
+    return g
+
+
+def _magnitudes(g: np.ndarray) -> np.ndarray:
+    """CoherenceMatrix.magnitudes() of a stack of stored matrices."""
+    mag = np.minimum(np.abs(g), 1.0)
+    _set_diagonal(mag, 0.0)
+    return mag
 
 
 @dataclass(frozen=True)
@@ -176,9 +208,11 @@ class PolarizationSet:
         return self.vectors.shape[0]
 
 
-def _gram(rows: np.ndarray) -> CoherenceMatrix:
-    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
-    return validate(unit @ unit.conj().T)
+def _unit_gram(rows: np.ndarray) -> np.ndarray:
+    """Raw Gram products of the unit-normalized rows of a stack [..., n, r],
+    for validation."""
+    unit = rows / np.linalg.norm(rows, axis=-1)[..., None]
+    return unit @ unit.conj().swapaxes(-1, -2)
 
 
 def from_modes(
@@ -202,7 +236,7 @@ def from_modes(
         if pols.n != decomp.n:
             raise ValueError(f"polarization count {pols.n} does not match mode rows {decomp.n}")
         rows = (rows[:, :, None] * pols.vectors[:, None, :]).reshape(decomp.n, -1)
-    return _gram(rows)
+    return validate(_unit_gram(rows))
 
 
 def random_coherence(n: int, rank: int, seed: int) -> CoherenceMatrix:
@@ -216,8 +250,14 @@ def random_coherence(n: int, rank: int, seed: int) -> CoherenceMatrix:
         raise TooSmall(f"need at least 2 slits, got n={n}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
+    return validate(_unit_gram(_random_rows(n, rank, seed)))
+
+
+def _random_rows(n: int, rank: int, seed: int) -> np.ndarray:
+    """The n x rank complex normal mode rows random_coherence(n, rank, seed)
+    takes the Gram matrix of."""
     rng = np.random.default_rng(seed)
-    return _gram(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+    return rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
 
 
 def degree_of_coherence(coh: CoherenceMatrix) -> float:
@@ -227,5 +267,10 @@ def degree_of_coherence(coh: CoherenceMatrix) -> float:
     light (all moduli 1); matches the corrected visibility when the slit
     intensities are equal.
     """
-    n = coh.n
-    return float(coh.magnitudes().sum() / (n * (n - 1)))
+    return float(_degree_of_coherence(coh.magnitudes()))
+
+
+def _degree_of_coherence(mag: np.ndarray) -> np.ndarray:
+    """degree_of_coherence() of a stack of magnitudes() arrays."""
+    n = mag.shape[-1]
+    return _matrix_sums(mag) / (n * (n - 1))

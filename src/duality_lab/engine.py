@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix
+from duality_lab.coherence import CoherenceMatrix, _set_diagonal
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -69,16 +69,24 @@ def intensity_vector(values) -> np.ndarray:
     inten = np.asarray(values, dtype=float)
     if inten.ndim != 1 or inten.size < 2:
         raise ValueError(f"need at least 2 slit intensities in 1-D, got shape {inten.shape}")
+    return _intensity_rows(inten)
+
+
+def _intensity_rows(inten: np.ndarray) -> np.ndarray:
+    """intensity_vector()'s value rule for each row of a float stack [..., n],
+    n >= 2; returns the stack."""
     if np.any(inten < 0.0):
         raise ValueError("slit intensities must be nonnegative")
     with np.errstate(over="ignore"):
-        total = inten.sum()
-    limit = MAX_N_TIMES_SUM / inten.size
-    if not 0.0 < total <= limit:
+        totals = inten.sum(axis=-1)
+    limit = MAX_N_TIMES_SUM / inten.shape[-1]
+    bad = ~((totals > 0.0) & (totals <= limit))
+    if bad.any():
+        total = totals[bad][0]
         error = ZeroTotalIntensity if total == 0.0 else ValueError
         raise error(
             f"sum of slit intensities must be positive and finite, at most {limit!r} "
-            f"for {inten.size} slits, got {total}"
+            f"for {inten.shape[-1]} slits, got {total}"
         )
     return inten
 
@@ -259,19 +267,26 @@ def mutual_intensity(
     multiply fuses multiply-adds on some CPUs, which would tie A to the build.
     Im A_ii is exactly 0, as g_ii = 1; Re A_ii is set to I_i, not sqrt(I_i)^2.
     """
+    count = np.size(intensities)
+    if coh.n != count:
+        raise ValueError(f"coherence matrix size {coh.n} does not match slit count {count}")
+    return _mutual_intensity(intensities, coh.entries, phases)
+
+
+def _mutual_intensity(
+    intensities, g: np.ndarray, phases=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """mutual_intensity() of a stack: intensities [..., n], stored coherence
+    matrices g [..., n, n] and phases [..., n] or None for zero phases."""
     amps = np.sqrt(intensities)
-    if coh.n != amps.size:
-        raise ValueError(
-            f"coherence matrix size {coh.n} does not match slit count {amps.size}"
-        )
-    g_re, g_im = coh.entries.real, coh.entries.imag
-    weight = np.multiply.outer(amps, amps)
-    phases = np.zeros(amps.size) if phases is None else phases
-    dphi = np.subtract.outer(phases, phases)
+    g_re, g_im = g.real, g.imag
+    weight = amps[..., :, None] * amps[..., None, :]
+    phases = np.zeros(amps.shape) if phases is None else np.asarray(phases)
+    dphi = phases[..., :, None] - phases[..., None, :]
     cos, sin = np.cos(dphi), np.sin(dphi)
     a_re = weight * (g_re * cos - g_im * sin)
     a_im = weight * (g_re * sin + g_im * cos)
-    np.fill_diagonal(a_re, intensities)
+    _set_diagonal(a_re, intensities)
     return a_re, a_im
 
 

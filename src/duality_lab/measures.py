@@ -7,6 +7,11 @@ saturated exactly when every pair with nonzero intensity product is fully
 coherent.  The report holds each left-hand side and whether it stays within
 INEQUALITY_TOL of 1; in exact arithmetic they equal 1 - s^2 + V_C^2 and
 1 - s + V_C, which the tests recompute at 50 digits from the same inputs.
+
+Every measure is written once, as a private core over leading batch axes
+(intensities [..., n], coherence matrices [..., n, n]): the sweep evaluates
+each n as one stack through _reports, and the public one-instance functions
+are its no-batch case, with the same bits.
 """
 
 from __future__ import annotations
@@ -17,50 +22,68 @@ from typing import NamedTuple
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix, degree_of_coherence
+from duality_lab.coherence import (
+    CoherenceMatrix,
+    _degree_of_coherence,
+    _magnitudes,
+    _matrix_sums,
+    _set_diagonal,
+)
 # ZeroTotalIntensity comes from the intensity rule and stays importable from here
-from duality_lab.engine import ZeroTotalIntensity, intensity_vector, mutual_intensity  # noqa: F401
+from duality_lab.engine import (  # noqa: F401
+    ZeroTotalIntensity,
+    _mutual_intensity,
+    intensity_vector,
+    mutual_intensity,
+)
 
 INEQUALITY_TOL = 1e-12
 
 
 class _PairSums(NamedTuple):
     """Sums over ordered pairs, each over (n-1) sum_k I_k, of sqrt(I_i I_j)
-    (s) and sqrt(I_i I_j)|g_ij| (v_c).  D and D' are written once, here."""
+    (s) and sqrt(I_i I_j)|g_ij| (v_c), one per instance of a stack.  D and
+    D' are written once, here."""
 
-    s: float
-    v_c: float | None = None
-
-    @property
-    def d(self) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - self.s * self.s)))
+    s: np.ndarray
+    v_c: np.ndarray | None = None
 
     @property
-    def d_prime(self) -> float:
+    def d(self) -> np.ndarray:
+        return np.sqrt(np.maximum(0.0, 1.0 - self.s * self.s))
+
+    @property
+    def d_prime(self) -> np.ndarray:
         return 1.0 - self.s
 
 
-def _pair_weights(intensities, coh: CoherenceMatrix | None = None) -> _PairSums:
-    """Ordered-pair sums of the weights sqrt(I_i I_j), alone and, given a
-    coherence matrix, times |g_ij|, over the normalizer (n-1) * sum(I);
-    computed on intensities rescaled by their maximum.
+def _pair_sums(inten: np.ndarray, mag: np.ndarray | None = None) -> _PairSums:
+    """Ordered-pair sums of the weights sqrt(I_i I_j), alone and, given
+    coherence moduli, times |g_ij|, over the normalizer (n-1) * sum(I);
+    computed on intensities rescaled by their maximum.  Takes checked
+    intensities [..., n] and magnitudes() arrays [..., n, n].
 
     The rescaling is exact for the limit cases: equal intensities become
     exactly 1.0 each, so the weighted sums divide out exactly and the
     distinguishability limits land on 0 and 1 at double precision.
     """
-    inten = intensity_vector(intensities)
-    n = inten.size
-    r = inten / inten.max()
-    pair = np.sqrt(np.outer(r, r))
-    np.fill_diagonal(pair, 0.0)
-    norm = (n - 1) * r.sum()
-    s = float(pair.sum() / norm)
-    if coh is None:
+    n = inten.shape[-1]
+    r = inten / inten.max(axis=-1, keepdims=True)
+    pair = np.sqrt(r[..., :, None] * r[..., None, :])
+    _set_diagonal(pair, 0.0)
+    norm = (n - 1) * r.sum(axis=-1)
+    s = _matrix_sums(pair) / norm
+    if mag is None:
         return _PairSums(s)
-    if coh.n != n:
-        raise ValueError(f"coherence matrix size {coh.n} does not match {n} slits")
-    return _PairSums(s, float((pair * coh.magnitudes()).sum() / norm))
+    return _PairSums(s, _matrix_sums(pair * mag) / norm)
+
+
+def _checked(intensities, coh: CoherenceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """One instance's checked intensities and stored coherence matrix."""
+    inten = intensity_vector(intensities)
+    if coh.n != inten.size:
+        raise ValueError(f"coherence matrix size {coh.n} does not match {inten.size} slits")
+    return inten, coh.entries
 
 
 def visibility_analytic(intensities, coh: CoherenceMatrix) -> float:
@@ -71,7 +94,8 @@ def visibility_analytic(intensities, coh: CoherenceMatrix) -> float:
     |g_12| * 2*sqrt(I_1 I_2)/(I_1 + I_2); for equal intensities it equals
     the n-point degree of coherence.
     """
-    return _pair_weights(intensities, coh).v_c
+    inten, g = _checked(intensities, coh)
+    return float(_pair_sums(inten, _magnitudes(g)).v_c)
 
 
 def distinguishability(intensities) -> float:
@@ -81,13 +105,13 @@ def distinguishability(intensities) -> float:
     1 when a single slit is open, 0 for equal intensities; reduces to
     |I_1 - I_2|/(I_1 + I_2) for two slits.
     """
-    return _pair_weights(intensities).d
+    return float(_pair_sums(intensity_vector(intensities)).d)
 
 
 def distinguishability_prime(intensities) -> float:
     """Simpler path distinguishability D' = 1 - s; for two slits equals
     (sqrt(I_1) - sqrt(I_2))^2 / (I_1 + I_2).  Never exceeds D."""
-    return _pair_weights(intensities).d_prime
+    return float(_pair_sums(intensity_vector(intensities)).d_prime)
 
 
 def michelson(i_max: float, i_min: float) -> float:
@@ -114,9 +138,12 @@ class BeamDensityMatrix:
 def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:
     """Build the path-basis density matrix from slit intensities and coherence."""
     inten = intensity_vector(intensities)
-    total = inten.sum()
-    a_re, a_im = mutual_intensity(inten, coh)
-    return BeamDensityMatrix(n=inten.size, rho=(a_re + 1j * a_im) / total)
+    return BeamDensityMatrix(n=inten.size, rho=_density(inten, *mutual_intensity(inten, coh)))
+
+
+def _density(inten: np.ndarray, a_re: np.ndarray, a_im: np.ndarray) -> np.ndarray:
+    """rho = A / sum_k I_k for a stack of mutual intensities A."""
+    return (a_re + 1j * a_im) / inten.sum(axis=-1)[..., None, None]
 
 
 def quantum_coherence(density: BeamDensityMatrix) -> float:
@@ -126,9 +153,14 @@ def quantum_coherence(density: BeamDensityMatrix) -> float:
     V_C, reached by a different rounding route: |rho_ij| is taken after the
     entries of rho are formed, V_C weights the moduli |g_ij| by rescaled
     intensities, so the two agree to rounding, not bit for bit."""
-    mag = np.abs(density.rho)
-    np.fill_diagonal(mag, 0.0)
-    return float(mag.sum() / (density.n - 1))
+    return float(_quantum_coherence(density.rho))
+
+
+def _quantum_coherence(rho: np.ndarray) -> np.ndarray:
+    """quantum_coherence() of a stack of density matrices [..., n, n]."""
+    mag = np.abs(rho)
+    _set_diagonal(mag, 0.0)
+    return _matrix_sums(mag) / (rho.shape[-1] - 1)
 
 
 @dataclass(frozen=True)
@@ -154,19 +186,19 @@ class DualityReport:
 
 def duality_report(intensities, coh: CoherenceMatrix) -> DualityReport:
     """Compute every measure and both duality checks for one instance."""
-    sums = _pair_weights(intensities, coh)
+    return _reports(*_checked(intensities, coh))[0]
+
+
+def _reports(inten: np.ndarray, g: np.ndarray) -> list[DualityReport]:
+    """duality_report() of every instance of a stack, in C order: checked
+    intensities [..., n] and stored coherence matrices [..., n, n]."""
+    mag = _magnitudes(g)
+    sums = _pair_sums(inten, mag)
     d, d_prime, v_c = sums.d, sums.d_prime, sums.v_c
     pyth_lhs = d * d + v_c * v_c
     lin_lhs = d_prime + v_c
-    return DualityReport(
-        n=coh.n,
-        v_c=v_c,
-        d=d,
-        d_prime=d_prime,
-        gamma_n=degree_of_coherence(coh),
-        c=quantum_coherence(density_from_beams(intensities, coh)),
-        pyth_lhs=pyth_lhs,
-        lin_lhs=lin_lhs,
-        pyth_holds=pyth_lhs <= 1.0 + INEQUALITY_TOL,
-        lin_holds=lin_lhs <= 1.0 + INEQUALITY_TOL,
-    )
+    gamma_n = _degree_of_coherence(mag)
+    c = _quantum_coherence(_density(inten, *_mutual_intensity(inten, g)))
+    rows = zip(*(np.ravel(a).tolist() for a in (v_c, d, d_prime, gamma_n, c, pyth_lhs, lin_lhs)))
+    tol = 1.0 + INEQUALITY_TOL
+    return [DualityReport(g.shape[-1], *row, row[-2] <= tol, row[-1] <= tol) for row in rows]

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import duality_lab as dl
-from duality_lab import measures
+from duality_lab import cli, measures
 from duality_lab.cli import main, run_scenario, run_sweep
 
 REPO = Path(__file__).resolve().parents[1]
@@ -450,12 +450,47 @@ class TestSweepCommand:
         assert len(summary) == 9
         assert summary[0] == "summary" and summary[1] == "instances=60"
         assert [f.split("=")[0] for f in summary[1:4]] == ["instances", "max_pyth_lhs", "max_lin_lhs"]
-        assert summary[4:] == [""] * 5
-        for line in lines[1:-1]:
-            fields = line.split(",")
+        rows = [line.split(",") for line in lines[1:-1]]
+        for fields in rows:
             assert len(fields) == 9
             assert float(fields[7]) <= 1.0 + 1e-12
             assert float(fields[8]) <= 1.0 + 1e-12
+        # each maximum is named by the first row in file order that holds it
+        named = []
+        for key, column in (("max_pyth", 7), ("max_lin", 8)):
+            values = [float(fields[column]) for fields in rows]
+            first = rows[values.index(max(values))]
+            named.append(f"{key}_at={first[0]}:{first[1]}")
+        assert summary[4:6] == named
+        assert summary[6:] == [""] * 3
+
+    @pytest.mark.parametrize("policy", ["full", "rank1", "2"])
+    def test_rows_are_the_one_instance_route(self, tmp_path, policy):
+        # each row rebuilt from its own (master, n, seed) stream, drawn as
+        # run_sweep draws it, through the public one-instance calls
+        cfg = self.sweep_config(tmp_path, n_min=2, n_max=6, seeds=4, rank_policy=policy, seed=31)
+        assert run_sweep(cfg, tmp_path) == 0
+        expected = []
+        for n in range(2, 7):
+            rank = {"full": n, "rank1": 1, "2": 2}[policy]
+            for s in range(4):
+                rng = np.random.default_rng((31, n, s))
+                intensities = rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0)
+                coh = dl.random_coherence(n, rank, int(rng.integers(0, 2**63)))
+                r = dl.duality_report(intensities, coh)
+                expected.append(
+                    f"{n},{s},{r.v_c!r},{r.d!r},{r.d_prime!r},{r.gamma_n!r},"
+                    f"{r.c!r},{r.pyth_lhs!r},{r.lin_lhs!r}"
+                )
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:-1] == expected
+
+    def test_stack_size_leaves_the_file_unchanged(self, tmp_path, monkeypatch):
+        cfg = self.sweep_config(tmp_path)
+        assert run_sweep(cfg, tmp_path / "whole") == 0
+        # stacks of 12 + 8 seeds at n=2, 5 at n=3, 3 + ... + 2 at n=4
+        monkeypatch.setattr(cli, "_STACK_ENTRIES", 50)
+        assert run_sweep(cfg, tmp_path / "cut") == 0
+        assert (tmp_path / "cut" / "sweep.csv").read_bytes() == (tmp_path / "whole" / "sweep.csv").read_bytes()
 
     def test_deterministic(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
@@ -517,13 +552,14 @@ class TestSweepCommand:
 
 @pytest.fixture(params=["pyth_holds", "lin_holds"])
 def violated(request, monkeypatch):
-    # the relations are theorems, so only a faulty report can break one
-    real = measures.duality_report
+    # the relations are theorems, so only a faulty report can break one;
+    # _reports is the core of duality_report and of the sweep's stacks
+    real = measures._reports
 
-    def faulty(intensities, coh):
-        return dataclasses.replace(real(intensities, coh), **{request.param: False})
+    def faulty(inten, g):
+        return [dataclasses.replace(r, **{request.param: False}) for r in real(inten, g)]
 
-    monkeypatch.setattr(measures, "duality_report", faulty)
+    monkeypatch.setattr(measures, "_reports", faulty)
     return request.param
 
 

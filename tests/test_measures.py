@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duality_lab as dl
-from duality_lab.measures import ZeroTotalIntensity
+from duality_lab.coherence import NotPositiveSemidefinite, _hermitian_part
+from duality_lab.measures import ZeroTotalIntensity, _reports
 
 from exact_reference import EPS, bounds, deviations, exact
 
@@ -378,3 +379,55 @@ class TestInvariances:
         assert rep.pyth_lhs == pytest.approx(1.0, abs=1e-12)
         assert rep.lin_lhs == pytest.approx(1.0, abs=1e-12)
         assert abs(ref.pyth - 1) < 1e-45 and abs(ref.lin - 1) < 1e-45
+
+
+def stack_instances(n, count=8):
+    """count raw matrices of size n with their intensities: random Gram
+    matrices of ranks 1, 2, ..., the last a polarized from_modes instance,
+    each plus non-Hermitian dust inside the tolerances; one dark slit."""
+    rng = np.random.default_rng(1300 + n)
+    raws, intensities = [], []
+    for k in range(count):
+        if k == count - 1:
+            modes = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            jones = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            jones /= np.linalg.norm(jones, axis=1)[:, None]
+            g = dl.from_modes(dl.ModeDecomposition(modes), dl.PolarizationSet(jones)).entries
+        else:
+            g = dl.random_coherence(n, 1 + k % n, seed=int(rng.integers(0, 2**63))).entries
+        raws.append(g + 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        inten = rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0)
+        if k == 3:
+            inten[k % n] = 0.0
+        intensities.append(inten)
+    return np.array(raws), np.array(intensities)
+
+
+class TestStackBits:
+    # a stack evaluates each member to the bits of that member alone, so the
+    # sweep's stacks and the one-instance calls are one code path
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_hermitian_part_of_a_stack_is_one_by_one(self, n):
+        raws, _ = stack_instances(n)
+        g = _hermitian_part(raws)
+        for raw, member in zip(raws, g):
+            assert member.tobytes() == _hermitian_part(raw).tobytes()
+            assert member.tobytes() == dl.validate(raw).entries.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_reports_of_a_stack_are_one_by_one(self, n):
+        raws, intensities = stack_instances(n)
+        g = _hermitian_part(raws)
+        stacked = [repr(r) for r in _reports(intensities, g)]
+        assert stacked == [repr(_reports(i, m)[0]) for i, m in zip(intensities, g)]
+        assert stacked == [repr(dl.duality_report(i, dl.validate(raw))) for i, raw in zip(intensities, raws)]
+        # more than one leading axis reads in C order
+        nested = _reports(intensities.reshape(2, 4, n), g.reshape(2, 4, n, n))
+        assert [repr(r) for r in nested] == stacked
+
+    def test_one_indefinite_member_refuses_the_stack(self):
+        raws, _ = stack_instances(5)
+        raws[4] = np.full((5, 5), -0.5) + 1.5 * np.eye(5)  # eigenvalues 1.5 and -1
+        with pytest.raises(NotPositiveSemidefinite, match="smallest eigenvalue -1.000e"):
+            _hermitian_part(raws)
