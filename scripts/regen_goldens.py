@@ -6,7 +6,8 @@ same fixed-order kernel's form of their own matrix, so their bytes rest on
 IEEE-754 arithmetic plus the platform libm's cos/sin/hypot: in the
 small-angle model one cos/sin pair per sample, then multiplies and adds.
 The convergence figure's matrix, the Monte-Carlo oracle's ensemble
-covariance, is built through LAPACK/BLAS (eigh and matrix products).
+covariance, is built in the same fixed-order arithmetic from numpy's seeded
+Generator stream, with no LAPACK or BLAS routine.
 The script imports duality_lab from this checkout's src/, not from an
 installed copy.
 Regenerating the goldens is a change of behaviour: run this only when output

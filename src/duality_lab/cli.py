@@ -18,7 +18,14 @@ import numpy as np
 from duality_lab import analysis, coherence, engine, measures, oracle
 # bench/tracing.py wraps cli.random_coherence, so the name stays importable
 from duality_lab.coherence import degree_of_coherence, random_coherence  # noqa: F401
-from duality_lab.scenario import ScenarioError, _read_json, load_matrix, load_scenario, load_sweep
+from duality_lab.scenario import (
+    _STACK_ENTRIES,
+    ScenarioError,
+    _read_json,
+    load_matrix,
+    load_scenario,
+    load_sweep,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,19 +73,15 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
         report = measures.duality_report(sc.slits.intensities, sc.coherence)
         (out / REPORT_JSON).write_text(report.to_json())
         if sc.oracle_enabled:
-            _, conv = oracle.convergence_report(
+            mc = oracle.mc_pattern(
                 sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
             )
+            conv = oracle.convergence_report(mc, pat, sc.oracle_realizations)
             _write_json(conv, out / CONVERGENCE_JSON)
     except (ScenarioError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
     return _verdict([report])
-
-
-# Largest number of matrix entries evaluated as one stack, 4 MB of complex
-# entries per array: a long run of large n is cut into stacks of this size.
-_STACK_ENTRIES = 1 << 18
 
 
 def _sweep_reports(
@@ -252,9 +255,11 @@ def mc_validate_cmd(config, out, scale_w, seed):
     sc = load_scenario(config, seed_override=seed)
     if not sc.oracle_enabled:
         _fail("oracle: not enabled in config")
-    mc, conv = oracle.convergence_report(
+    mc = oracle.mc_pattern(
         sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
     )
+    analytic = engine.pattern(sc.slits, sc.coherence, sc.geometry)
+    conv = oracle.convergence_report(mc, analytic, sc.oracle_realizations)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_pattern_csv(mc, out_dir / "mc_pattern.csv", scale_w=scale_w or sc.scale_w)

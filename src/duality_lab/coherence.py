@@ -165,8 +165,9 @@ class ModeDecomposition:
     """Per-slit complex mode amplitudes; row i spans the field at slit i.
 
     The Gram matrix of the normalized rows is a valid coherence matrix, so
-    this is the constructive route to an arbitrary realizable instance (and
-    the sampling basis used by the Monte-Carlo oracle).
+    this is the constructive route to an arbitrary realizable instance.  The
+    Monte-Carlo oracle does not sample from these rows; it factors the
+    mutual-intensity matrix itself (oracle.ensemble_spec).
     """
 
     vectors: np.ndarray

@@ -1,21 +1,25 @@
 """Monte-Carlo field-ensemble validation of the analytic pattern.
 
-Random stationary fields are synthesized by eigenmode (Karhunen-Loeve)
-sampling of the mutual-intensity matrix A_ij = sqrt(I_i I_j) g_ij
-exp(i(alpha_i - alpha_j)) of engine.mutual_intensity, slit phases included:
-each realization is E = sum_m sqrt(lambda_m) u_m c_m with (lambda_m, u_m) the
-eigenpairs of A and c_m independent complex circular Gaussians of unit
-variance, so the ensemble second moments <E_i E_j*> reproduce A exactly.
-The ensemble mean of |field|^2 on the screen converges to the analytic
-pattern at the usual 1/sqrt(N) Monte-Carlo rate.
+Random stationary fields are synthesized from a factor of the
+mutual-intensity matrix A_ij = sqrt(I_i I_j) g_ij exp(i(alpha_i - alpha_j))
+of engine.mutual_intensity, slit phases included: engine.pivoted_cholesky
+factors A = F F^dagger with F of n x r for a rank-r A, and each realization
+is E = F c with c r independent complex circular Gaussians of unit variance,
+so the ensemble second moments <E_i E_j*> reproduce A.  Any factor with
+A = F F^dagger gives fields of the same Gaussian law.  The ensemble mean of
+|field|^2 on the screen converges to the analytic pattern at the usual
+1/sqrt(N) Monte-Carlo rate.
 
 An ensemble is one stream: realization k is row k of the coefficients drawn
 from default_rng(seed), so the ensemble mean of E E^dagger is the covariance
-G = F W F^dagger with F = modes * sqrt(lambda) and W the mean of c c^dagger
-over the rows.  W has entries of order one, so the sum behind it cannot
-overflow.  The mean screen intensity is the Hermitian form u G u^dagger,
-which engine.screen_pattern evaluates with the same fixed-order kernel as
-the analytic pattern's u A u^dagger.
+G = F W F^dagger with W the mean of c c^dagger over the rows.  W has entries
+of order one, so the sum behind it cannot overflow.  The mean screen
+intensity is the Hermitian form u G u^dagger, which engine.screen_pattern
+evaluates with the same fixed-order kernel as the analytic pattern's
+u A u^dagger.  F, W and G are all formed by elementwise real ufuncs in a
+fixed order, with no LAPACK, BLAS or multi-element numpy reduction, so the
+ensemble pattern's bits rest on IEEE-754 arithmetic, the kernel's libm calls
+and numpy's Generator stream.
 """
 
 from __future__ import annotations
@@ -30,72 +34,99 @@ from duality_lab.engine import (
     ScreenGeometry,
     SlitArray,
     mutual_intensity,
-    pattern,
+    pivoted_cholesky,
     screen_pattern,
 )
-
-EIGENVALUE_FLOOR = -1e-10
+# bench/tracing.py wraps oracle.pattern, so the name stays importable
+from duality_lab.engine import pattern  # noqa: F401
 
 # Smallest ensemble size that mc_pattern averages and a scenario may enable.
 MIN_REALIZATIONS = 100
 
-# Fixed reduction granularity: ensemble sums are accumulated in chunks of
-# this many realizations so results do not depend on available memory.
-_CHUNK = 512
+# Cap on the entries of one chunk's r x r coefficient products: mc_pattern
+# sums c c^dagger over chunks of the largest power of two rows whose
+# products hold at most this many entries per real or imaginary part
+# (512 kB each), so its memory stays bounded for any ensemble size.
+_CHUNK_ENTRIES = 1 << 16
 
-# Cap on the ensemble size: mc_pattern costs about 0.21 s per 10^6
-# realizations for three slits, so 2^24 (1.7e7) is about 3.5 s there; the
-# per-realization cost grows as r^2 with the mode count r.
+# Cap on the ensemble size: mc_pattern costs about 0.3 s per 10^6
+# realizations for three slits, so 2^24 (1.7e7) is about 5 s there; the
+# per-realization cost grows as r^2 with the rank r of A.
 MAX_REALIZATIONS = 2**24
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Sampling recipe for a field ensemble: realization count, base seed and
-    the eigendecomposition of the mutual-intensity matrix."""
+    the n x r factor F of the mutual-intensity matrix A = F F^dagger, rows in
+    slit order."""
 
     realizations: int
     seed: int
-    eigenvalues: np.ndarray
-    modes: np.ndarray
+    factor: np.ndarray
 
     def __post_init__(self):
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ValueError(f"need 1 to {MAX_REALIZATIONS} realizations")
-        self.eigenvalues.setflags(write=False)
-        self.modes.setflags(write=False)
+        self.factor.setflags(write=False)
 
 
 def ensemble_spec(
     slits: SlitArray, coh: CoherenceMatrix, realizations: int, seed: int
 ) -> EnsembleSpec:
-    """Eigendecompose the mutual-intensity matrix A, slit phases included.
-
-    Eigenvalues within the -1e-10 floor of zero are clipped to zero; more
-    negative ones mean the matrix is not realizable and raise.
-    """
+    """Factor the mutual-intensity matrix A, slit phases included, with
+    engine.pivoted_cholesky, and store the factor with its rows put back in
+    slit order.  Its column count r is the rank at which the factorization
+    stops, so a rank-deficient A samples only as many coefficients as it
+    carries."""
     a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
-    lam, modes = np.linalg.eigh(a_re + 1j * a_im)
-    floor = EIGENVALUE_FLOOR * max(1.0, float(slits.intensities.sum()))
-    if lam[0] < floor:
-        raise ValueError(f"mutual-intensity eigenvalue {lam[0]:.3e} below floor")
-    lam = np.clip(lam, 0.0, None)
-    # drop eigensolver dust so numerically rank-deficient matrices sample
-    # exactly as many modes as they physically carry
-    lam[lam < 1e-12 * lam.max()] = 0.0
-    return EnsembleSpec(
-        realizations=realizations, seed=seed, eigenvalues=lam, modes=modes
-    )
+    perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
+    factor = np.zeros(f_re.shape, dtype=complex)
+    factor.real[perm] = f_re
+    factor.imag[perm] = f_im
+    return EnsembleSpec(realizations=realizations, seed=seed, factor=factor)
 
 
 def _coefficients(rng: np.random.Generator, count: int, r: int) -> np.ndarray:
-    # count rows of unit-variance circular Gaussians, equal however rows are split
-    z = rng.standard_normal((count, 2, r))
-    return np.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
+    # count rows of unit-variance circular Gaussians as [count, 2, r], real
+    # and imaginary parts; equal however rows are split
+    return np.sqrt(0.5) * rng.standard_normal((count, 2, r))
+
+
+def _product(a_re, a_im, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of A B for complex A [..., q] and B [q, s],
+    summed over the inner index in order by elementwise real ufuncs."""
+    shape = a_re.shape[:-1] + b_re.shape[1:]
+    out_re, out_im = np.zeros(shape), np.zeros(shape)
+    for k in range(b_re.shape[0]):
+        ar, ai = a_re[..., k, None], a_im[..., k, None]
+        out_re += ar * b_re[k] - ai * b_im[k]
+        out_im += ar * b_im[k] + ai * b_re[k]
+    return out_re, out_im
+
+
+def _outer_sum(c: np.ndarray) -> np.ndarray:
+    """sum_k c_k c_k^dagger over the rows of coefficients c [count, 2, r], as
+    real and imaginary parts [2, r, r].  The coefficients are zero-padded to
+    a power of two rows and the row products summed by adding halves, a
+    fixed pairwise tree."""
+    count, r = len(c), c.shape[-1]
+    size = 1 << (count - 1).bit_length()
+    x = np.zeros((2, r, size))
+    x[..., :count] = c.transpose(1, 2, 0)
+    (a_re, a_im), (b_re, b_im) = x[:, :, None], x[:, None]
+    p = np.empty((2, r, r, size))
+    p[0] = a_re * b_re + a_im * b_im
+    p[1] = a_im * b_re - a_re * b_im
+    while size > 1:
+        size //= 2
+        p = p[..., :size] + p[..., size:]
+    return p[..., 0]
 
 
 def realize_fields(spec: EnsembleSpec, k: int | np.ndarray) -> np.ndarray:
-    """Slit field amplitudes of realization k, one row per index if k is an array.
+    """Slit field amplitudes E = F c of realization k, one row per index if k
+    is an array.
 
     Realization k is row k of the seeded stream that mc_pattern averages, so
     ensembles of different sizes share their first realizations.  A call
@@ -103,9 +134,11 @@ def realize_fields(spec: EnsembleSpec, k: int | np.ndarray) -> np.ndarray:
     """
     if np.min(k) < 0:
         raise IndexError("realization indices start at 0")
+    f = spec.factor
     rng = np.random.default_rng(spec.seed)
-    coeff = _coefficients(rng, int(np.max(k)) + 1, spec.eigenvalues.size)[k, None, :]
-    return (coeff * (spec.modes * np.sqrt(spec.eigenvalues))).sum(axis=-1)
+    c = _coefficients(rng, int(np.max(k)) + 1, f.shape[1])[k]
+    e_re, e_im = _product(c[..., 0, :], c[..., 1, :], f.real.T, f.imag.T)
+    return e_re + 1j * e_im
 
 
 def mc_pattern(
@@ -121,42 +154,41 @@ def mc_pattern(
     on the screen as sqrt(envelope(x)) * sum_i E_i u_i(x); the mean of its
     intensity over the ensemble is the envelope times u G u^dagger, with G
     the ensemble covariance of the fields.  Deterministic given the seed:
-    chunked accumulation in a fixed order makes reruns bit-identical.
+    chunks of a size fixed by the rank, each summed in a fixed tree, make
+    reruns bit-identical on any BLAS and SIMD dispatch.
     """
     if realizations < MIN_REALIZATIONS:
         raise ValueError(f"need at least {MIN_REALIZATIONS} realizations for a meaningful average")
     spec = ensemble_spec(slits, coh, realizations, seed)
-    # G = F W F^dagger with F = modes * sqrt(lambda), W = mean_k c_k c_k^dagger:
-    # O(N n^2); the c sum cannot overflow
+    f_re, f_im = spec.factor.real, spec.factor.imag
+    r = f_re.shape[1]
+    # G = F W F^dagger with W = mean_k c_k c_k^dagger: O(N r^2 + n^2 r); the
+    # c sum cannot overflow
+    chunk = 1 << max(0, (_CHUNK_ENTRIES // (r * r)).bit_length() - 1)
     rng = np.random.default_rng(spec.seed)
-    w = np.zeros((slits.n, slits.n), dtype=complex)
-    for start in range(0, spec.realizations, _CHUNK):
-        c = _coefficients(rng, min(_CHUNK, spec.realizations - start), slits.n)
-        w += c.T @ c.conj()
-    f = spec.modes * np.sqrt(spec.eigenvalues)
-    gram = f @ (w / spec.realizations) @ f.conj().T
-    return screen_pattern(slits, geometry, geometry.grid(), gram.real, gram.imag)
+    w = np.zeros((2, r, r))
+    for start in range(0, spec.realizations, chunk):
+        w += _outer_sum(_coefficients(rng, min(chunk, spec.realizations - start), r))
+    w /= spec.realizations
+    h_re, h_im = _product(f_re, f_im, w[0], w[1])
+    g_re, g_im = _product(h_re, h_im, f_re.T, -f_im.T)
+    return screen_pattern(slits, geometry, geometry.grid(), g_re, g_im)
 
 
 def convergence_report(
-    slits: SlitArray,
-    coh: CoherenceMatrix,
-    geometry: ScreenGeometry,
-    realizations: int,
-    seed: int,
-) -> tuple[InterferencePattern, dict]:
-    """Run the Monte-Carlo ensemble and compare it against the analytic pattern.
+    mc: InterferencePattern, analytic: InterferencePattern, realizations: int
+) -> dict:
+    """Compare an ensemble pattern of the given size with the analytic
+    pattern on the same grid.
 
-    Returns the ensemble pattern together with the largest pointwise
-    deviation across the grid, normalized by the analytic primary-maximum
-    intensity, and where it occurs: {"N": ..., "max_rel_dev": ..., "at_x": ...}.
+    Returns the largest pointwise deviation across the grid, normalized by
+    the analytic primary-maximum intensity, and where it occurs:
+    {"N": ..., "max_rel_dev": ..., "at_x": ...}.
     """
-    mc = mc_pattern(slits, coh, geometry, realizations, seed)
-    analytic = pattern(slits, coh, geometry)
     peak = float(analytic.total.max())
     dev = np.abs(mc.total - analytic.total) / peak
     worst = int(np.argmax(dev))
-    return mc, {
+    return {
         "N": realizations,
         "max_rel_dev": float(dev[worst]),
         "at_x": float(mc.grid[worst]),

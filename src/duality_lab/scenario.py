@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -15,6 +16,15 @@ from duality_lab.oracle import MAX_REALIZATIONS, MIN_REALIZATIONS
 
 SCHEMA_VERSION = 1
 MAX_CELLS = 2**22  # cap on geometry.samples x slits.n, the kernel's table size
+
+# Largest number of matrix entries a sweep evaluates as one stack, 4 MB of
+# complex entries per array: a long run of large n is cut into stacks of
+# this size.  n_max is capped so that one instance's n x n matrix fits a stack.
+_STACK_ENTRIES = 1 << 18
+MAX_SWEEP_N = math.isqrt(_STACK_ENTRIES)
+# A sweep keeps every instance's report, about 1.5 kB, until it writes its
+# CSV, so 2^16 instances hold about 100 MB.
+MAX_SWEEP_INSTANCES = 2**16
 
 
 class ScenarioError(ValueError):
@@ -233,7 +243,12 @@ def load_sweep(path, seed_override: int | None = None) -> Sweep:
     integers n_min (default 2), n_max (8), seeds (100) and seed (0), and
     rank_policy "full" (default), "rank1" or a positive integer up to n_max,
     also as a string of at most as many digits as n_max.  seed_override
-    replaces the master seed."""
+    replaces the master seed.
+
+    n_max is at most MAX_SWEEP_N = 512, so one instance's n x n matrix fits
+    one stack of _STACK_ENTRIES entries, and the sweep holds at most
+    MAX_SWEEP_INSTANCES = 2^16 instances, (n_max - n_min + 1) * seeds, so the
+    reports it keeps stay near 100 MB."""
     spec = _get(_read_config(path), "sweep", "top level", dict)
     n_min = _get(spec, "n_min", "sweep", int, default=2)
     n_max = _get(spec, "n_max", "sweep", int, default=8)
@@ -241,8 +256,16 @@ def load_sweep(path, seed_override: int | None = None) -> Sweep:
     seed = _get(spec, "seed", "sweep", int, default=0)
     if n_min < 2 or n_max < n_min:
         raise ScenarioError(f"sweep: bad n range [{n_min}, {n_max}]")
+    if n_max > MAX_SWEEP_N:
+        raise ScenarioError(f"sweep.n_max: need at most {MAX_SWEEP_N}, got {n_max}")
     if seeds < 1:
         raise ScenarioError("sweep.seeds: need at least 1")
+    counts = n_max - n_min + 1
+    if seeds > MAX_SWEEP_INSTANCES // counts:
+        raise ScenarioError(
+            f"sweep.seeds: need at most {MAX_SWEEP_INSTANCES // counts} for {counts} "
+            f"slit counts, got {seeds}"
+        )
     if seed < 0:
         raise ScenarioError(f"sweep.seed: need a nonnegative integer, got {seed}")
     policy = spec.get("rank_policy", "full")

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +10,15 @@ import pytest
 from click.testing import CliRunner
 
 import duality_lab as dl
-from duality_lab import cli, measures
+from duality_lab import cli, engine, measures
 from duality_lab.cli import main, run_scenario, run_sweep
 
 REPO = Path(__file__).resolve().parents[1]
 THREE_SLIT = REPO / "scenarios" / "three_slit.json"
 GOLDEN = REPO / "tests" / "golden" / "three_slit"
+# numpy's dispatch targets found on this CPU, derived as the CI workflow
+# does; none are found where they are disabled already
+FOUND_SIMD = " ".join(np.__config__.CONFIG["SIMD Extensions"].get("found", []))
 
 REPORT_KEYS = [
     "n", "v_c", "d", "d_prime", "gamma_n", "c",
@@ -222,6 +228,20 @@ class TestMcValidateCommand:
         assert set(conv.keys()) == {"N", "max_rel_dev", "at_x"}
         assert conv["N"] == 500
         assert (tmp_path / "mc_pattern.csv").exists()
+
+    def test_builds_each_pattern_once(self, runner, tmp_path, monkeypatch):
+        # one analytic pattern per run, for the CSV and the convergence report
+        calls = []
+        original = engine.pattern
+        monkeypatch.setattr(engine, "pattern", lambda *a: calls.append(a) or original(*a))
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        cfg_obj["oracle"]["realizations"] = 500
+        cfg = write_scenario(tmp_path, cfg_obj)
+        result = runner.invoke(main, ["mc-validate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        assert len(calls) == 2
 
     def test_disabled_oracle_exits_one(self, runner, tmp_path):
         cfg = saturated_two_slit(tmp_path)
@@ -524,6 +544,9 @@ class TestSweepCommand:
             ({"rank_policy": "100000000000"}, "sweep.rank_policy: expected full, rank1 or an int"),
             # past 4300 digits int() raises a message that names no key
             ({"rank_policy": "9" * 5000}, "sweep.rank_policy: expected full, rank1 or an int"),
+            # refused at load time, never run
+            ({"n_max": 10**6, "seeds": 10**9}, "sweep.n_max: need at most 512"),
+            ({"seeds": 10**9}, "sweep.seeds: need at most 21845 for 3 slit counts"),
         ],
     )
     def test_bad_config_exits_one(self, runner, tmp_path, sweep, fragment):
@@ -606,10 +629,11 @@ class TestRunScenario:
 
     def test_golden_files(self, tmp_path):
         # frozen outputs of the bundled scenario, compared byte for byte.
-        # The pattern bytes rest on fixed-order IEEE-754 arithmetic plus the
-        # platform libm's cos/sin/hypot; convergence.json also on LAPACK/BLAS
-        # in the oracle.  tests/test_engine.py rebuilds the frozen pattern bit
-        # for bit from that arithmetic alone.  Regenerating the goldens with
+        # The bytes rest on fixed-order IEEE-754 arithmetic plus the platform
+        # libm's cos/sin/hypot, and convergence.json also on numpy's seeded
+        # Generator stream; no LAPACK or BLAS routine enters them.
+        # tests/test_engine.py rebuilds the frozen pattern bit for bit from
+        # that arithmetic alone.  Regenerating the goldens with
         # scripts/regen_goldens.py is a change of behaviour and is logged in
         # CHANGES.md.
         status = run_scenario(THREE_SLIT, tmp_path)
@@ -618,3 +642,28 @@ class TestRunScenario:
             produced = (tmp_path / name).read_bytes()
             frozen = (GOLDEN / name).read_bytes()
             assert produced == frozen, f"{name} deviates from golden copy"
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"OPENBLAS_CORETYPE": "Haswell"},
+            {"NPY_DISABLE_CPU_FEATURES": FOUND_SIMD},
+        ],
+        ids=["openblas-haswell", "npy-dispatch-disabled"],
+    )
+    def test_golden_files_under_other_kernels(self, tmp_path, setting):
+        # the goldens must not depend on which BLAS kernel or SIMD loops the
+        # process picks; both settings are the child process's own, and an
+        # empty one leaves the inherited environment as it is
+        path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        setting = {key: value for key, value in setting.items() if value}
+        env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        script = "import sys, duality_lab.cli as c; sys.exit(c.run_scenario(*sys.argv[1:]))"
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(THREE_SLIT), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        for name in ("pattern.csv", "report.json", "convergence.json"):
+            produced = (tmp_path / name).read_bytes()
+            assert produced == (GOLDEN / name).read_bytes(), f"{name} deviates under {setting}"

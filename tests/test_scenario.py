@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 import duality_lab as dl
 from duality_lab.cli import main
 from duality_lab.oracle import MAX_REALIZATIONS
-from duality_lab.scenario import MAX_CELLS, ScenarioError, load_matrix, load_scenario, load_sweep
+from duality_lab.scenario import (
+    MAX_CELLS,
+    MAX_SWEEP_INSTANCES,
+    MAX_SWEEP_N,
+    ScenarioError,
+    load_matrix,
+    load_scenario,
+    load_sweep,
+)
 
 
 def base_config(**overrides):
@@ -179,6 +188,28 @@ def test_samples_cap_checked_before_any_array(tmp_path):
         load_scenario(write(tmp_path, cfg))
     cfg["geometry"]["samples"] = MAX_CELLS // 2
     assert load_scenario(write(tmp_path, cfg)).geometry.samples == MAX_CELLS // 2
+
+
+@pytest.mark.parametrize(
+    "sweep, fragment",
+    [
+        ({"n_max": 10**6, "seeds": 10**9}, "sweep.n_max: need at most 512, got 1000000"),
+        ({"n_min": 2, "n_max": MAX_SWEEP_N + 1}, "sweep.n_max: need at most 512"),
+        ({"n_max": 8, "seeds": 10**9}, "sweep.seeds: need at most 9362 for 7 slit counts"),
+        ({"n_min": 9, "n_max": 9, "seeds": MAX_SWEEP_INSTANCES + 1}, "need at most 65536 for 1"),
+    ],
+)
+def test_sweep_size_is_bounded_at_load(tmp_path, sweep, fragment):
+    # loaded only: a sweep of this size is never run
+    with pytest.raises(ScenarioError, match=re.escape(fragment)):
+        load_sweep(write(tmp_path, {"schema": 1, "sweep": sweep}))
+
+
+def test_sweep_size_bounds_are_inclusive(tmp_path):
+    at_n = load_sweep(write(tmp_path, {"schema": 1, "sweep": {"n_max": MAX_SWEEP_N, "seeds": 128}}))
+    assert (at_n.n_max, at_n.seeds) == (MAX_SWEEP_N, 128)
+    cfg = {"schema": 1, "sweep": {"n_min": 9, "n_max": 9, "seeds": MAX_SWEEP_INSTANCES}}
+    assert load_sweep(write(tmp_path, cfg)).seeds == MAX_SWEEP_INSTANCES
 
 
 THREE_SLIT = json.loads((Path(__file__).parents[1] / "scenarios" / "three_slit.json").read_text())
