@@ -137,7 +137,10 @@ def load_pattern_csv(
     strictly increase (NonIncreasingGrid otherwise).  Errors name the line
     of the file, blank lines counted.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if lines[:1] != ["x,total,incoherent"]:
         raise ValueError(f"{path}: first line is not the header x,total,incoherent")
     # the file's line number of each data row: blank lines are skipped here

@@ -294,16 +294,17 @@ def pivoted_cholesky(
     a_re: np.ndarray, a_im: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor the Hermitian PSD matrix A = a_re + i a_im, read from its
-    diagonal and lower triangle, as A[perm][:, perm] ~ F F^H.
+    diagonal and lower triangle, as A ~ F F^H.
 
-    Returns perm and the real and imaginary parts of F, an n x r matrix that
-    is lower trapezoidal with a real positive diagonal: row k belongs to slit
-    perm[k].  Outer-product Cholesky with complete pivoting (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10): step k
-    takes the first largest remaining diagonal entry as pivot and stops,
-    with r = k, once that entry is at most tol = n * eps * max(diag A).
-    Every step is elementwise real ufuncs in a fixed order, so F's bits
-    depend on IEEE-754 arithmetic alone.
+    Returns perm and the real and imaginary parts of F, an n x r matrix with
+    its rows in slit order: perm lists the pivot slits, then the rest, and
+    F[perm] is lower trapezoidal with a real positive diagonal.  Outer-product
+    Cholesky with complete pivoting (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10): step k takes the first largest
+    remaining diagonal entry, in the order of perm[k:], as pivot and stops,
+    with r = k, once that entry is at most tol = n * eps * max(diag A).  Only
+    perm is permuted.  Every step is elementwise real ufuncs in a fixed
+    order, so F's bits depend on IEEE-754 arithmetic alone.
 
     Each kept entry carries the rounding of at most 2r + 2 steps, so
     |A - F F^H|_ij <= gamma_{2r+2} sum_k |F_ik| |F_jk| outside the dropped
@@ -315,36 +316,29 @@ def pivoted_cholesky(
     lower = np.tri(n, dtype=bool)
     r_re = np.where(lower, a_re, a_re.T)
     r_im = np.where(lower, a_im, -a_im.T)
-    f_re = np.zeros((n, n))
-    f_im = np.zeros((n, n))
+    f_re, f_im = np.zeros((2, n, n))
     perm = np.arange(n)
     # max and argmax only compare, so no summation order enters
     tol = n * np.finfo(float).eps * np.max(a_re.diagonal())
     rank = n
     for k in range(n):
-        p = k + int(np.argmax(r_re.diagonal()[k:]))
+        j = k + int(np.argmax(r_re.diagonal()[perm[k:]]))
+        p = perm[j]
         if not r_re[p, p] > tol:
             rank = k
             break
-        if p != k:
-            for arr in (r_re, r_im):
-                arr[[k, p]] = arr[[p, k]]
-                arr[:, [k, p]] = arr[:, [p, k]]
-            for arr in (f_re, f_im, perm):
-                arr[[k, p]] = arr[[p, k]]
-        pivot = math.sqrt(r_re[k, k])
-        col_re = r_re[k + 1 :, k] / pivot
-        col_im = r_im[k + 1 :, k] / pivot
-        f_re[k, k] = pivot
-        f_re[k + 1 :, k] = col_re
-        f_im[k + 1 :, k] = col_im
-        # R -= c c^H on the trailing block, real and imaginary parts
-        rest_re = r_re[k + 1 :, k + 1 :]
-        rest_im = r_im[k + 1 :, k + 1 :]
-        rest_re -= np.multiply.outer(col_re, col_re)
-        rest_re -= np.multiply.outer(col_im, col_im)
-        rest_im -= np.multiply.outer(col_im, col_re)
-        rest_im += np.multiply.outer(col_re, col_im)
+        perm[j], perm[k] = perm[k], p
+        pivot = math.sqrt(r_re[p, p])
+        rest = perm[k + 1 :]
+        col_re, col_im = f_re[:, k], f_im[:, k]
+        col_re[rest] = r_re[rest, p] / pivot
+        col_im[rest] = r_im[rest, p] / pivot
+        col_re[p] = pivot
+        # R -= c c^H; pivoted rows and columns of R are never read again
+        r_re -= np.multiply.outer(col_re, col_re)
+        r_re -= np.multiply.outer(col_im, col_im)
+        r_im -= np.multiply.outer(col_im, col_re)
+        r_im += np.multiply.outer(col_re, col_im)
     return perm, f_re[:, :rank], f_im[:, :rank]
 
 
@@ -409,8 +403,7 @@ def _intensity_samples(
             theta = wavenumber * np.hypot(geometry.distance, x - pos[i])
             cos, sin = np.cos(theta), np.sin(theta)
             m = min(k + 1, rank)
-            row_re = f_re[k, :m, None]
-            row_im = f_im[k, :m, None]
+            row_re, row_im = f_re[i, :m, None], f_im[i, :m, None]
             s_re[:m] += row_re * cos
             s_re[:m] -= row_im * sin
             s_im[:m] += row_re * sin

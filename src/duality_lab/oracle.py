@@ -75,16 +75,13 @@ def ensemble_spec(
     slits: SlitArray, coh: CoherenceMatrix, realizations: int, seed: int
 ) -> EnsembleSpec:
     """Factor the mutual-intensity matrix A, slit phases included, with
-    engine.pivoted_cholesky, and store the factor with its rows put back in
+    engine.pivoted_cholesky, and store the factor as it returns it, rows in
     slit order.  Its column count r is the rank at which the factorization
     stops, so a rank-deficient A samples only as many coefficients as it
     carries."""
     a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
-    perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
-    factor = np.zeros(f_re.shape, dtype=complex)
-    factor.real[perm] = f_re
-    factor.imag[perm] = f_im
-    return EnsembleSpec(realizations=realizations, seed=seed, factor=factor)
+    _, f_re, f_im = pivoted_cholesky(a_re, a_im)
+    return EnsembleSpec(realizations=realizations, seed=seed, factor=f_re + 1j * f_im)
 
 
 def _coefficients(rng: np.random.Generator, count: int, r: int) -> np.ndarray:
@@ -130,13 +127,16 @@ def realize_fields(spec: EnsembleSpec, k: int | np.ndarray) -> np.ndarray:
 
     Realization k is row k of the seeded stream that mc_pattern averages, so
     ensembles of different sizes share their first realizations.  A call
-    draws rows 0..max(k), so it costs O(max(k)).
+    draws rows 0..max(k), so it costs O(max(k)); k must be a nonempty
+    integer index or array, not bool, with entries in [0, MAX_REALIZATIONS).
     """
-    if np.min(k) < 0:
-        raise IndexError("realization indices start at 0")
+    idx = np.asarray(k)
+    ok = idx.dtype.kind in "iu" and idx.size > 0
+    if not (ok and 0 <= idx.min() and idx.max() < MAX_REALIZATIONS):
+        raise IndexError(f"realization index k: need nonempty integers in [0, {MAX_REALIZATIONS})")
     f = spec.factor
     rng = np.random.default_rng(spec.seed)
-    c = _coefficients(rng, int(np.max(k)) + 1, f.shape[1])[k]
+    c = _coefficients(rng, int(idx.max()) + 1, f.shape[1])[idx]
     e_re, e_im = _product(c[..., 0, :], c[..., 1, :], f.real.T, f.imag.T)
     return e_re + 1j * e_im
 

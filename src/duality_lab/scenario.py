@@ -50,9 +50,10 @@ def _get(obj, key, path, expect=None, default=_REQUIRED):
 
 
 def _read_json(path):
-    """Parse a JSON file.  Syntax errors carry path:line:col; NaN, Infinity
-    and -Infinity, which Python's json module would accept but JSON does not
-    define, are rejected by name, and so are integers too large for a float."""
+    """Parse a UTF-8 JSON file.  Errors carry the path, syntax errors with
+    :line:col.  Bytes that are not UTF-8, integers too large for a float and
+    NaN, Infinity and -Infinity, which Python's json module would accept but
+    JSON does not define, are rejected by name."""
 
     def reject(token):
         raise ScenarioError(f"{path}: {token} is not a JSON number")
@@ -63,10 +64,11 @@ def _read_json(path):
             raise ScenarioError(f"{path}: integer {token[:12]}... is too large for a float")
         return int(token)
 
-    with open(path, "r") as f:
-        text = f.read()
     try:
-        return json.loads(text, parse_constant=reject, parse_int=parse_int)
+        with open(path, encoding="utf-8") as f:
+            return json.loads(f.read(), parse_constant=reject, parse_int=parse_int)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 

@@ -300,6 +300,36 @@ class TestNonFiniteInput:
         assert_input_error(result, "coherence.random.rank: wrong type bool")
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "command",
+        ["pattern", "measures", "analyze", "mc-validate", "sweep", "gamma-n", "run_scenario",
+         "analyze-csv"],
+    )
+    def test_exits_one_naming_the_file(self, runner, tmp_path, capsys, command):
+        # a first byte of 0xff once ended `measures` in a UnicodeDecodeError
+        # traceback and made run_scenario raise instead of returning 1
+        bad, out = tmp_path / "latin1", tmp_path / "out"
+        config, csv = bad, GOLDEN / "pattern.csv"
+        if command == "analyze-csv":
+            command, config, csv = "analyze", THREE_SLIT, bad
+            bad.write_bytes(b"\xff" + (GOLDEN / "pattern.csv").read_bytes())
+        else:
+            bad.write_bytes(b"\xff" + THREE_SLIT.read_bytes())
+        if command == "run_scenario":
+            assert run_scenario(config, out) == 1
+            output = capsys.readouterr().err
+        else:
+            extra = ["--csv", str(csv)] if command == "analyze" else []
+            extra += [] if command == "gamma-n" else ["--out", str(out)]
+            result = runner.invoke(main, [command, "--config", str(config), *extra])
+            assert_input_error(result, "error: ")
+            output = result.output
+        assert "Traceback" not in output
+        errors = [line for line in output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and f"{bad}: not UTF-8 text" in errors[0], output
+
+
 def _set_path(cfg, path, value):
     *parents, key = path.split(".")
     for name in parents:

@@ -568,6 +568,18 @@ def factor_case(name):
     return (*mutual_intensity(slits.intensities, coh, slits.phases), rank)
 
 
+def factor_bits_case(name):
+    """(a_re, a_im) of a factor_case name, of random_case(n, "exact") for a
+    slit count n, or of the tie case: identity coherence with intensities
+    [1, 1, 2]."""
+    if name == "tie":
+        return mutual_intensity(np.array([1.0, 1.0, 2.0]), dl.validate(np.eye(3)))
+    if not name.isdigit():
+        return factor_case(name)[:2]
+    slits, coh, _ = random_case(int(name), "exact")
+    return mutual_intensity(slits.intensities, coh, slits.phases)
+
+
 class TestPivotedCholesky:
     @pytest.mark.parametrize("name", ["modes", "random", "identity"])
     def test_stops_at_the_rank(self, name):
@@ -575,7 +587,29 @@ class TestPivotedCholesky:
         perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
         assert f_re.shape == f_im.shape == (a_re.shape[0], rank)
         assert sorted(perm.tolist()) == list(range(a_re.shape[0]))
-        assert np.all(np.triu(f_re, 1) == 0.0) and np.all(np.triu(f_im) == 0.0)
+        # rows come back in slit order; in pivot order F is lower trapezoidal
+        # with a real diagonal
+        assert np.all(np.triu(f_re[perm], 1) == 0.0) and np.all(np.triu(f_im[perm]) == 0.0)
+
+    # "random" is random_case(32, "exact"), so the exact sizes stop at 8
+    @pytest.mark.parametrize("name", ["modes", "random", "identity", "2", "3", "5", "8", "tie"])
+    def test_factor_bits_are_the_replica(self, name):
+        # replica_cholesky swaps rows and columns of the residual at every
+        # pivot and returns F in pivot order; the engine permutes only perm
+        # and returns F in slit order.  Both must take the same pivots and
+        # give the same bits.
+        a_re, a_im = factor_bits_case(name)
+        perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
+        ref_perm, ref_re, ref_im = replica_cholesky(a_re.tolist(), a_im.tolist())
+        assert perm.tolist() == ref_perm
+        for got, ref in ((f_re, ref_re), (f_im, ref_im)):
+            assert [[v.hex() for v in row] for row in got[perm].tolist()] == [
+                [v.hex() for v in row] for row in ref
+            ]
+        if name == "tie":
+            # the first largest of the remaining diagonal [1, 1] in the
+            # order of perm[1:] = [1, 0] is slit 1, not slit 0
+            assert perm.tolist() == [2, 1, 0]
 
     @pytest.mark.parametrize("last, rank", [(2.0, 1), (2.5, 2)])
     def test_stops_at_n_eps_max_diag(self, last, rank):
@@ -585,36 +619,35 @@ class TestPivotedCholesky:
 
     @pytest.mark.parametrize("name", ["modes", "random", "identity"])
     def test_reproduces_a_within_its_rounding_bound(self, name):
-        # Entry (i, j), i >= j in pivot order, of E = A - F F^H in exact
-        # rational arithmetic.  Pivot columns (j < r) carry the rounding of at
-        # most 2r products and subtractions, one division and one sqrt:
-        # |E_ij| <= gamma_{2r+2} sum_k |F_ik| |F_jk| for real and imaginary
-        # parts alike.  In the dropped block (i, j >= r) E is the computed
-        # residual plus that rounding; the stop rule caps the residual's
-        # diagonal at tol = n eps max(diag A), and a PSD residual has no entry
-        # above its largest diagonal one.  So the dropped block moves
-        # u A u^H by at most (n - r)^2 tol <= n (n - r) tol for |u_i| = 1.
+        # Entry (i, j), i >= j in slit order, of E = A - F F^H in exact
+        # rational arithmetic.  Entries in a pivot slit's row or column carry
+        # the rounding of at most 2r products and subtractions, one division
+        # and one sqrt: |E_ij| <= gamma_{2r+2} sum_k |F_ik| |F_jk| for real
+        # and imaginary parts alike.  In the dropped block (i and j both in
+        # perm[r:]) E is the computed residual plus that rounding; the stop
+        # rule caps the residual's diagonal at tol = n eps max(diag A), and a
+        # PSD residual has no entry above its largest diagonal one.  So the
+        # dropped block moves u A u^H by at most (n - r)^2 tol <= n (n - r) tol
+        # for |u_i| = 1.
         a_re, a_im, _ = factor_case(name)
         perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
         n, r = f_re.shape
         half_eps = sys.float_info.epsilon / 2.0
         gamma = (2 * r + 2) * half_eps / (1.0 - (2 * r + 2) * half_eps)
         tol = n * sys.float_info.epsilon * float(np.max(a_re.diagonal()))
-        ar, ai, p = a_re.tolist(), a_im.tolist(), perm.tolist()
+        ar, ai, dropped = a_re.tolist(), a_im.tolist(), set(perm[r:].tolist())
         rows = [list(zip(re, im)) for re, im in zip(f_re.tolist(), f_im.tolist())]
         frac = [[(Fraction(v), Fraction(w)) for v, w in row] for row in rows]
         mod = [[math.hypot(v, w) for v, w in row] for row in rows]
         for i in range(n):
             for j in range(i + 1):
-                hi, lo = max(p[i], p[j]), min(p[i], p[j])
-                re = ar[hi][lo]
-                im = 0.0 if i == j else (ai[hi][lo] if p[i] > p[j] else -ai[hi][lo])
-                e_re, e_im = Fraction(re), Fraction(im)
+                e_re, e_im = Fraction(ar[i][j]), Fraction(0.0 if i == j else ai[i][j])
                 for (a, b), (c, d) in zip(frac[i], frac[j]):
                     e_re -= a * c + b * d
                     e_im -= b * c - a * d
                 weight = math.fsum(s * t for s, t in zip(mod[i], mod[j]))
-                bound = gamma * weight + ((1.0 + gamma) * tol if j >= r else 0.0)
+                in_dropped = i in dropped and j in dropped
+                bound = gamma * weight + ((1.0 + gamma) * tol if in_dropped else 0.0)
                 assert abs(e_re) <= bound and abs(e_im) <= bound, (i, j)
 
 

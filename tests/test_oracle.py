@@ -61,8 +61,15 @@ class TestRealizeFields:
             assert rows[k].tobytes() == realize_fields(spec, k).tobytes()
         assert rows[:700].tobytes() == realize_fields(spec, np.arange(700)).tobytes()
         assert rows[[4, 2]].tobytes() == realize_fields(spec, [4, 2]).tobytes()
-        with pytest.raises(IndexError):
-            realize_fields(spec, [-1, 3])
+        # bad indices are refused by name before anything is drawn; none of
+        # the accepted ones is near the cap, which would draw 2^24 rows
+        bad_indices = [
+            [-1, 3], [], 2.5, True, [True, False], np.array([1.0]), "1",
+            MAX_REALIZATIONS, [0, MAX_REALIZATIONS], 2**70,
+        ]
+        for bad in bad_indices:
+            with pytest.raises(IndexError, match="realization index k"):
+                realize_fields(spec, bad)
 
     def test_incoherent_fields_uncorrelated(self):
         # J = diag(I): off-diagonal sample moments vanish, diagonals match I
@@ -113,7 +120,7 @@ class TestRealizeFields:
         # within engine.pivoted_cholesky's bound gamma_{2r+2} sum_k |F_ik|
         # |F_jk| plus the dropped PSD residual, whose entries are at most
         # tol = n eps max(diag A).  The pivot order is the 3-cycle [1, 2, 0],
-        # so rows put back in the wrong order would not match A.
+        # so a factor whose rows were left in pivot order would not match A.
         slits = dl.SlitArray(
             intensities=[0.4, 1.0, 0.7], spacing=SPACING, phases=[0.0, 0.9, -2.1]
         )
