@@ -78,7 +78,7 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
             )
             conv = oracle.convergence_report(mc, pat, sc.oracle_realizations)
             _write_json(conv, out / CONVERGENCE_JSON)
-    except (ScenarioError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
     return _verdict([report])
@@ -259,7 +259,10 @@ def mc_validate_cmd(config, out, scale_w, seed):
         sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
     )
     analytic = engine.pattern(sc.slits, sc.coherence, sc.geometry)
-    conv = oracle.convergence_report(mc, analytic, sc.oracle_realizations)
+    try:
+        conv = oracle.convergence_report(mc, analytic, sc.oracle_realizations)
+    except ValueError as exc:
+        _fail(exc)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine.write_pattern_csv(mc, out_dir / "mc_pattern.csv", scale_w=scale_w or sc.scale_w)

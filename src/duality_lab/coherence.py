@@ -12,6 +12,15 @@ leading batch axes ([..., n, n] matrices, [..., n, r] mode rows): the sweep
 evaluates each n as one stack, and validate(), from_modes() and
 random_coherence() are the no-batch case of the same cores, with the same
 bits.
+
+Every complex value that reaches an output is formed here from real and
+imaginary parts by elementwise real ufuncs in a fixed order: _product is the
+package's one complex matrix product (the oracle's too), moduli are libm's
+hypot, and _complex joins parts by copying them.  No BLAS call and no numpy
+complex multiply, division or modulus enters g, so its bits do not depend on
+the BLAS kernel or on which SIMD loops numpy dispatches to.  Only checks that
+accept or refuse a matrix (the tolerance tests and eigvalsh) use numpy's
+complex routines.
 """
 
 from __future__ import annotations
@@ -145,7 +154,9 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
         raise DiagonalNotUnit(f"max |g_ii - 1| = {diag_dev:.3e}")
     if mag_max > 1.0 + MODULUS_TOL:
         raise NotPositiveSemidefinite(f"off-diagonal modulus {mag_max:.6f} exceeds 1")
-    g = 0.5 * (m + m_h)
+    g = m + m_h
+    parts = g.view(float)  # halved in real arithmetic, re and im alike
+    parts *= 0.5
     _set_diagonal(g, 1.0)
     lowest = float(np.min(np.linalg.eigvalsh(g)[..., 0]))
     if lowest < PSD_FLOOR:
@@ -155,7 +166,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def _magnitudes(g: np.ndarray) -> np.ndarray:
     """CoherenceMatrix.magnitudes() of a stack of stored matrices."""
-    mag = np.minimum(np.abs(g), 1.0)
+    mag = np.minimum(np.hypot(g.real, g.imag), 1.0)
     _set_diagonal(mag, 0.0)
     return mag
 
@@ -209,11 +220,49 @@ class PolarizationSet:
         return self.vectors.shape[0]
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array with the given real and imaginary parts, copied as they
+    are: no complex arithmetic, so no rounding and no change of signed zeros."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _product(a_re, a_im, b_re, b_im) -> np.ndarray:
+    """A B for complex A [..., p, q] and B [..., q, s], given as real and
+    imaginary parts, summed over the inner index in order by elementwise
+    real ufuncs: term k adds a_re b_re - a_im b_im and a_re b_im + a_im b_re,
+    each formed whole before it is added.  Row k of B is b[..., k, :], which
+    broadcasts against A's column k as [..., p, 1], so a batched B [m, q, s]
+    is passed as [m, 1, q, s]; a 1-d A is one row."""
+    shape = np.broadcast_shapes(a_re.shape[:-1] + (1,), b_re.shape[:-2] + b_re.shape[-1:])
+    out_re, out_im = np.zeros(shape), np.zeros(shape)
+    t, u = np.empty(shape), np.empty(shape)
+    for k in range(b_re.shape[-2]):
+        ar, ai = a_re[..., k, None], a_im[..., k, None]
+        br, bi = b_re[..., k, :], b_im[..., k, :]
+        np.multiply(ar, br, out=t)
+        np.multiply(ai, bi, out=u)
+        out_re += np.subtract(t, u, out=t)
+        np.multiply(ar, bi, out=t)
+        np.multiply(ai, br, out=u)
+        out_im += np.add(t, u, out=t)
+    return _complex(out_re, out_im)
+
+
 def _unit_gram(rows: np.ndarray) -> np.ndarray:
-    """Raw Gram products of the unit-normalized rows of a stack [..., n, r],
-    for validation."""
-    unit = rows / np.linalg.norm(rows, axis=-1)[..., None]
-    return unit @ unit.conj().swapaxes(-1, -2)
+    """Raw Gram products u u^H of the unit-normalized rows u of a stack
+    [..., n, r], for validation.  Each row norm is the sqrt of the row sum
+    of re^2 + im^2, each unit row two real divisions by it, and the Gram
+    matrix one _product, so the bits of g rest on IEEE-754 arithmetic alone
+    and each member of a stack gets the bits it gets alone."""
+    re, im = rows.real, rows.imag
+    norm = np.sqrt((re * re + im * im).sum(axis=-1))[..., None]
+    u_re, u_im = re / norm, im / norm
+    # u^H with the broadcast axis that a batched right factor needs
+    h_re = u_re.swapaxes(-1, -2)[..., None, :, :]
+    h_im = -u_im.swapaxes(-1, -2)[..., None, :, :]
+    return _product(u_re, u_im, h_re, h_im)
 
 
 def from_modes(
@@ -236,7 +285,10 @@ def from_modes(
     if pols is not None:
         if pols.n != decomp.n:
             raise ValueError(f"polarization count {pols.n} does not match mode rows {decomp.n}")
-        rows = (rows[:, :, None] * pols.vectors[:, None, :]).reshape(decomp.n, -1)
+        # row i is m_i (x) p_i, the product of the column m_i and the row p_i
+        p = pols.vectors[:, None, None, :]
+        rows = _product(rows.real[:, :, None], rows.imag[:, :, None], p.real, p.imag)
+        rows = rows.reshape(decomp.n, -1)
     return validate(_unit_gram(rows))
 
 
@@ -258,7 +310,8 @@ def _random_rows(n: int, rank: int, seed: int) -> np.ndarray:
     """The n x rank complex normal mode rows random_coherence(n, rank, seed)
     takes the Gram matrix of."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    re = rng.standard_normal((n, rank))
+    return _complex(re, rng.standard_normal((n, rank)))
 
 
 def degree_of_coherence(coh: CoherenceMatrix) -> float:

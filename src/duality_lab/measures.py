@@ -24,6 +24,7 @@ import numpy as np
 
 from duality_lab.coherence import (
     CoherenceMatrix,
+    _complex,
     _degree_of_coherence,
     _magnitudes,
     _matrix_sums,
@@ -142,8 +143,10 @@ def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:
 
 
 def _density(inten: np.ndarray, a_re: np.ndarray, a_im: np.ndarray) -> np.ndarray:
-    """rho = A / sum_k I_k for a stack of mutual intensities A."""
-    return (a_re + 1j * a_im) / inten.sum(axis=-1)[..., None, None]
+    """rho = A / sum_k I_k for a stack of mutual intensities A, divided part
+    by part in real arithmetic."""
+    total = inten.sum(axis=-1)[..., None, None]
+    return _complex(a_re / total, a_im / total)
 
 
 def quantum_coherence(density: BeamDensityMatrix) -> float:
@@ -158,7 +161,7 @@ def quantum_coherence(density: BeamDensityMatrix) -> float:
 
 def _quantum_coherence(rho: np.ndarray) -> np.ndarray:
     """quantum_coherence() of a stack of density matrices [..., n, n]."""
-    mag = np.abs(rho)
+    mag = np.hypot(rho.real, rho.imag)
     _set_diagonal(mag, 0.0)
     return _matrix_sums(mag) / (rho.shape[-1] - 1)
 

@@ -17,9 +17,12 @@ of order one, so the sum behind it cannot overflow.  The mean screen
 intensity is the Hermitian form u G u^dagger, which engine.screen_pattern
 evaluates with the same fixed-order kernel as the analytic pattern's
 u A u^dagger.  F, W and G are all formed by elementwise real ufuncs in a
-fixed order, with no LAPACK, BLAS or multi-element numpy reduction, so the
-ensemble pattern's bits rest on IEEE-754 arithmetic, the kernel's libm calls
-and numpy's Generator stream.
+fixed order, with no LAPACK, BLAS, numpy complex ufunc or multi-element
+numpy reduction: F W F^dagger and the fields F c go through
+coherence._product, the package's one complex matrix product, the same one
+that forms the Gram matrices of coherence.from_modes and random_coherence.
+So the ensemble pattern's bits rest on IEEE-754 arithmetic, the kernel's
+libm calls and numpy's Generator stream.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix
+from duality_lab.coherence import CoherenceMatrix, _complex, _product
 from duality_lab.engine import (
     InterferencePattern,
     ScreenGeometry,
@@ -81,25 +84,13 @@ def ensemble_spec(
     carries."""
     a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
     _, f_re, f_im = pivoted_cholesky(a_re, a_im)
-    return EnsembleSpec(realizations=realizations, seed=seed, factor=f_re + 1j * f_im)
+    return EnsembleSpec(realizations=realizations, seed=seed, factor=_complex(f_re, f_im))
 
 
 def _coefficients(rng: np.random.Generator, count: int, r: int) -> np.ndarray:
     # count rows of unit-variance circular Gaussians as [count, 2, r], real
     # and imaginary parts; equal however rows are split
     return np.sqrt(0.5) * rng.standard_normal((count, 2, r))
-
-
-def _product(a_re, a_im, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of A B for complex A [..., q] and B [q, s],
-    summed over the inner index in order by elementwise real ufuncs."""
-    shape = a_re.shape[:-1] + b_re.shape[1:]
-    out_re, out_im = np.zeros(shape), np.zeros(shape)
-    for k in range(b_re.shape[0]):
-        ar, ai = a_re[..., k, None], a_im[..., k, None]
-        out_re += ar * b_re[k] - ai * b_im[k]
-        out_im += ar * b_im[k] + ai * b_re[k]
-    return out_re, out_im
 
 
 def _outer_sum(c: np.ndarray) -> np.ndarray:
@@ -137,8 +128,7 @@ def realize_fields(spec: EnsembleSpec, k: int | np.ndarray) -> np.ndarray:
     f = spec.factor
     rng = np.random.default_rng(spec.seed)
     c = _coefficients(rng, int(idx.max()) + 1, f.shape[1])[idx]
-    e_re, e_im = _product(c[..., 0, :], c[..., 1, :], f.real.T, f.imag.T)
-    return e_re + 1j * e_im
+    return _product(c[..., 0, :], c[..., 1, :], f.real.T, f.imag.T)
 
 
 def mc_pattern(
@@ -170,9 +160,9 @@ def mc_pattern(
     for start in range(0, spec.realizations, chunk):
         w += _outer_sum(_coefficients(rng, min(chunk, spec.realizations - start), r))
     w /= spec.realizations
-    h_re, h_im = _product(f_re, f_im, w[0], w[1])
-    g_re, g_im = _product(h_re, h_im, f_re.T, -f_im.T)
-    return screen_pattern(slits, geometry, geometry.grid(), g_re, g_im)
+    h = _product(f_re, f_im, w[0], w[1])
+    g = _product(h.real, h.imag, f_re.T, -f_im.T)
+    return screen_pattern(slits, geometry, geometry.grid(), g.real, g.imag)
 
 
 def convergence_report(
@@ -183,11 +173,19 @@ def convergence_report(
 
     Returns the largest pointwise deviation across the grid, normalized by
     the analytic primary-maximum intensity, and where it occurs:
-    {"N": ..., "max_rel_dev": ..., "at_x": ...}.
+    {"N": ..., "max_rel_dev": ..., "at_x": ...}.  Raises ValueError when
+    that deviation is not a finite number, as when the envelope leaves the
+    analytic pattern zero across the whole window.
     """
     peak = float(analytic.total.max())
-    dev = np.abs(mc.total - analytic.total) / peak
-    worst = int(np.argmax(dev))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dev = np.abs(mc.total - analytic.total) / peak
+    worst = int(np.argmax(dev))  # the first NaN, if there is one
+    if not np.isfinite(dev[worst]):
+        raise ValueError(
+            f"convergence: the analytic primary maximum {peak!r} on the screen window "
+            "is too small to scale the Monte-Carlo deviation by"
+        )
     return {
         "N": realizations,
         "max_rel_dev": float(dev[worst]),

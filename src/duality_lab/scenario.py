@@ -100,7 +100,7 @@ def _float_array(obj, key, path, shape) -> np.ndarray:
 
 def _complex_array(obj, path, shape) -> np.ndarray:
     re = _float_array(obj, "re", path, shape)
-    return re + 1j * _float_array(obj, "im", path, re.shape)
+    return coherence._complex(re, _float_array(obj, "im", path, re.shape))
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,9 @@ def bounds(n: int, ref: Exact) -> PerMeasure:
       v_c: pair * |g| adds MODULUS_U + 1          -> k_v = n^2 + 4.5 + MODULUS_U
       gamma_n: moduli, sum, one division          -> n(n-1) + MODULUS_U
       C: sqrt I twice and their product (3), times g (1), over sum I
-         (n - 1, and 2 for numpy's complex-by-real division, which
-         multiplies by the reciprocal), modulus, sum, over (n-1) (1)
+         (n - 1, and 2 for the division, which rounds once as a real
+         division and twice by way of the reciprocal), modulus, sum,
+         over (n-1) (1)
                                                   -> k_c = n^2 + 5 + MODULUS_U
     D^2 is checked as the exact square of the double D: 1 - s*s carries
     (2 k_s + 1)u of s^2 and u of D^2, and sqrt then squaring adds 2u of D^2;

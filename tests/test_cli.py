@@ -15,7 +15,18 @@ from duality_lab.cli import main, run_scenario, run_sweep
 
 REPO = Path(__file__).resolve().parents[1]
 THREE_SLIT = REPO / "scenarios" / "three_slit.json"
-GOLDEN = REPO / "tests" / "golden" / "three_slit"
+GOLDEN_ROOT = REPO / "tests" / "golden"
+GOLDEN = GOLDEN_ROOT / "three_slit"
+SCENARIO_FILES = ("pattern.csv", "report.json", "convergence.json")
+# every golden: its input, the cli runner that writes it and its files; the
+# outputs sit in tests/golden/<name>/, next to the input unless that is the
+# bundled scenario
+GOLDENS = {
+    "three_slit": (THREE_SLIT, "run_scenario", SCENARIO_FILES),
+    "modes_polarized": (GOLDEN_ROOT / "modes_polarized" / "config.json", "run_scenario", SCENARIO_FILES),
+    "random_phases": (GOLDEN_ROOT / "random_phases" / "config.json", "run_scenario", SCENARIO_FILES),
+    "random_sweep": (GOLDEN_ROOT / "random_sweep" / "config.json", "run_sweep", ("sweep.csv",)),
+}
 # numpy's dispatch targets found on this CPU, derived as the CI workflow
 # does; none are found where they are disabled already
 FOUND_SIMD = " ".join(np.__config__.CONFIG["SIMD Extensions"].get("found", []))
@@ -248,6 +259,35 @@ class TestMcValidateCommand:
         result = runner.invoke(main, ["mc-validate", "--config", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == 1
         assert "not enabled" in result.output
+
+    @staticmethod
+    def zero_peak(tmp_path):
+        # a narrow gaussian envelope far off axis leaves the analytic pattern
+        # exactly zero across the window, so no relative deviation exists
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        cfg_obj["oracle"]["realizations"] = 500
+        cfg_obj["geometry"].update(envelope="gaussian", sigma=1e-4, x_min=0.5, x_max=0.6)
+        return write_scenario(tmp_path, cfg_obj)
+
+    # a floating-point warning would be an error here, not a line on stderr
+    @pytest.mark.filterwarnings("error")
+    def test_zero_analytic_peak_exits_one(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["mc-validate", "--config", str(self.zero_peak(tmp_path)), "--out", str(out)]
+        )
+        assert_input_error(result, "error: convergence: the analytic primary maximum 0.0")
+        assert result.output.count("\n") == 1
+        assert not (out / "convergence.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_analytic_peak_in_run_scenario(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_scenario(self.zero_peak(tmp_path), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: convergence: the analytic primary maximum 0.0")
+        assert err.count("\n") == 1
+        assert not (out / "convergence.json").exists()
 
 
 def _set_intensity(cfg, value):
@@ -658,42 +698,57 @@ class TestRunScenario:
         assert run_scenario(bad, tmp_path / "out") == 1
 
     def test_golden_files(self, tmp_path):
-        # frozen outputs of the bundled scenario, compared byte for byte.
-        # The bytes rest on fixed-order IEEE-754 arithmetic plus the platform
-        # libm's cos/sin/hypot, and convergence.json also on numpy's seeded
-        # Generator stream; no LAPACK or BLAS routine enters them.
-        # tests/test_engine.py rebuilds the frozen pattern bit for bit from
-        # that arithmetic alone.  Regenerating the goldens with
-        # scripts/regen_goldens.py is a change of behaviour and is logged in
-        # CHANGES.md.
-        status = run_scenario(THREE_SLIT, tmp_path)
-        assert status == 0
-        for name in ("pattern.csv", "report.json", "convergence.json"):
-            produced = (tmp_path / name).read_bytes()
-            frozen = (GOLDEN / name).read_bytes()
-            assert produced == frozen, f"{name} deviates from golden copy"
+        # frozen outputs of the bundled scenario, of a polarized modes
+        # scenario, of a random-coherence scenario with slit phases and of a
+        # random-coherence sweep, compared byte for byte.  Every complex value
+        # behind them, g included, is formed by fixed-order IEEE-754
+        # arithmetic in real ufuncs, plus the platform libm's cos/sin/hypot;
+        # the oracle and the random rows also rest on numpy's seeded
+        # Generator stream.  No LAPACK or BLAS routine and no numpy complex
+        # ufunc enters them.  tests/test_engine.py rebuilds the frozen
+        # three-slit pattern bit for bit from that arithmetic alone.
+        # Regenerating the goldens with scripts/regen_goldens.py is a change
+        # of behaviour and is logged in CHANGES.md.
+        for name, (config, runner_name, files) in GOLDENS.items():
+            out = tmp_path / name
+            assert getattr(cli, runner_name)(config, out) == 0, name
+            for file in files:
+                frozen = (GOLDEN_ROOT / name / file).read_bytes()
+                assert (out / file).read_bytes() == frozen, f"{name}/{file} deviates from golden copy"
 
     @pytest.mark.parametrize(
-        "setting",
+        "name, setting",
         [
-            {"OPENBLAS_CORETYPE": "Haswell"},
-            {"NPY_DISABLE_CPU_FEATURES": FOUND_SIMD},
+            (name, setting)
+            for name in GOLDENS
+            for setting in (
+                {"OPENBLAS_CORETYPE": "Haswell"},
+                {"NPY_DISABLE_CPU_FEATURES": FOUND_SIMD},
+                {"OPENBLAS_CORETYPE": "Sandybridge"},
+            )
         ],
-        ids=["openblas-haswell", "npy-dispatch-disabled"],
+        # the bundled scenario's cases keep their ids, the setting's alone
+        ids=[
+            ("" if name == "three_slit" else f"{name}-") + label
+            for name in GOLDENS
+            for label in ("openblas-haswell", "npy-dispatch-disabled", "openblas-sandybridge")
+        ],
     )
-    def test_golden_files_under_other_kernels(self, tmp_path, setting):
+    def test_golden_files_under_other_kernels(self, tmp_path, name, setting):
         # the goldens must not depend on which BLAS kernel or SIMD loops the
-        # process picks; both settings are the child process's own, and an
+        # process picks; each setting is the child process's own, and an
         # empty one leaves the inherited environment as it is
+        config, runner_name, files = GOLDENS[name]
         path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
         setting = {key: value for key, value in setting.items() if value}
         env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        script = "import sys, duality_lab.cli as c; sys.exit(c.run_scenario(*sys.argv[1:]))"
+        script = f"import sys, duality_lab.cli as c; sys.exit(c.{runner_name}(*sys.argv[1:]))"
         child = subprocess.run(
-            [sys.executable, "-c", script, str(THREE_SLIT), str(tmp_path)],
+            [sys.executable, "-c", script, str(config), str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        for name in ("pattern.csv", "report.json", "convergence.json"):
-            produced = (tmp_path / name).read_bytes()
-            assert produced == (GOLDEN / name).read_bytes(), f"{name} deviates under {setting}"
+        for file in files:
+            produced = (tmp_path / file).read_bytes()
+            frozen = (GOLDEN_ROOT / name / file).read_bytes()
+            assert produced == frozen, f"{name}/{file} deviates under {setting}"

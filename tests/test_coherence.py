@@ -10,9 +10,12 @@ from duality_lab.coherence import (
     NotHermitian,
     NotPositiveSemidefinite,
     TooSmall,
+    _magnitudes,
+    _unit_gram,
 )
 from duality_lab.engine import mutual_intensity
 from duality_lab.scenario import ScenarioError, load_matrix
+from exact_reference import MODULUS_U, gamma
 
 
 def test_identity_valid_and_fully_incoherent():
@@ -278,3 +281,57 @@ def test_entries_are_immutable():
     coh = dl.random_coherence(3, 3, seed=0)
     with pytest.raises(ValueError):
         coh.entries[0, 1] = 0.0
+
+
+def gram_bound(r: int) -> float:
+    """Largest deviation of the real or imaginary part of one entry of a
+    double Gram product of unit-normalized complex rows of length r from the
+    exact Gram product of the exactly normalized rows, for any summation
+    order, with or without fused multiply-adds.
+
+    A row norm sums 2r squares (relative error gamma_2r), its sqrt at most
+    halves that and adds u, and a part of a unit row is one division by it,
+    or a multiply by its reciprocal (2u): each part of a computed unit row
+    is within e = gamma_(2r+3) of the exact one, relatively.  One part of
+    u_i u_j^H sums 2r real products, so it rounds by at most gamma_2r times
+    sum_k |u_ik| |u_jk| <= |u_i| |u_j| <= (1 + e)^2 (Cauchy-Schwarz), and the
+    perturbed rows move it by at most (2e + e^2) sum_k |u_ik| |u_jk| <= 2e + e^2.
+    """
+    e = gamma(2 * r + 3)
+    return gamma(2 * r) * (1 + e) ** 2 + 2 * e + e * e
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (5, 3), (16, 8), (12, 12), (40, 5)])
+def test_unit_gram_is_the_blas_product_within_its_rounding_bound(n, r):
+    # the deleted route, BLAS on numpy's complex norm and division, stays
+    # here as the reference: both routes obey gram_bound, so they differ by
+    # at most twice it.  Rows of widely different scales, one stack of four.
+    rng = np.random.default_rng(1600 + n)
+    scale = 2.0 ** rng.integers(-60, 60, (4, n, 1))
+    rows = scale * (rng.standard_normal((4, n, r)) + 1j * rng.standard_normal((4, n, r)))
+    unit = rows / np.linalg.norm(rows, axis=-1)[..., None]
+    reference = unit @ unit.conj().swapaxes(-1, -2)
+    g = _unit_gram(rows)
+    bound = 2 * gram_bound(r)
+    assert np.max(np.abs(g.real - reference.real)) <= bound
+    assert np.max(np.abs(g.imag - reference.imag)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["coherence", "wide_range"])
+def test_magnitudes_are_numpy_abs_within_their_rounding_bound(kind):
+    # the deleted route, numpy's complex modulus, stays here as the
+    # reference.  Each modulus is within MODULUS_U u of |g_ij| on either
+    # route, and the clip at 1 widens no gap.  The wide range reaches moduli
+    # of 2^-1000, where sqrt(re^2 + im^2) would underflow to 0.
+    rng = np.random.default_rng(1601)
+    if kind == "coherence":
+        g = np.array([dl.random_coherence(8, 1 + k % 8, seed=k).entries for k in range(32)])
+    else:
+        mod = 2.0 ** rng.uniform(-1000.0, 0.5, (32, 8, 8))
+        phase = rng.uniform(-np.pi, np.pi, mod.shape)
+        g = mod * np.cos(phase) + 1j * (mod * np.sin(phase))
+    reference = np.abs(g)
+    expected = np.minimum(reference, 1.0)
+    k = np.arange(8)
+    expected[..., k, k] = 0.0
+    assert np.all(np.abs(_magnitudes(g) - expected) <= gamma(2 * MODULUS_U) * reference)
