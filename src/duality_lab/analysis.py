@@ -13,6 +13,7 @@ from duality_lab.engine import InterferencePattern, SlitArray, mutual_intensity
 from duality_lab.measures import michelson
 
 MIN_SAMPLES_PER_FRINGE = 64
+_COLUMNS = ("x", "total", "incoherent")
 PHASE_TOL = 1e-9  # largest wrapped pair phase, in radians, counted as aligned
 
 
@@ -124,6 +125,29 @@ def aligned_phases(slits: SlitArray, coh: CoherenceMatrix) -> bool:
     return bool(np.all(np.abs(np.arctan2(a_im[nonzero], a_re[nonzero])) <= PHASE_TOL))
 
 
+def _is_number(cell: str) -> bool:
+    """Whether np.loadtxt reads cell as a float: float() does, less the digit
+    separators and non-ASCII digits that only float() accepts."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell
+
+
+def _bad_row(path, numbers, rows) -> ValueError | None:
+    """The error naming the file line of the first row that is not three
+    numbers, or None when every row is."""
+    for number, row in zip(numbers, rows):
+        cells = row.split(",")
+        if len(cells) != len(_COLUMNS):
+            return ValueError(f"{path}: line {number}: expected 3 columns, got {len(cells)}")
+        for column, cell in zip(_COLUMNS, cells):
+            if not _is_number(cell):
+                return ValueError(f"{path}: line {number}, column {column}: not a number {cell!r}")
+    return None
+
+
 def load_pattern_csv(
     path, n: int, fringe_width: float, scale_w: bool = False
 ) -> InterferencePattern:
@@ -152,13 +176,17 @@ def load_pattern_csv(
             rows.append(line)
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    data = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValueError(f"expected 3 columns x,total,incoherent in {path}")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError as exc:
+        # numpy's message counts rows from 0 or 1 by cause and omits the file
+        raise _bad_row(path, numbers, rows) or ValueError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(_COLUMNS):
+        raise _bad_row(path, numbers, rows)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0].tolist()
-        column = ("x", "total", "incoherent")[col]
+        column = _COLUMNS[col]
         raise ValueError(
             f"{path}: line {numbers[row]}, column {column}: non-finite value {data[row, col]}"
         )

@@ -1,5 +1,8 @@
 """Batch front end: scenario runs, ensemble sweeps and offline analysis.
 
+Each command computes all it writes before it creates `--out`, so a run
+refused with exit 1 writes no file; a run that ends in exit 2 writes them all.
+
 Exit codes: 0 success, 1 input, usage or write error, 2 a duality inequality
 was violated beyond tolerance (the relations are theorems for valid inputs,
 so a violation signals an implementation fault, not bad user data).
@@ -20,7 +23,6 @@ from duality_lab import analysis, coherence, engine, measures, oracle
 from duality_lab.coherence import degree_of_coherence, random_coherence  # noqa: F401
 from duality_lab.scenario import (
     _STACK_ENTRIES,
-    ScenarioError,
     _read_json,
     load_matrix,
     load_scenario,
@@ -31,8 +33,12 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 
+# what bad input (ScenarioError included) or a failed write raises: exit 1
+_INPUT_ERRORS = (ValueError, OSError)
+
 PATTERN_CSV = "pattern.csv"
 REPORT_JSON = "report.json"
+_MC_PATTERN_CSV = "mc_pattern.csv"
 CONVERGENCE_JSON = "convergence.json"
 
 
@@ -41,11 +47,41 @@ def _fail(message) -> NoReturn:
     sys.exit(EXIT_INPUT)
 
 
-def _write_json(obj, path: Path) -> str:
-    """Write obj as indented JSON with a final newline; returns the text."""
-    text = json.dumps(obj, indent=2) + "\n"
-    path.write_text(text)
-    return text
+def _out_dir(out) -> Path:
+    """The output directory, created with its parents if missing."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _run(sc, out, names, scale_w: bool = False):
+    """Compute the named output files of scenario sc, then create `out` and
+    write them (CSV x in fringe widths if scale_w).  The analytic pattern and
+    the ensemble, which needs the oracle enabled, are each computed once.
+    Returns the files by name, JSON as text, and the report (None unless
+    report.json is named)."""
+    ensemble = _MC_PATTERN_CSV in names or CONVERGENCE_JSON in names
+    if ensemble and not sc.oracle_enabled:
+        raise ValueError("oracle: not enabled in config")
+    files, report = {}, None
+    if PATTERN_CSV in names or ensemble:
+        files[PATTERN_CSV] = engine.pattern(sc.slits, sc.coherence, sc.geometry)
+    if REPORT_JSON in names:
+        report = measures.duality_report(sc.slits.intensities, sc.coherence)
+        files[REPORT_JSON] = report.to_json()
+    if ensemble:
+        mc = files[_MC_PATTERN_CSV] = oracle.mc_pattern(
+            sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
+        )
+        conv = oracle.convergence_report(mc, files[PATTERN_CSV], sc.oracle_realizations)
+        files[CONVERGENCE_JSON] = json.dumps(conv, indent=2) + "\n"
+    out = _out_dir(out)
+    for name in names:
+        if name.endswith(".csv"):
+            engine.write_pattern_csv(files[name], out / name, scale_w=scale_w)
+        else:
+            (out / name).write_text(files[name])
+    return files, report
 
 
 def _verdict(reports) -> int:
@@ -59,26 +95,17 @@ def _verdict(reports) -> int:
 
 def run_scenario(config, out_dir, seed: int | None = None) -> int:
     """Execute a full scenario: pattern CSV + duality report JSON, plus the
-    Monte-Carlo convergence JSON when the oracle is enabled.
+    Monte-Carlo convergence JSON when the oracle is enabled.  All three are
+    computed before any is written, so a refused run writes no file.
 
     Returns the process exit status (0 / 1 / 2) instead of raising on bad
     input, so callers can surface it directly.
     """
-    out = Path(out_dir)
     try:
         sc = load_scenario(config, seed_override=seed)
-        out.mkdir(parents=True, exist_ok=True)
-        pat = engine.pattern(sc.slits, sc.coherence, sc.geometry)
-        engine.write_pattern_csv(pat, out / PATTERN_CSV, scale_w=sc.scale_w)
-        report = measures.duality_report(sc.slits.intensities, sc.coherence)
-        (out / REPORT_JSON).write_text(report.to_json())
-        if sc.oracle_enabled:
-            mc = oracle.mc_pattern(
-                sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
-            )
-            conv = oracle.convergence_report(mc, pat, sc.oracle_realizations)
-            _write_json(conv, out / CONVERGENCE_JSON)
-    except (ValueError, OSError) as exc:
+        names = (PATTERN_CSV, REPORT_JSON) + ((CONVERGENCE_JSON,) if sc.oracle_enabled else ())
+        _, report = _run(sc, out_dir, names, sc.scale_w)
+    except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
     return _verdict([report])
@@ -104,7 +131,6 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
     """Run the random-instance sweep described by a sweep config and write
     one CSV row per instance plus a trailing summary row, which also names
     the first instance of largest left-hand side of each relation."""
-    out = Path(out_dir)
     try:
         sweep = load_sweep(config, seed_override=seed)
         cases, reports = [], []
@@ -114,10 +140,9 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
                 seeds = range(start, min(start + stack, sweep.seeds))
                 cases += [(n, s) for s in seeds]
                 reports += _sweep_reports(sweep.seed, n, seeds, sweep.rank or n)
-        out.mkdir(parents=True, exist_ok=True)
         pyth_at = max(range(len(reports)), key=lambda k: reports[k].pyth_lhs)
         lin_at = max(range(len(reports)), key=lambda k: reports[k].lin_lhs)
-        with open(out / "sweep.csv", "w", newline="") as f:
+        with open(_out_dir(out_dir) / "sweep.csv", "w", newline="") as f:
             f.write("n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n")
             for (n, s), r in zip(cases, reports):
                 f.write(
@@ -130,7 +155,7 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
                 f"max_pyth_at={cases[pyth_at][0]}:{cases[pyth_at][1]},"
                 f"max_lin_at={cases[lin_at][0]}:{cases[lin_at][1]},,,\n"
             )
-    except (ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
     return _verdict(reports)
@@ -164,7 +189,7 @@ class _Main(click.Group):
             _fail(exc.format_message())
         except click.Abort:
             _fail("aborted")
-        except (ScenarioError, OSError) as exc:
+        except _INPUT_ERRORS as exc:
             _fail(exc)
 
 
@@ -181,11 +206,8 @@ def main():
 def pattern_cmd(config, out, scale_w, seed):
     """Compute the analytic pattern and write pattern CSV."""
     sc = load_scenario(config, seed_override=seed)
-    pat = engine.pattern(sc.slits, sc.coherence, sc.geometry)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_pattern_csv(pat, out_dir / PATTERN_CSV, scale_w=scale_w or sc.scale_w)
-    click.echo(f"wrote {out_dir / PATTERN_CSV}")
+    _run(sc, out, (PATTERN_CSV,), scale_w or sc.scale_w)
+    click.echo(f"wrote {Path(out) / PATTERN_CSV}")
 
 
 @main.command("measures")
@@ -194,13 +216,8 @@ def pattern_cmd(config, out, scale_w, seed):
 @_seed_opt
 def measures_cmd(config, out, seed):
     """Compute the duality report and write report JSON."""
-    sc = load_scenario(config, seed_override=seed)
-    report = measures.duality_report(sc.slits.intensities, sc.coherence)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = report.to_json()
-    (out_dir / REPORT_JSON).write_text(text)
-    click.echo(text, nl=False)
+    files, report = _run(load_scenario(config, seed_override=seed), out, (REPORT_JSON,))
+    click.echo(files[REPORT_JSON], nl=False)
     if _verdict([report]):
         sys.exit(EXIT_VIOLATION)
 
@@ -221,27 +238,21 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
     flags disagreement when the pair phases are not aligned."""
     sc = load_scenario(config, seed_override=seed)
     width = engine.fringe_width(sc.geometry, sc.slits)
-    try:
-        pat = analysis.load_pattern_csv(csv_path, sc.slits.n, width, scale_w=scale_w or sc.scale_w)
-        peak = analysis.find_primary_max(pat)
-        v_c_op = analysis.extract_vc(pat)
-        michelson = analysis.extract_michelson(pat)
-    except ValueError as exc:
-        _fail(exc)
+    pat = analysis.load_pattern_csv(csv_path, sc.slits.n, width, scale_w=scale_w or sc.scale_w)
+    peak = analysis.find_primary_max(pat)
+    v_c_op = analysis.extract_vc(pat)
     v_c_an = measures.visibility_analytic(sc.slits.intensities, sc.coherence)
-    aligned = analysis.aligned_phases(sc.slits, sc.coherence)
-    result = {
+    text = json.dumps({
         "x_star": peak.x_star,
         "i_max": peak.i_max,
         "v_c_operational": v_c_op,
         "v_c_analytic": v_c_an,
-        "michelson": michelson,
-        "phases_aligned": aligned,
+        "michelson": analysis.extract_michelson(pat),
+        "phases_aligned": analysis.aligned_phases(sc.slits, sc.coherence),
         "operational_matches_analytic": abs(v_c_op - v_c_an) <= 1e-6,
-    }
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    click.echo(_write_json(result, out_dir / "analysis.json"), nl=False)
+    }, indent=2) + "\n"
+    (_out_dir(out) / "analysis.json").write_text(text)
+    click.echo(text, nl=False)
 
 
 @main.command("mc-validate")
@@ -253,20 +264,8 @@ def mc_validate_cmd(config, out, scale_w, seed):
     """Run the Monte-Carlo oracle and write its pattern CSV plus the
     convergence report JSON."""
     sc = load_scenario(config, seed_override=seed)
-    if not sc.oracle_enabled:
-        _fail("oracle: not enabled in config")
-    mc = oracle.mc_pattern(
-        sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
-    )
-    analytic = engine.pattern(sc.slits, sc.coherence, sc.geometry)
-    try:
-        conv = oracle.convergence_report(mc, analytic, sc.oracle_realizations)
-    except ValueError as exc:
-        _fail(exc)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_pattern_csv(mc, out_dir / "mc_pattern.csv", scale_w=scale_w or sc.scale_w)
-    click.echo(_write_json(conv, out_dir / CONVERGENCE_JSON), nl=False)
+    files, _ = _run(sc, out, (_MC_PATTERN_CSV, CONVERGENCE_JSON), scale_w or sc.scale_w)
+    click.echo(files[CONVERGENCE_JSON], nl=False)
 
 
 @main.command("sweep")

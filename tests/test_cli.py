@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import duality_lab as dl
-from duality_lab import cli, engine, measures
+from duality_lab import analysis, cli, engine, measures, oracle
 from duality_lab.cli import main, run_scenario, run_sweep
 
 REPO = Path(__file__).resolve().parents[1]
@@ -178,6 +178,35 @@ class TestAnalyzeCommand:
         )
         assert_input_error(result, "line 11, column x: non-finite value")
 
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            (lambda cells: [cells[0], "abc", cells[2]], ", column total: not a number 'abc'"),
+            # float() reads this cell as 10.0, np.loadtxt refuses it
+            (lambda cells: [cells[0], "1_0", cells[2]], ", column total: not a number '1_0'"),
+            (lambda cells: cells[:2], ": expected 3 columns, got 2"),
+        ],
+        ids=["not_a_number", "digit_separator", "missing_cell"],
+    )
+    @pytest.mark.parametrize("blank_lines", [0, 1])
+    def test_names_the_file_line_of_an_unreadable_row(
+        self, runner, tmp_path, change, fragment, blank_lines
+    ):
+        # numpy once named neither the file nor its line: "abc" on line 101
+        # was "row 99, column 2" and a missing cell there "row 100"
+        lines = (GOLDEN / "pattern.csv").read_text().splitlines()
+        lines[100] = ",".join(change(lines[100].split(",")))
+        lines[5:5] = [""] * blank_lines
+        csv = tmp_path / "pattern.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", str(out)]
+        )
+        assert_input_error(result, f"error: {csv}: line {101 + blank_lines}{fragment}")
+        assert result.output.count("error:") == 1
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "order, fragment",
@@ -278,7 +307,7 @@ class TestMcValidateCommand:
         )
         assert_input_error(result, "error: convergence: the analytic primary maximum 0.0")
         assert result.output.count("\n") == 1
-        assert not (out / "convergence.json").exists()
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_zero_analytic_peak_in_run_scenario(self, tmp_path, capsys):
@@ -287,7 +316,34 @@ class TestMcValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: convergence: the analytic primary maximum 0.0")
         assert err.count("\n") == 1
-        assert not (out / "convergence.json").exists()
+        # pattern.csv and report.json were once written before the oracle ran
+        assert not out.exists()
+
+
+class TestRefusedRunWritesNothing:
+    @pytest.mark.parametrize(
+        "command, owner, name",
+        [
+            ("pattern", engine, "pattern"),
+            ("measures", measures, "duality_report"),
+            ("analyze", analysis, "extract_vc"),
+            ("mc-validate", oracle, "mc_pattern"),
+        ],
+        ids=["pattern", "measures", "analyze", "mc-validate"],
+    )
+    def test_value_error_exits_one(self, runner, tmp_path, monkeypatch, command, owner, name):
+        # a ValueError from the computation once escaped `pattern`, `measures`
+        # and `mc-validate` as a traceback
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(owner, name, refuse)
+        out = tmp_path / "out"
+        extra = ["--csv", str(GOLDEN / "pattern.csv")] if command == "analyze" else []
+        result = runner.invoke(main, [command, "--config", str(THREE_SLIT), *extra, "--out", str(out)])
+        assert_input_error(result, "error: refused")
+        assert result.output == "error: refused\n"
+        assert not out.exists()
 
 
 def _set_intensity(cfg, value):
