@@ -9,11 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from duality_lab.coherence import CoherenceMatrix
-from duality_lab.engine import InterferencePattern, SlitArray, mutual_intensity
+from duality_lab.engine import _CSV_COLUMNS, InterferencePattern, SlitArray, mutual_intensity
 from duality_lab.measures import michelson
 
 MIN_SAMPLES_PER_FRINGE = 64
-_COLUMNS = ("x", "total", "incoherent")
 PHASE_TOL = 1e-9  # largest wrapped pair phase, in radians, counted as aligned
 
 
@@ -140,9 +139,11 @@ def _bad_row(path, numbers, rows) -> ValueError | None:
     numbers, or None when every row is."""
     for number, row in zip(numbers, rows):
         cells = row.split(",")
-        if len(cells) != len(_COLUMNS):
-            return ValueError(f"{path}: line {number}: expected 3 columns, got {len(cells)}")
-        for column, cell in zip(_COLUMNS, cells):
+        if len(cells) != len(_CSV_COLUMNS):
+            return ValueError(
+                f"{path}: line {number}: expected {len(_CSV_COLUMNS)} columns, got {len(cells)}"
+            )
+        for column, cell in zip(_CSV_COLUMNS, cells):
             if not _is_number(cell):
                 return ValueError(f"{path}: line {number}, column {column}: not a number {cell!r}")
     return None
@@ -165,8 +166,9 @@ def load_pattern_csv(
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    if lines[:1] != ["x,total,incoherent"]:
-        raise ValueError(f"{path}: first line is not the header x,total,incoherent")
+    header = ",".join(_CSV_COLUMNS)
+    if lines[:1] != [header]:
+        raise ValueError(f"{path}: first line is not the header {header}")
     # the file's line number of each data row: blank lines are skipped here
     # rather than by np.loadtxt, which would lose the count
     numbers, rows = [], []
@@ -181,12 +183,12 @@ def load_pattern_csv(
     except ValueError as exc:
         # numpy's message counts rows from 0 or 1 by cause and omits the file
         raise _bad_row(path, numbers, rows) or ValueError(f"{path}: {exc}") from exc
-    if data.shape[1] != len(_COLUMNS):
+    if data.shape[1] != len(_CSV_COLUMNS):
         raise _bad_row(path, numbers, rows)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0].tolist()
-        column = _COLUMNS[col]
+        column = _CSV_COLUMNS[col]
         raise ValueError(
             f"{path}: line {numbers[row]}, column {column}: non-finite value {data[row, col]}"
         )

@@ -15,12 +15,14 @@ bits.
 
 Every complex value that reaches an output is formed here from real and
 imaginary parts by elementwise real ufuncs in a fixed order: _product is the
-package's one complex matrix product (the oracle's too), moduli are libm's
-hypot, and _complex joins parts by copying them.  No BLAS call and no numpy
-complex multiply, division or modulus enters g, so its bits do not depend on
-the BLAS kernel or on which SIMD loops numpy dispatches to.  Only checks that
-accept or refuse a matrix (the tolerance tests and eigvalsh) use numpy's
-complex routines.
+package's one complex matrix product (the oracle's too), every modulus is
+libm's hypot of the two parts (_modulus), every row norm the sqrt of the row
+sum of re^2 + im^2 (_row_norms), and _complex joins parts by copying them.
+No BLAS call and no numpy complex multiply, division or modulus enters g, so
+its bits do not depend on the BLAS kernel or on which SIMD loops numpy
+dispatches to.  The tolerance checks that accept or refuse a matrix or a
+Jones state use the same moduli and norms; only eigvalsh's PSD test rests on
+LAPACK.
 """
 
 from __future__ import annotations
@@ -145,9 +147,9 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     # entries near the float limit overflow these deviations to inf, which
     # every tolerance refuses
     with np.errstate(over="ignore"):
-        herm_dev = float(np.max(np.abs(m - m_h)))
-        diag_dev = float(np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1) - 1.0)))
-        mag_max = float(np.max(np.abs(m)))
+        herm_dev = float(np.max(_modulus(m - m_h)))
+        diag_dev = float(np.max(_modulus(np.diagonal(m, axis1=-2, axis2=-1) - 1.0)))
+        mag_max = float(np.max(_modulus(m)))
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |g_ij - conj(g_ji)| = {herm_dev:.3e}")
     if diag_dev > DIAGONAL_TOL:
@@ -164,9 +166,22 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return g
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| of each entry, libm's hypot of the real and imaginary parts."""
+    return np.hypot(z.real, z.imag)
+
+
+def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Norm of each complex row [..., r] given as real and imaginary parts:
+    the sqrt of the row sum of re^2 + im^2."""
+    return np.sqrt((re * re + im * im).sum(axis=-1))
+
+
 def _magnitudes(g: np.ndarray) -> np.ndarray:
-    """CoherenceMatrix.magnitudes() of a stack of stored matrices."""
-    mag = np.minimum(np.hypot(g.real, g.imag), 1.0)
+    """Moduli with zero diagonal, clipped at 1, of a stack of matrices:
+    CoherenceMatrix.magnitudes() of stored ones, and the off-diagonal moduli
+    of density matrices, which are at most 1/2 and so never clipped."""
+    mag = np.minimum(_modulus(g), 1.0)
     _set_diagonal(mag, 0.0)
     return mag
 
@@ -187,6 +202,10 @@ class ModeDecomposition:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2:
             raise ValueError(f"expected an (n, r) array, got shape {v.shape}")
+        finite = np.isfinite(v).all(axis=1)
+        if not finite.all():
+            slit = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"non-finite mode entry at slit {slit}")
         zero = ~v.any(axis=1)  # not the norm, which over- or underflows
         if zero.any():
             raise ValueError(f"zero-norm mode row at slit {int(np.flatnonzero(zero)[0])}")
@@ -209,9 +228,13 @@ class PolarizationSet:
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array, got shape {v.shape}")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, refused
-            norms = np.linalg.norm(v, axis=1)
-        if np.max(np.abs(norms - 1.0)) > POLARIZATION_NORM_TOL:
-            raise ValueError("polarization vectors must have unit norm")
+            norms = _row_norms(v.real, v.imag)
+        unit = np.abs(norms - 1.0) <= POLARIZATION_NORM_TOL  # False for nan
+        if not unit.all():
+            slit = int(np.flatnonzero(~unit)[0])
+            raise ValueError(
+                f"polarization vectors must have unit norm: slit {slit} has norm {float(norms[slit])!r}"
+            )
         object.__setattr__(self, "vectors", v)
         v.setflags(write=False)
 
@@ -257,7 +280,7 @@ def _unit_gram(rows: np.ndarray) -> np.ndarray:
     matrix one _product, so the bits of g rest on IEEE-754 arithmetic alone
     and each member of a stack gets the bits it gets alone."""
     re, im = rows.real, rows.imag
-    norm = np.sqrt((re * re + im * im).sum(axis=-1))[..., None]
+    norm = _row_norms(re, im)[..., None]
     u_re, u_im = re / norm, im / norm
     # u^H with the broadcast axis that a batched right factor needs
     h_re = u_re.swapaxes(-1, -2)[..., None, :, :]

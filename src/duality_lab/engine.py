@@ -39,6 +39,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 WINDOW_FRINGES = 4.0  # half-width of the over_fringes window, in fringe widths
 PHASE_MODELS = ("small_angle", "exact")
 ENVELOPES = ("uniform", "gaussian")
+# the pattern CSV's columns, in order: write_pattern_csv writes them as its
+# header and analysis.load_pattern_csv checks it
+_CSV_COLUMNS = ("x", "total", "incoherent")
 
 # Bound on n * sum_i I_i.  For a PSD matrix A with trace T, |A_ij| <=
 # sqrt(A_ii A_jj).  Small angle: P = sum_{i>j} sqrt(A_ii A_jj) <= (n - 1) T / 2
@@ -465,5 +468,5 @@ def write_pattern_csv(pat: InterferencePattern, path, scale_w: bool = False) -> 
     xs = pat.grid / pat.fringe_width if scale_w else pat.grid
     rows = zip(xs.tolist(), pat.total.tolist(), pat.incoherent.tolist())
     with open(path, "w", newline="") as f:
-        f.write("x,total,incoherent\n")
+        f.write(",".join(_CSV_COLUMNS) + "\n")
         f.writelines(f"{x!r},{t!r},{inc!r}\n" for x, t, inc in rows)

@@ -160,10 +160,10 @@ def quantum_coherence(density: BeamDensityMatrix) -> float:
 
 
 def _quantum_coherence(rho: np.ndarray) -> np.ndarray:
-    """quantum_coherence() of a stack of density matrices [..., n, n]."""
-    mag = np.hypot(rho.real, rho.imag)
-    _set_diagonal(mag, 0.0)
-    return _matrix_sums(mag) / (rho.shape[-1] - 1)
+    """quantum_coherence() of a stack of density matrices [..., n, n]: the
+    sum of the off-diagonal moduli from coherence._magnitudes, whose clip at
+    1 leaves them as they are, since |rho_ij| <= sqrt(rho_ii rho_jj) <= 1/2."""
+    return _matrix_sums(_magnitudes(rho)) / (rho.shape[-1] - 1)
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,11 @@ from duality_lab.engine import pattern  # noqa: F401
 # Smallest ensemble size that mc_pattern averages and a scenario may enable.
 MIN_REALIZATIONS = 100
 
-# Cap on the entries of one chunk's r x r coefficient products: mc_pattern
-# sums c c^dagger over chunks of the largest power of two rows whose
-# products hold at most this many entries per real or imaginary part
-# (512 kB each), so its memory stays bounded for any ensemble size.
+# Cap on the entries of one chunk's r x r coefficient products: the
+# coefficient stream is read in chunks of the largest power of two rows
+# whose products hold at most this many entries per real or imaginary part
+# (512 kB each), so mc_pattern and realize_fields hold one chunk at a time
+# for any ensemble size or index.
 _CHUNK_ENTRIES = 1 << 16
 
 # Cap on the ensemble size: mc_pattern costs about 0.3 s per 10^6
@@ -87,10 +88,16 @@ def ensemble_spec(
     return EnsembleSpec(realizations=realizations, seed=seed, factor=_complex(f_re, f_im))
 
 
-def _coefficients(rng: np.random.Generator, count: int, r: int) -> np.ndarray:
-    # count rows of unit-variance circular Gaussians as [count, 2, r], real
-    # and imaginary parts; equal however rows are split
-    return np.sqrt(0.5) * rng.standard_normal((count, 2, r))
+def _coefficient_chunks(spec: EnsembleSpec, count: int):
+    """Rows 0..count-1 of the ensemble's coefficient stream, unit-variance
+    circular Gaussians as [rows, 2, r] real and imaginary parts, yielded
+    with the index of their first row in chunks of a size fixed by r.  A row
+    has the same bits however the stream is split."""
+    r = spec.factor.shape[1]
+    chunk = 1 << max(0, (_CHUNK_ENTRIES // (r * r)).bit_length() - 1)
+    rng = np.random.default_rng(spec.seed)
+    for start in range(0, count, chunk):
+        yield start, np.sqrt(0.5) * rng.standard_normal((min(chunk, count - start), 2, r))
 
 
 def _outer_sum(c: np.ndarray) -> np.ndarray:
@@ -118,16 +125,24 @@ def realize_fields(spec: EnsembleSpec, k: int | np.ndarray) -> np.ndarray:
 
     Realization k is row k of the seeded stream that mc_pattern averages, so
     ensembles of different sizes share their first realizations.  A call
-    draws rows 0..max(k), so it costs O(max(k)); k must be a nonempty
-    integer index or array, not bool, with entries in [0, MAX_REALIZATIONS).
+    reads the stream's rows 0..max(k) chunk by chunk, as mc_pattern does,
+    and gathers the asked-for rows from each chunk through the sorted
+    indices, so it costs O(max(k)) time but holds only one chunk besides its
+    result.  k must be a nonempty integer index or array, not bool, with
+    entries in [0, MAX_REALIZATIONS).
     """
     idx = np.asarray(k)
     ok = idx.dtype.kind in "iu" and idx.size > 0
     if not (ok and 0 <= idx.min() and idx.max() < MAX_REALIZATIONS):
         raise IndexError(f"realization index k: need nonempty integers in [0, {MAX_REALIZATIONS})")
     f = spec.factor
-    rng = np.random.default_rng(spec.seed)
-    c = _coefficients(rng, int(idx.max()) + 1, f.shape[1])[idx]
+    order = np.argsort(idx, axis=None)
+    wanted = idx.ravel()[order]
+    c = np.empty((idx.size, 2, f.shape[1]))
+    for start, rows in _coefficient_chunks(spec, int(wanted[-1]) + 1):
+        lo, hi = np.searchsorted(wanted, [start, start + len(rows)])
+        c[order[lo:hi]] = rows[wanted[lo:hi] - start]
+    c = c.reshape(idx.shape + c.shape[1:])
     return _product(c[..., 0, :], c[..., 1, :], f.real.T, f.imag.T)
 
 
@@ -154,11 +169,9 @@ def mc_pattern(
     r = f_re.shape[1]
     # G = F W F^dagger with W = mean_k c_k c_k^dagger: O(N r^2 + n^2 r); the
     # c sum cannot overflow
-    chunk = 1 << max(0, (_CHUNK_ENTRIES // (r * r)).bit_length() - 1)
-    rng = np.random.default_rng(spec.seed)
     w = np.zeros((2, r, r))
-    for start in range(0, spec.realizations, chunk):
-        w += _outer_sum(_coefficients(rng, min(chunk, spec.realizations - start), r))
+    for _, c in _coefficient_chunks(spec, spec.realizations):
+        w += _outer_sum(c)
     w /= spec.realizations
     h = _product(f_re, f_im, w[0], w[1])
     g = _product(h.real, h.imag, f_re.T, -f_im.T)

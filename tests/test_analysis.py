@@ -1,10 +1,16 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import duality_lab as dl
-from duality_lab.analysis import EmptyWindow, UndersampledGrid, aligned_phases
+from duality_lab.analysis import (
+    EmptyWindow,
+    UndersampledGrid,
+    ZeroIncoherentIntensity,
+    aligned_phases,
+)
 
 WAVELENGTH = 500e-9
 DISTANCE = 1.0
@@ -137,6 +143,12 @@ class TestExtractVc:
         cancel = dl.SlitArray(intensities=[1.0, 1.0], spacing=SPACING, phases=[-0.7, 0.0])
         assert aligned_phases(cancel, dl.validate(m))
 
+    def test_zero_incoherent_reference_refused(self):
+        pat = make_pattern([1.0, 1.0], coherence_with(0.4))
+        dark = replace(pat, incoherent=np.zeros_like(pat.incoherent))
+        with pytest.raises(ZeroIncoherentIntensity, match="vanishes at the peak"):
+            dl.extract_vc(dark)
+
 
 class TestExtractMichelson:
     def test_full_coherence_equal_intensities(self):
@@ -197,4 +209,13 @@ class TestCsvImport:
         path = tmp_path / "bad.csv"
         path.write_text("x,total\n0.0,1.0\n")
         with pytest.raises(ValueError):
+            dl.load_pattern_csv(path, n=2, fringe_width=1.0)
+
+    def test_rows_of_two_columns_name_the_first_line(self, tmp_path):
+        # numpy reads these rows as a two-column table, which the shape check
+        # then refuses through the row scan
+        path = tmp_path / "bad.csv"
+        path.write_text("x,total,incoherent\n0.0,1.0\n0.5,2.0\n")
+        fragment = f"{path}: line 2: expected 3 columns, got 2"
+        with pytest.raises(ValueError, match=re.escape(fragment)):
             dl.load_pattern_csv(path, n=2, fringe_width=1.0)

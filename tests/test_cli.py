@@ -345,6 +345,19 @@ class TestRefusedRunWritesNothing:
         assert result.output == "error: refused\n"
         assert not out.exists()
 
+    def test_keyboard_interrupt_exits_one(self, runner, tmp_path, monkeypatch):
+        # click turns Ctrl-C inside a command into Abort, which ends in the
+        # same one error line as an input error
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "pattern", interrupt)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["pattern", "--config", str(THREE_SLIT), "--out", str(out)])
+        assert_input_error(result, "error: aborted")
+        assert result.output.count("error:") == 1
+        assert not out.exists()
+
 
 def _set_intensity(cfg, value):
     cfg["slits"]["intensities"][0] = value
@@ -461,6 +474,7 @@ class TestConfigTypes:
             ("coherence", {"random": {"rank": 4, "seed": 1}}, "coherence.random.rank: 4 is above"),
             # above oracle.MAX_REALIZATIONS: refused at load time, never drawn
             ("oracle.realizations", 10**12, "oracle.realizations: need at most 16777216"),
+            ("coherence", {"random": 5}, "coherence.random: expected an object"),
         ],
     )
     def test_wrong_type_exits_one(self, runner, tmp_path, path, value, fragment):
@@ -484,8 +498,9 @@ class TestConfigTypes:
             ({"n": "2"}, "top level.n: wrong type str"),
             ({"n": True}, "top level.n: wrong type bool"),
             ({"re": [[1.0, "0.5"], ["0.5", 1.0]]}, "top level.re[0][1]: wrong type str"),
+            ({"n": 1}, "top level.n: need at least 2 slits, got 1"),
         ],
-        ids=["string-re", "string-n", "bool-n", "string-entry"],
+        ids=["string-re", "string-n", "bool-n", "string-entry", "one-slit"],
     )
     def test_gamma_n_matrix_wrong_type_exits_one(self, runner, tmp_path, change, fragment):
         # each of these once died with a traceback or printed a gamma_n

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,40 @@ def test_polarization_requires_unit_norm():
 def test_polarization_overflowing_norm_refused_without_warning():
     with pytest.raises(ValueError, match="unit norm"):
         dl.PolarizationSet(np.array([[1e308, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, complex(1.0, np.nan)], ids=["nan", "inf", "nan-imag"]
+)
+def test_non_finite_polarization_refused_by_slit(value):
+    # a nan norm once passed the unit-norm check, and validate() refused the
+    # Gram matrix later as "g[0,0] = (nan+nanj) is not finite"
+    with pytest.raises(ValueError, match="unit norm: slit 1 has norm"):
+        dl.PolarizationSet(np.array([[1.0, 0.0], [value, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, -np.inf, complex(np.inf, 1.0)], ids=["nan", "inf", "inf-real"]
+)
+def test_non_finite_mode_row_refused_by_slit(value):
+    # these rows once constructed and were refused only as a non-finite g
+    with pytest.raises(ValueError, match="non-finite mode entry at slit 2"):
+        dl.ModeDecomposition(np.array([[1.0, 0.0], [0.5, 0.5], [1.0, value]]))
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (dl.ModeDecomposition, (3,)),
+        (dl.ModeDecomposition, (2, 2, 1)),
+        (dl.PolarizationSet, (2,)),
+        (dl.PolarizationSet, (2, 1, 2)),
+    ],
+    ids=["modes-1d", "modes-3d", "polarizations-1d", "polarizations-3d"],
+)
+def test_rows_must_be_a_2d_array(make, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        make(np.ones(shape))
 
 
 def test_zero_norm_mode_row_rejected():

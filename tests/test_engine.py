@@ -70,6 +70,10 @@ class TestSlitArray:
         with pytest.raises(ValueError, match="finite"):
             dl.SlitArray(**args)
 
+    def test_rejects_phases_of_wrong_length(self):
+        with pytest.raises(ValueError, match="phases must match the intensity vector length"):
+            dl.SlitArray(intensities=[1.0, 1.0, 1.0], spacing=SPACING, phases=[0.0, 0.5])
+
     def test_default_phases_zero(self):
         slits = two_slits()
         assert np.array_equal(slits.phases, np.zeros(2))
@@ -93,6 +97,21 @@ class TestScreenGeometry:
     def test_rejects_non_finite(self, kw):
         args = {"wavelength": WAVELENGTH, "distance": DISTANCE, "x_min": -0.1, "x_max": 0.1, **kw}
         with pytest.raises(ValueError, match="must be finite"):
+            dl.ScreenGeometry(**args)
+
+    @pytest.mark.parametrize(
+        "kw, fragment",
+        [
+            ({"wavelength": 0.0}, "wavelength must be positive"),
+            ({"distance": -1.0}, "slit-to-screen distance must be positive"),
+            ({"samples": 1}, "need at least 2 grid samples"),
+            ({"phase_model": "paraxial"}, "unknown phase model 'paraxial'"),
+        ],
+        ids=["wavelength", "distance", "samples", "phase_model"],
+    )
+    def test_rejects_out_of_range(self, kw, fragment):
+        args = {"wavelength": WAVELENGTH, "distance": DISTANCE, "x_min": -0.1, "x_max": 0.1, **kw}
+        with pytest.raises(ValueError, match=fragment):
             dl.ScreenGeometry(**args)
 
     def test_gaussian_needs_sigma(self):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import duality_lab as dl
-from duality_lab import engine
+from duality_lab import engine, oracle
+from duality_lab.coherence import _product
 from duality_lab.engine import MAX_N_TIMES_SUM
 from duality_lab.oracle import (
     MAX_REALIZATIONS,
@@ -70,6 +71,59 @@ class TestRealizeFields:
         for bad in bad_indices:
             with pytest.raises(IndexError, match="realization index k"):
                 realize_fields(spec, bad)
+
+    def test_reads_the_stream_one_chunk_at_a_time(self, monkeypatch):
+        # with a chunk of 4 rows (rank 3), realize_fields gives the bytes of
+        # one draw of the whole stream and mc_pattern those of the chunk loop
+        # it was written as, while no draw holds more than one chunk; a call
+        # once drew rows 0..max(k) in one array
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 64)
+        slits, coh, geom = standard_setup(samples=256)
+        spec = ensemble_spec(slits, coh, 100, seed=7)
+        f, r = spec.factor, spec.factor.shape[1]
+        chunk = 4
+
+        def one_shot(k):
+            idx = np.asarray(k)
+            rows = np.random.default_rng(7).standard_normal((int(idx.max()) + 1, 2, r))
+            c = (np.sqrt(0.5) * rows)[idx]
+            return _product(c[..., 0, :], c[..., 1, :], f.real.T, f.imag.T)
+
+        def chunk_loop(n_real):
+            rng = np.random.default_rng(7)
+            w = np.zeros((2, r, r))
+            for start in range(0, n_real, chunk):
+                count = min(chunk, n_real - start)
+                w += oracle._outer_sum(np.sqrt(0.5) * rng.standard_normal((count, 2, r)))
+            w /= n_real
+            h = _product(f.real, f.imag, w[0], w[1])
+            g = _product(h.real, h.imag, f.real.T, -f.imag.T)
+            return engine.screen_pattern(slits, geom, geom.grid(), g.real, g.imag)
+
+        indices = [
+            [37, 2, 2, 19, 0, 37, 5], np.array([[38, 11, 3], [3, 38, 0]], dtype=np.uint16),
+            np.int8(127), np.arange(41)[::-1], 10_000,
+        ]
+        for k in indices:
+            assert realize_fields(spec, k).tobytes() == one_shot(k).tobytes(), k
+        expected = chunk_loop(150).total.tobytes()
+        assert mc_pattern(slits, coh, geom, 150, seed=7).total.tobytes() == expected
+
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                sizes.append(math.prod(size))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        realize_fields(spec, 10_000)
+        assert sum(sizes) == 10_001 * 2 * r
+        assert max(sizes) == chunk * 2 * r
 
     def test_incoherent_fields_uncorrelated(self):
         # J = diag(I): off-diagonal sample moments vanish, diagonals match I

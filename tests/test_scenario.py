@@ -65,6 +65,11 @@ def test_parse_error_is_line_anchored(tmp_path):
         load_scenario(path)
 
 
+def test_top_level_must_be_an_object(tmp_path):
+    with pytest.raises(ScenarioError, match="top level: expected an object"):
+        load_scenario(write(tmp_path, [base_config()]))
+
+
 def test_schema_version_checked(tmp_path):
     with pytest.raises(ScenarioError, match="schema"):
         load_scenario(write(tmp_path, base_config(schema=2)))
