@@ -42,6 +42,9 @@ ENVELOPES = ("uniform", "gaussian")
 # the pattern CSV's columns, in order: write_pattern_csv writes them as its
 # header and analysis.load_pattern_csv checks it
 _CSV_COLUMNS = ("x", "total", "incoherent")
+# rows per write of write_pattern_csv: every bundled scenario is one block,
+# and the text held at once stays bounded at any grid size
+_CSV_BLOCK_ROWS = 4096
 
 # Bound on n * sum_i I_i.  For a PSD matrix A with trace T, |A_ij| <=
 # sqrt(A_ii A_jj).  Small angle: P = sum_{i>j} sqrt(A_ii A_jj) <= (n - 1) T / 2
@@ -463,10 +466,24 @@ def write_pattern_csv(pat: InterferencePattern, path, scale_w: bool = False) -> 
     """Write `x,total,incoherent` rows; x in units of the fringe width if scale_w.
 
     Floats use shortest round-trip repr with a `.` decimal point, so files
-    are byte-stable and locale independent.
+    are byte-stable and locale independent.  Each block of _CSV_BLOCK_ROWS
+    rows is formatted into one string and written with one call, and a
+    column that holds one value (the same float64 bits on every row, as
+    the uniform envelope's incoherent column sum_i I_i does) is formatted
+    once and reused on each row.  Neither changes a byte of the file.
     """
     xs = pat.grid / pat.fringe_width if scale_w else pat.grid
-    rows = zip(xs.tolist(), pat.total.tolist(), pat.incoherent.tolist())
+    inc = pat.incoherent
+    bits = inc.view(np.int64)
+    # bits, not float ==, so 0.0 and -0.0 keep their own reprs
+    tail = f",{inc[0].item()!r}\n" if bits.size and (bits == bits[0]).all() else None
     with open(path, "w", newline="") as f:
         f.write(",".join(_CSV_COLUMNS) + "\n")
-        f.writelines(f"{x!r},{t!r},{inc!r}\n" for x, t, inc in rows)
+        for start in range(0, xs.size, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            cols = xs[block].tolist(), pat.total[block].tolist()
+            if tail is None:
+                rows = [f"{x!r},{t!r},{i!r}\n" for x, t, i in zip(*cols, inc[block].tolist())]
+            else:
+                rows = [f"{x!r},{t!r}{tail}" for x, t in zip(*cols)]
+            f.write("".join(rows))

@@ -23,11 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from duality_lab.coherence import (
+    HERMITIAN_TOL,
+    PSD_FLOOR,
     CoherenceMatrix,
     _complex,
     _degree_of_coherence,
     _magnitudes,
     _matrix_sums,
+    _modulus,
     _set_diagonal,
 )
 # ZeroTotalIntensity comes from the intensity rule and stays importable from here
@@ -39,6 +42,7 @@ from duality_lab.engine import (  # noqa: F401
 )
 
 INEQUALITY_TOL = 1e-12
+TRACE_TOL = 1e-10  # BeamDensityMatrix refuses |tr rho - 1| above this
 
 
 class _PairSums(NamedTuple):
@@ -127,13 +131,30 @@ def michelson(i_max: float, i_min: float) -> float:
 @dataclass(frozen=True)
 class BeamDensityMatrix:
     """Density matrix of the beam in the path basis: rho_ij =
-    sqrt(I_i I_j) g_ij / sum_k I_k.  Unit trace, Hermitian, PSD."""
+    sqrt(I_i I_j) g_ij / sum_k I_k.  Construction refuses, with a ValueError
+    naming the property, a rho that is not n x n, not finite, not of unit
+    trace within TRACE_TOL, not Hermitian within HERMITIAN_TOL, or whose
+    smallest eigvalsh is below PSD_FLOOR."""
 
     n: int
     rho: np.ndarray
 
     def __post_init__(self):
-        self.rho.setflags(write=False)
+        rho = self.rho
+        if rho.shape != (self.n, self.n):
+            raise ValueError(f"density matrix: not {self.n} x {self.n}, shape {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix: not finite")
+        trace = float(np.trace(rho).real)
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix: not of unit trace, trace {trace!r}")
+        herm_dev = float(np.max(_modulus(rho - rho.conj().T)))
+        if herm_dev > HERMITIAN_TOL:
+            raise ValueError(f"density matrix: not Hermitian, max |rho_ij - conj(rho_ji)| = {herm_dev:.3e}")
+        lowest = float(np.linalg.eigvalsh(rho)[0])
+        if lowest < PSD_FLOOR:
+            raise ValueError(f"density matrix: not positive semidefinite, smallest eigenvalue {lowest:.3e}")
+        rho.setflags(write=False)
 
 
 def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:

@@ -692,6 +692,32 @@ class TestCsv:
         back = dl.load_pattern_csv(path, n=2, fringe_width=W, scale_w=True)
         assert np.allclose(back.grid, pat.grid, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["uniform", "gaussian", "scale_w", "signed_zeros", "one_row", "zero_rows"],
+    )
+    def test_bytes_match_per_row_reference(self, tmp_path, case):
+        # the writer formats blocks of rows and a one-value column once; the
+        # reference formats every value of every row.  4097 samples cross a
+        # block boundary, and 0.0 / -0.0 have equal floats but distinct bits.
+        if case in ("signed_zeros", "one_row", "zero_rows"):
+            columns = {
+                "signed_zeros": ([-1.0, 0.0, 1.0], [2.0, 0.5, 2.0], [0.0, -0.0, 0.0]),
+                "one_row": ([0.25], [1.5], [3.0]),
+                "zero_rows": ([], [], []),
+            }[case]
+            pat = dl.InterferencePattern(*columns, n=2, fringe_width=W)
+        else:
+            envelope = {"envelope": "gaussian", "sigma": 2 * W} if case == "gaussian" else {}
+            pat = dl.pattern(two_slits(1.0, 0.3), coherence_with(0.4), geometry(**envelope))
+        scale_w = case == "scale_w"
+        path = tmp_path / "pattern.csv"
+        dl.write_pattern_csv(pat, path, scale_w=scale_w)
+        xs = pat.grid / pat.fringe_width if scale_w else pat.grid
+        rows = zip(xs.tolist(), pat.total.tolist(), pat.incoherent.tolist())
+        reference = "x,total,incoherent\n" + "".join(f"{x!r},{t!r},{inc!r}\n" for x, t, inc in rows)
+        assert path.read_bytes() == reference.encode()
+
     def test_write_deterministic(self, tmp_path):
         slits = two_slits()
         pat = dl.pattern(slits, coherence_with(0.3), geometry(samples=129))

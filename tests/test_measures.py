@@ -259,6 +259,23 @@ class TestDensityMatrix:
         with pytest.raises(ZeroTotalIntensity):
             dl.density_from_beams([0.0, 0.0], coherence_with(0.5))
 
+    @pytest.mark.parametrize(
+        "n, rho, fragment",
+        [
+            # once built and gave quantum_coherence nan
+            (3, [[np.nan]], "not 3 x 3"),
+            (2, [[0.5, np.nan], [np.nan, 0.5]], "not finite"),
+            (2, [[0.5, 0.0], [0.0, 0.6]], "unit trace"),
+            (2, [[0.5, 0.1j], [0.1j, 0.5]], "not Hermitian"),
+            # once built and gave quantum_coherence 2.0
+            (2, [[0.5, 2.0], [2.0, 0.5]], "positive semidefinite"),
+        ],
+        ids=["shape", "nan", "trace", "hermitian", "psd"],
+    )
+    def test_invalid_rho_refused(self, n, rho, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            dl.BeamDensityMatrix(n=n, rho=np.array(rho, dtype=complex))
+
 
 class TestQuantumCoherence:
     def test_diagonal_is_zero(self):
