@@ -115,14 +115,16 @@ def _sweep_reports(
     master_seed: int, n: int, seeds: range, rank: int
 ) -> list[measures.DualityReport]:
     """Reports of instances (n, s) for s in seeds, evaluated as one stack.
-    Each instance is drawn from its own (master_seed, n, s) stream, and its
-    mode rows are random_coherence(n, rank, seed)'s for the drawn seed."""
+    Each instance is drawn from its own (master_seed, n, s) stream: its
+    intensities, then random_coherence(n, rank, rng)'s mode rows from the
+    same Generator."""
     intensities, rows = [], []
+    alpha = np.ones(n)
     for s in seeds:
         rng = np.random.default_rng((master_seed, n, s))
         # uniform on the intensity simplex, rescaled to exercise scale invariance
-        intensities.append(rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0))
-        rows.append(coherence._random_rows(n, rank, seed=int(rng.integers(0, 2**63))))
+        intensities.append(rng.dirichlet(alpha) * rng.uniform(0.1, 10.0))
+        rows.append(coherence._random_rows(n, rank, rng))
     g = coherence._hermitian_part(coherence._unit_gram(np.array(rows)))
     return measures._reports(engine._intensity_rows(np.array(intensities)), g)
 

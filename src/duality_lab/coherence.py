@@ -315,9 +315,12 @@ def from_modes(
     return validate(_unit_gram(rows))
 
 
-def random_coherence(n: int, rank: int, seed: int) -> CoherenceMatrix:
+def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> CoherenceMatrix:
     """Random realizable coherence matrix: Gram matrix of n random complex
-    unit vectors of dimension `rank`.  Deterministic for a given seed.
+    unit vectors of dimension `rank`.  Deterministic for a given seed.  The
+    seed may be a numpy Generator, which is drawn from as it is and moves on
+    by exactly standard_normal((2, n, rank)); an integer seed gives the
+    matrix that default_rng(seed) would.
 
     rank=1 gives a fully coherent matrix (all moduli 1); rank >= n gives a
     generically full-rank matrix with all off-diagonal moduli below 1.
@@ -329,9 +332,12 @@ def random_coherence(n: int, rank: int, seed: int) -> CoherenceMatrix:
     return validate(_unit_gram(_random_rows(n, rank, seed)))
 
 
-def _random_rows(n: int, rank: int, seed: int) -> np.ndarray:
+def _random_rows(n: int, rank: int, seed: int | np.random.Generator) -> np.ndarray:
     """The n x rank complex normal mode rows random_coherence(n, rank, seed)
-    takes the Gram matrix of."""
+    takes the Gram matrix of: real parts, then imaginary parts, each one
+    standard_normal((n, rank)) draw, so a Generator passed in moves on by
+    exactly standard_normal((2, n, rank)).  default_rng returns a Generator
+    unaltered."""
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((n, rank))
     return _complex(re, rng.standard_normal((n, rank)))

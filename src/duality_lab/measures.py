@@ -132,14 +132,17 @@ def michelson(i_max: float, i_min: float) -> float:
 class BeamDensityMatrix:
     """Density matrix of the beam in the path basis: rho_ij =
     sqrt(I_i I_j) g_ij / sum_k I_k.  Construction refuses, with a ValueError
-    naming the property, a rho that is not n x n, not finite, not of unit
-    trace within TRACE_TOL, not Hermitian within HERMITIAN_TOL, or whose
-    smallest eigvalsh is below PSD_FLOOR."""
+    naming the property, fewer than 2 slits (quantum_coherence divides by
+    n - 1), and a rho that is not n x n, not finite, not of unit trace within
+    TRACE_TOL, not Hermitian within HERMITIAN_TOL, or whose smallest
+    eigvalsh is below PSD_FLOOR."""
 
     n: int
     rho: np.ndarray
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"density matrix: need at least 2 slits, got n={self.n}")
         rho = self.rho
         if rho.shape != (self.n, self.n):
             raise ValueError(f"density matrix: not {self.n} x {self.n}, shape {rho.shape}")

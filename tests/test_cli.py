@@ -628,7 +628,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("policy", ["full", "rank1", "2"])
     def test_rows_are_the_one_instance_route(self, tmp_path, policy):
         # each row rebuilt from its own (master, n, seed) stream, drawn as
-        # run_sweep draws it, through the public one-instance calls
+        # run_sweep draws it, through the public one-instance calls: the
+        # intensities, then the mode rows from the same Generator
         cfg = self.sweep_config(tmp_path, n_min=2, n_max=6, seeds=4, rank_policy=policy, seed=31)
         assert run_sweep(cfg, tmp_path) == 0
         expected = []
@@ -637,7 +638,7 @@ class TestSweepCommand:
             for s in range(4):
                 rng = np.random.default_rng((31, n, s))
                 intensities = rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0)
-                coh = dl.random_coherence(n, rank, int(rng.integers(0, 2**63)))
+                coh = dl.random_coherence(n, rank, rng)
                 r = dl.duality_report(intensities, coh)
                 expected.append(
                     f"{n},{s},{r.v_c!r},{r.d!r},{r.d_prime!r},{r.gamma_n!r},"

@@ -233,6 +233,17 @@ def test_random_coherence_deterministic():
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("n, rank, seed", [(2, 1, 0), (3, 2, 5), (5, 1, 17), (6, 6, 42), (8, 3, 2**63 - 1)])
+def test_random_coherence_takes_a_generator(n, rank, seed):
+    # a Generator is drawn from as it is: the same matrix as its integer
+    # seed, and it moves on by exactly one standard_normal((2, n, rank))
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    coh = dl.random_coherence(n, rank, rng)
+    assert coh.entries.tobytes() == dl.random_coherence(n, rank, seed).entries.tobytes()
+    twin.standard_normal((2, n, rank))
+    assert rng.random() == twin.random()
+
+
 def test_random_coherence_rank_one_fully_coherent():
     for seed in range(10):
         coh = dl.random_coherence(5, 1, seed=seed)

@@ -269,8 +269,10 @@ class TestDensityMatrix:
             (2, [[0.5, 0.1j], [0.1j, 0.5]], "not Hermitian"),
             # once built and gave quantum_coherence 2.0
             (2, [[0.5, 2.0], [2.0, 0.5]], "positive semidefinite"),
+            # once built and gave quantum_coherence nan, dividing by n - 1 = 0
+            (1, [[1.0]], "need at least 2 slits"),
         ],
-        ids=["shape", "nan", "trace", "hermitian", "psd"],
+        ids=["shape", "nan", "trace", "hermitian", "psd", "one_slit"],
     )
     def test_invalid_rho_refused(self, n, rho, fragment):
         with pytest.raises(ValueError, match=fragment):
