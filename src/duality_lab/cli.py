@@ -111,37 +111,41 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
     return _verdict([report])
 
 
-def _sweep_reports(
-    master_seed: int, n: int, seeds: range, rank: int
-) -> list[measures.DualityReport]:
-    """Reports of instances (n, s) for s in seeds, evaluated as one stack.
-    Each instance is drawn from its own (master_seed, n, s) stream: its
-    intensities, then random_coherence(n, rank, rng)'s mode rows from the
-    same Generator."""
-    intensities, rows = [], []
-    alpha = np.ones(n)
-    for s in seeds:
-        rng = np.random.default_rng((master_seed, n, s))
-        # uniform on the intensity simplex, rescaled to exercise scale invariance
-        intensities.append(rng.dirichlet(alpha) * rng.uniform(0.1, 10.0))
-        rows.append(coherence._random_rows(n, rank, rng))
-    g = coherence._hermitian_part(coherence._unit_gram(np.array(rows)))
-    return measures._reports(engine._intensity_rows(np.array(intensities)), g)
+def _sweep_reports(streams, n: int, count: int, rank: int) -> list[measures.DualityReport]:
+    """Reports of the next `count` instances of slit count n, evaluated as
+    one stack.  Each of the shape, scale and mode streams is drawn once, and
+    numpy fills an array in order, so instance s is the (s+1)-th
+    one-instance draw of each stream: its intensities are
+    shape.dirichlet(ones(n)) times scale.uniform(0.1, 10.0), its mode rows
+    those of random_coherence(n, rank, modes)."""
+    shape, scale, modes = streams
+    # uniform on the intensity simplex, rescaled to exercise scale invariance
+    intensities = shape.dirichlet(np.ones(n), count) * scale.uniform(0.1, 10.0, count)[:, None]
+    z = modes.standard_normal((count, 2, n, rank))
+    g = coherence._hermitian_part(coherence._unit_gram(coherence._complex(z[:, 0], z[:, 1])))
+    return measures._reports(engine._intensity_rows(intensities), g)
 
 
 def run_sweep(config, out_dir, seed: int | None = None) -> int:
     """Run the random-instance sweep described by a sweep config and write
     one CSV row per instance plus a trailing summary row, which also names
-    the first instance of largest left-hand side of each relation."""
+    the first instance of largest left-hand side of each relation.  Each
+    slit count n draws its seeds in order from its own three streams, the
+    children of SeedSequence((master, n)), in stacks of at most
+    _STACK_ENTRIES matrix entries; where the stacks are cut moves no row,
+    and a larger `seeds` keeps the rows of a smaller one."""
     try:
         sweep = load_sweep(config, seed_override=seed)
         cases, reports = [], []
         for n in range(sweep.n_min, sweep.n_max + 1):
+            # SeedSequence.spawn, not Generator.spawn, which numpy 1.24 lacks
+            children = np.random.SeedSequence((sweep.seed, n)).spawn(3)
+            streams = [np.random.default_rng(c) for c in children]
             stack = max(1, _STACK_ENTRIES // (n * n))
             for start in range(0, sweep.seeds, stack):
                 seeds = range(start, min(start + stack, sweep.seeds))
                 cases += [(n, s) for s in seeds]
-                reports += _sweep_reports(sweep.seed, n, seeds, sweep.rank or n)
+                reports += _sweep_reports(streams, n, len(seeds), sweep.rank or n)
         pyth_at = max(range(len(reports)), key=lambda k: reports[k].pyth_lhs)
         lin_at = max(range(len(reports)), key=lambda k: reports[k].lin_lhs)
         with open(_out_dir(out_dir) / "sweep.csv", "w", newline="") as f:

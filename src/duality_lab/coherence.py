@@ -329,18 +329,9 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
         raise TooSmall(f"need at least 2 slits, got n={n}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    return validate(_unit_gram(_random_rows(n, rank, seed)))
-
-
-def _random_rows(n: int, rank: int, seed: int | np.random.Generator) -> np.ndarray:
-    """The n x rank complex normal mode rows random_coherence(n, rank, seed)
-    takes the Gram matrix of: real parts, then imaginary parts, each one
-    standard_normal((n, rank)) draw, so a Generator passed in moves on by
-    exactly standard_normal((2, n, rank)).  default_rng returns a Generator
-    unaltered."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # returns a Generator unaltered
     re = rng.standard_normal((n, rank))
-    return _complex(re, rng.standard_normal((n, rank)))
+    return validate(_unit_gram(_complex(re, rng.standard_normal((n, rank)))))
 
 
 def degree_of_coherence(coh: CoherenceMatrix) -> float:

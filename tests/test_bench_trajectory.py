@@ -35,6 +35,18 @@ def test_prints_each_file_in_pr_order_and_first_to_last_ratios(tmp_path, capsys)
         ["BENCH_10", "a", "50.00", "1.250"],
     ]
     assert lines[5:] == [
-        "a: BENCH_9 40.00 -> BENCH_10 50.00, ratio 1.250",
-        "b: BENCH_9 100.00 -> BENCH_9 100.00, ratio 1.000",
+        "a: BENCH_9 40.00 -> BENCH_10 50.00, ratio 1.250; best BENCH_10 50.00, latest/best 1.000",
+        "b: BENCH_9 100.00 -> BENCH_9 100.00, ratio 1.000; best BENCH_9 100.00, latest/best 1.000",
     ]
+
+
+def test_latest_over_best_shows_the_slide_from_the_best_file(tmp_path, capsys):
+    # a rise to BENCH_3, then two small falls: 90 / 120 = 0.75 of the best,
+    # though the last step alone is 0.9 and the first-to-last ratio 1.125;
+    # the tie in BENCH_4 keeps the earlier best
+    for pr, median in ((2, 80.0), (3, 120.0), (4, 120.0), (5, 100.0), (6, 90.0)):
+        (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps(record(w=(median, 1.0))))
+    assert load_script().main(tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "w: BENCH_2 80.00 -> BENCH_6 90.00, ratio 1.125; best BENCH_3 120.00, latest/best 0.750"
+    )

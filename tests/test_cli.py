@@ -627,24 +627,35 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("policy", ["full", "rank1", "2"])
     def test_rows_are_the_one_instance_route(self, tmp_path, policy):
-        # each row rebuilt from its own (master, n, seed) stream, drawn as
-        # run_sweep draws it, through the public one-instance calls: the
-        # intensities, then the mode rows from the same Generator
+        # each row rebuilt from the three streams of its slit count, the
+        # children of SeedSequence((master, n)), one instance at a time
+        # through the public calls: intensities from the shape and scale
+        # streams, the coherence matrix from the mode stream
         cfg = self.sweep_config(tmp_path, n_min=2, n_max=6, seeds=4, rank_policy=policy, seed=31)
         assert run_sweep(cfg, tmp_path) == 0
         expected = []
         for n in range(2, 7):
             rank = {"full": n, "rank1": 1, "2": 2}[policy]
+            shape, scale, modes = (
+                np.random.default_rng(s) for s in np.random.SeedSequence((31, n)).spawn(3)
+            )
             for s in range(4):
-                rng = np.random.default_rng((31, n, s))
-                intensities = rng.dirichlet(np.ones(n)) * rng.uniform(0.1, 10.0)
-                coh = dl.random_coherence(n, rank, rng)
-                r = dl.duality_report(intensities, coh)
+                intensities = shape.dirichlet(np.ones(n)) * scale.uniform(0.1, 10.0)
+                r = dl.duality_report(intensities, dl.random_coherence(n, rank, modes))
                 expected.append(
                     f"{n},{s},{r.v_c!r},{r.d!r},{r.d_prime!r},{r.gamma_n!r},"
                     f"{r.c!r},{r.pyth_lhs!r},{r.lin_lhs!r}"
                 )
         assert (tmp_path / "sweep.csv").read_text().splitlines()[1:-1] == expected
+
+    def test_more_seeds_keep_the_earlier_rows(self, tmp_path):
+        rows = {}
+        for seeds in (3, 6):
+            assert run_sweep(self.sweep_config(tmp_path, seeds=seeds), tmp_path / str(seeds)) == 0
+            lines = (tmp_path / str(seeds) / "sweep.csv").read_text().splitlines()[1:-1]
+            rows[seeds] = [line for line in lines if int(line.split(",")[1]) < 3]
+        assert len(rows[3]) == 3 * 3
+        assert rows[6] == rows[3]
 
     def test_stack_size_leaves_the_file_unchanged(self, tmp_path, monkeypatch):
         cfg = self.sweep_config(tmp_path)
