@@ -36,10 +36,13 @@ EXIT_VIOLATION = 2
 # what bad input (ScenarioError included) or a failed write raises: exit 1
 _INPUT_ERRORS = (ValueError, OSError)
 
+# the output file names, each written inside --out
 PATTERN_CSV = "pattern.csv"
 REPORT_JSON = "report.json"
-_MC_PATTERN_CSV = "mc_pattern.csv"
+MC_PATTERN_CSV = "mc_pattern.csv"
 CONVERGENCE_JSON = "convergence.json"
+ANALYSIS_JSON = "analysis.json"
+SWEEP_CSV = "sweep.csv"
 
 
 def _fail(message) -> NoReturn:
@@ -60,7 +63,7 @@ def _run(sc, out, names, scale_w: bool = False):
     the ensemble, which needs the oracle enabled, are each computed once.
     Returns the files by name, JSON as text, and the report (None unless
     report.json is named)."""
-    ensemble = _MC_PATTERN_CSV in names or CONVERGENCE_JSON in names
+    ensemble = MC_PATTERN_CSV in names or CONVERGENCE_JSON in names
     if ensemble and not sc.oracle_enabled:
         raise ValueError("oracle: not enabled in config")
     files, report = {}, None
@@ -70,7 +73,7 @@ def _run(sc, out, names, scale_w: bool = False):
         report = measures.duality_report(sc.slits.intensities, sc.coherence)
         files[REPORT_JSON] = report.to_json()
     if ensemble:
-        mc = files[_MC_PATTERN_CSV] = oracle.mc_pattern(
+        mc = files[MC_PATTERN_CSV] = oracle.mc_pattern(
             sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
         )
         conv = oracle.convergence_report(mc, files[PATTERN_CSV], sc.oracle_realizations)
@@ -148,7 +151,7 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
                 reports += _sweep_reports(streams, n, len(seeds), sweep.rank or n)
         pyth_at = max(range(len(reports)), key=lambda k: reports[k].pyth_lhs)
         lin_at = max(range(len(reports)), key=lambda k: reports[k].lin_lhs)
-        with open(_out_dir(out_dir) / "sweep.csv", "w", newline="") as f:
+        with open(_out_dir(out_dir) / SWEEP_CSV, "w", newline="") as f:
             f.write("n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n")
             for (n, s), r in zip(cases, reports):
                 f.write(
@@ -257,7 +260,7 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
         "phases_aligned": analysis.aligned_phases(sc.slits, sc.coherence),
         "operational_matches_analytic": abs(v_c_op - v_c_an) <= 1e-6,
     }, indent=2) + "\n"
-    (_out_dir(out) / "analysis.json").write_text(text)
+    (_out_dir(out) / ANALYSIS_JSON).write_text(text)
     click.echo(text, nl=False)
 
 
@@ -270,7 +273,7 @@ def mc_validate_cmd(config, out, scale_w, seed):
     """Run the Monte-Carlo oracle and write its pattern CSV plus the
     convergence report JSON."""
     sc = load_scenario(config, seed_override=seed)
-    files, _ = _run(sc, out, (_MC_PATTERN_CSV, CONVERGENCE_JSON), scale_w or sc.scale_w)
+    files, _ = _run(sc, out, (MC_PATTERN_CSV, CONVERGENCE_JSON), scale_w or sc.scale_w)
     click.echo(files[CONVERGENCE_JSON], nl=False)
 
 

@@ -13,11 +13,14 @@ evaluates each n as one stack, and validate(), from_modes() and
 random_coherence() are the no-batch case of the same cores, with the same
 bits.
 
-Every complex value that reaches an output is formed here from real and
-imaginary parts by elementwise real ufuncs in a fixed order: _product is the
-package's one complex matrix product (the oracle's too), every modulus is
-libm's hypot of the two parts (_modulus), every row norm the sqrt of the row
-sum of re^2 + im^2 (_row_norms), and _complex joins parts by copying them.
+Every complex value that reaches an output is formed from real and
+imaginary parts by elementwise real ufuncs in a fixed order.  Here, _product
+is the package's one complex matrix product, which the oracle also uses for
+its fields F c and for F W F^dagger; the oracle's sum W of the c c^dagger
+is not a _product call but oracle._outer_sum's own real arithmetic, a fixed
+pairwise tree.  Every modulus is libm's hypot of the two parts (_modulus),
+every row norm the sqrt of the row sum of re^2 + im^2 (_row_norms), and
+_complex joins parts by copying them.
 No BLAS call and no numpy complex multiply, division or modulus enters g, so
 its bits do not depend on the BLAS kernel or on which SIMD loops numpy
 dispatches to.  The tolerance checks that accept or refuse a matrix or a

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,20 +12,10 @@ import duality_lab as dl
 from duality_lab import analysis, cli, engine, measures, oracle
 from duality_lab.cli import main, run_scenario, run_sweep
 
-REPO = Path(__file__).resolve().parents[1]
+from goldens import GOLDENS, REPO, ROOT as GOLDEN_ROOT, differing, produce
+
 THREE_SLIT = REPO / "scenarios" / "three_slit.json"
-GOLDEN_ROOT = REPO / "tests" / "golden"
 GOLDEN = GOLDEN_ROOT / "three_slit"
-SCENARIO_FILES = ("pattern.csv", "report.json", "convergence.json")
-# every golden: its input, the cli runner that writes it and its files; the
-# outputs sit in tests/golden/<name>/, next to the input unless that is the
-# bundled scenario
-GOLDENS = {
-    "three_slit": (THREE_SLIT, "run_scenario", SCENARIO_FILES),
-    "modes_polarized": (GOLDEN_ROOT / "modes_polarized" / "config.json", "run_scenario", SCENARIO_FILES),
-    "random_phases": (GOLDEN_ROOT / "random_phases" / "config.json", "run_scenario", SCENARIO_FILES),
-    "random_sweep": (GOLDEN_ROOT / "random_sweep" / "config.json", "run_sweep", ("sweep.csv",)),
-}
 # numpy's dispatch targets found on this CPU, derived as the CI workflow
 # does; none are found where they are disabled already
 FOUND_SIMD = " ".join(np.__config__.CONFIG["SIMD Extensions"].get("found", []))
@@ -781,57 +770,50 @@ class TestRunScenario:
         assert run_scenario(bad, tmp_path / "out") == 1
 
     def test_golden_files(self, tmp_path):
-        # frozen outputs of the bundled scenario, of a polarized modes
-        # scenario, of a random-coherence scenario with slit phases and of a
-        # random-coherence sweep, compared byte for byte.  Every complex value
-        # behind them, g included, is formed by fixed-order IEEE-754
-        # arithmetic in real ufuncs, plus the platform libm's cos/sin/hypot;
-        # the oracle and the random rows also rest on numpy's seeded
-        # Generator stream.  No LAPACK or BLAS routine and no numpy complex
-        # ufunc enters them.  tests/test_engine.py rebuilds the frozen
-        # three-slit pattern bit for bit from that arithmetic alone.
-        # Regenerating the goldens with scripts/regen_goldens.py is a change
-        # of behaviour and is logged in CHANGES.md.
-        for name, (config, runner_name, files) in GOLDENS.items():
-            out = tmp_path / name
-            assert getattr(cli, runner_name)(config, out) == 0, name
-            for file in files:
-                frozen = (GOLDEN_ROOT / name / file).read_bytes()
-                assert (out / file).read_bytes() == frozen, f"{name}/{file} deviates from golden copy"
+        # every golden in the table of tests/goldens.py, compared byte for
+        # byte.  Every complex value behind them, g included, is formed by
+        # fixed-order IEEE-754 arithmetic in real ufuncs, plus the platform
+        # libm's cos/sin/hypot/exp; the oracle and the random rows also rest
+        # on numpy's seeded Generator stream.  No LAPACK or BLAS routine and
+        # no numpy complex ufunc enters them.  tests/test_engine.py rebuilds
+        # the frozen three-slit pattern bit for bit from that arithmetic
+        # alone.  Regenerating the goldens with scripts/regen_goldens.py is a
+        # change of behaviour and is logged in CHANGES.md.
+        for name in GOLDENS:
+            assert produce(name, tmp_path / name) == 0, name
+            assert differing(name, tmp_path / name) == [], name
+
+    def test_golden_table_lists_every_golden(self):
+        # the table is the one list of goldens: a directory without a row, a
+        # row without its config or files, or a file nobody produces fails
+        assert {p.name for p in GOLDEN_ROOT.iterdir() if p.is_dir()} == set(GOLDENS)
+        for name, (config, files) in GOLDENS.items():
+            present = {p.name for p in (GOLDEN_ROOT / name).iterdir()} - {"config.json"}
+            assert config.is_file() and present == set(files), name
 
     @pytest.mark.parametrize(
         "name, setting",
         [
-            (name, setting)
+            # the bundled scenario's cases keep their ids, the setting's alone
+            pytest.param(name, setting, id=label if name == "three_slit" else f"{name}-{label}")
             for name in GOLDENS
-            for setting in (
-                {"OPENBLAS_CORETYPE": "Haswell"},
-                {"NPY_DISABLE_CPU_FEATURES": FOUND_SIMD},
-                {"OPENBLAS_CORETYPE": "Sandybridge"},
+            for label, setting in (
+                ("openblas-haswell", {"OPENBLAS_CORETYPE": "Haswell"}),
+                ("npy-dispatch-disabled", {"NPY_DISABLE_CPU_FEATURES": FOUND_SIMD} if FOUND_SIMD else {}),
+                ("openblas-sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"}),
             )
-        ],
-        # the bundled scenario's cases keep their ids, the setting's alone
-        ids=[
-            ("" if name == "three_slit" else f"{name}-") + label
-            for name in GOLDENS
-            for label in ("openblas-haswell", "npy-dispatch-disabled", "openblas-sandybridge")
         ],
     )
     def test_golden_files_under_other_kernels(self, tmp_path, name, setting):
         # the goldens must not depend on which BLAS kernel or SIMD loops the
         # process picks; each setting is the child process's own, and an
         # empty one leaves the inherited environment as it is
-        config, runner_name, files = GOLDENS[name]
-        path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-        setting = {key: value for key, value in setting.items() if value}
+        path = [str(REPO / "src"), str(REPO / "tests"), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        script = f"import sys, duality_lab.cli as c; sys.exit(c.{runner_name}(*sys.argv[1:]))"
+        script = "import sys, goldens; sys.exit(goldens.produce(*sys.argv[1:]))"
         child = subprocess.run(
-            [sys.executable, "-c", script, str(config), str(tmp_path)],
+            [sys.executable, "-c", script, name, str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        for file in files:
-            produced = (tmp_path / file).read_bytes()
-            frozen = (GOLDEN_ROOT / name / file).read_bytes()
-            assert produced == frozen, f"{name}/{file} deviates under {setting}"
+        assert differing(name, tmp_path) == [], f"{name} deviates under {setting}"
