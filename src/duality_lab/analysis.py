@@ -158,18 +158,16 @@ def _bad_row(path, numbers, rows) -> ValueError | None:
     return None
 
 
-def load_pattern_csv(
-    path, n: int, fringe_width: float, scale_w: bool = False
-) -> InterferencePattern:
+def load_pattern_csv(path, n: int, fringe_width: float) -> InterferencePattern:
     """Re-import an `x,total,incoherent` CSV written by the engine.
 
     The CSV carries no geometry metadata, so the caller supplies the slit
-    count and the fringe width (engine.fringe_width); when the file was
-    written with positions in fringe-width units, pass scale_w=True to
-    recover metres.  The first line must be the engine's header and at least
-    one data row must follow; every cell must be a finite number and x must
-    strictly increase (NonIncreasingGrid otherwise).  Errors name the line
-    of the file, blank lines counted.
+    count and the fringe width in the file's unit: engine.fringe_width for
+    x in metres, 1.0 for x in fringe widths; x is returned as written.  The
+    first line must be the engine's header and at least one data row must
+    follow; every cell must be a finite number and x must strictly increase
+    (NonIncreasingGrid otherwise).  Errors name the line of the file, blank
+    lines counted.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -209,8 +207,6 @@ def load_pattern_csv(
             f"{path}: line {numbers[row]}: x {float(x[row])!r} does not exceed the "
             f"previous row's {float(x[row - 1])!r}"
         )
-    if scale_w:
-        x = x * fringe_width
     return InterferencePattern(
         grid=x, total=data[:, 1], incoherent=data[:, 2], n=n, fringe_width=fringe_width
     )

@@ -58,30 +58,32 @@ def _out_dir(out) -> Path:
 
 
 def _run(sc, out, names, scale_w: bool = False):
-    """Compute the named output files of scenario sc, then create `out` and
-    write them (CSV x in fringe widths if scale_w).  The analytic pattern and
-    the ensemble, which needs the oracle enabled, are each computed once.
+    """Compute the named output files of scenario sc, each pattern once and in
+    fringe widths if scale_w or sc.scale_w, then create `out` and write them.
     Returns the files by name, JSON as text, and the report (None unless
     report.json is named)."""
+    def in_unit(pat):
+        return pat.in_fringe_widths() if scale_w or sc.scale_w else pat
+
     ensemble = MC_PATTERN_CSV in names or CONVERGENCE_JSON in names
     if ensemble and not sc.oracle_enabled:
         raise ValueError("oracle: not enabled in config")
     files, report = {}, None
     if PATTERN_CSV in names or ensemble:
-        files[PATTERN_CSV] = engine.pattern(sc.slits, sc.coherence, sc.geometry)
+        files[PATTERN_CSV] = in_unit(engine.pattern(sc.slits, sc.coherence, sc.geometry))
     if REPORT_JSON in names:
         report = measures.duality_report(sc.slits.intensities, sc.coherence)
         files[REPORT_JSON] = report.to_json()
     if ensemble:
-        mc = files[MC_PATTERN_CSV] = oracle.mc_pattern(
+        mc = files[MC_PATTERN_CSV] = in_unit(oracle.mc_pattern(
             sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
-        )
+        ))
         conv = oracle.convergence_report(mc, files[PATTERN_CSV], sc.oracle_realizations)
         files[CONVERGENCE_JSON] = json.dumps(conv, indent=2) + "\n"
     out = _out_dir(out)
     for name in names:
         if name.endswith(".csv"):
-            engine.write_pattern_csv(files[name], out / name, scale_w=scale_w)
+            engine.write_pattern_csv(files[name], out / name)
         else:
             (out / name).write_text(files[name])
     return files, report
@@ -107,7 +109,7 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
     try:
         sc = load_scenario(config, seed_override=seed)
         names = (PATTERN_CSV, REPORT_JSON) + ((CONVERGENCE_JSON,) if sc.oracle_enabled else ())
-        _, report = _run(sc, out_dir, names, sc.scale_w)
+        _, report = _run(sc, out_dir, names)
     except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
@@ -210,12 +212,11 @@ def main():
 @main.command("pattern")
 @_config_opt
 @_out_opt
-@click.option("--scale-w", is_flag=True, help="Write x in fringe-width units.")
+@click.option("--scale-w", is_flag=True, help="Write positions in fringe-width units.")
 @_seed_opt
 def pattern_cmd(config, out, scale_w, seed):
     """Compute the analytic pattern and write pattern CSV."""
-    sc = load_scenario(config, seed_override=seed)
-    _run(sc, out, (PATTERN_CSV,), scale_w or sc.scale_w)
+    _run(load_scenario(config, seed_override=seed), out, (PATTERN_CSV,), scale_w)
     click.echo(f"wrote {Path(out) / PATTERN_CSV}")
 
 
@@ -246,8 +247,8 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
     Reports both the operational and the analytic corrected visibility and
     flags disagreement when the pair phases are not aligned."""
     sc = load_scenario(config, seed_override=seed)
-    width = engine.fringe_width(sc.geometry, sc.slits)
-    pat = analysis.load_pattern_csv(csv_path, sc.slits.n, width, scale_w=scale_w or sc.scale_w)
+    width = 1.0 if scale_w or sc.scale_w else engine.fringe_width(sc.geometry, sc.slits)
+    pat = analysis.load_pattern_csv(csv_path, sc.slits.n, width)
     peak = analysis.find_primary_max(pat)
     v_c_op = analysis.extract_vc(pat)
     v_c_an = measures.visibility_analytic(sc.slits.intensities, sc.coherence)
@@ -267,13 +268,13 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
 @main.command("mc-validate")
 @_config_opt
 @_out_opt
-@click.option("--scale-w", is_flag=True, help="Write x in fringe-width units.")
+@click.option("--scale-w", is_flag=True, help="Write positions in fringe-width units.")
 @_seed_opt
 def mc_validate_cmd(config, out, scale_w, seed):
     """Run the Monte-Carlo oracle and write its pattern CSV plus the
     convergence report JSON."""
     sc = load_scenario(config, seed_override=seed)
-    files, _ = _run(sc, out, (MC_PATTERN_CSV, CONVERGENCE_JSON), scale_w or sc.scale_w)
+    files, _ = _run(sc, out, (MC_PATTERN_CSV, CONVERGENCE_JSON), scale_w)
     click.echo(files[CONVERGENCE_JSON], nl=False)
 
 

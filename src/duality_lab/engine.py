@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -215,7 +215,7 @@ class ScreenGeometry:
 @dataclass(frozen=True)
 class InterferencePattern:
     """Sampled total intensity with its incoherent reference pattern, the
-    slit count and the spacing of adjacent primary maxima in metres."""
+    slit count and the spacing of adjacent primary maxima in the grid's unit."""
 
     grid: np.ndarray
     total: np.ndarray
@@ -228,6 +228,10 @@ class InterferencePattern:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+
+    def in_fringe_widths(self) -> InterferencePattern:
+        """This pattern with x in fringe widths: grid / fringe_width, width 1."""
+        return replace(self, grid=self.grid / self.fringe_width, fringe_width=1.0)
 
 
 def fringe_width(geometry: ScreenGeometry, slits: SlitArray) -> float:
@@ -462,8 +466,8 @@ def intensity_at(
     return float(screen_pattern(slits, geometry, x, a_re, a_im).total[0])
 
 
-def write_pattern_csv(pat: InterferencePattern, path, scale_w: bool = False) -> None:
-    """Write `x,total,incoherent` rows; x in units of the fringe width if scale_w.
+def write_pattern_csv(pat: InterferencePattern, path) -> None:
+    """Write `x,total,incoherent` rows, x in the unit of pat.grid.
 
     Floats use shortest round-trip repr with a `.` decimal point, so files
     are byte-stable and locale independent.  Each block of _CSV_BLOCK_ROWS
@@ -472,16 +476,15 @@ def write_pattern_csv(pat: InterferencePattern, path, scale_w: bool = False) -> 
     the uniform envelope's incoherent column sum_i I_i does) is formatted
     once and reused on each row.  Neither changes a byte of the file.
     """
-    xs = pat.grid / pat.fringe_width if scale_w else pat.grid
     inc = pat.incoherent
     bits = inc.view(np.int64)
     # bits, not float ==, so 0.0 and -0.0 keep their own reprs
     tail = f",{inc[0].item()!r}\n" if bits.size and (bits == bits[0]).all() else None
     with open(path, "w", newline="") as f:
         f.write(",".join(_CSV_COLUMNS) + "\n")
-        for start in range(0, xs.size, _CSV_BLOCK_ROWS):
+        for start in range(0, pat.grid.size, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            cols = xs[block].tolist(), pat.total[block].tolist()
+            cols = pat.grid[block].tolist(), pat.total[block].tolist()
             if tail is None:
                 rows = [f"{x!r},{t!r},{i!r}\n" for x, t, i in zip(*cols, inc[block].tolist())]
             else:

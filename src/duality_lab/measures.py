@@ -148,10 +148,13 @@ class BeamDensityMatrix:
             raise ValueError(f"density matrix: not {self.n} x {self.n}, shape {rho.shape}")
         if not np.isfinite(rho).all():
             raise ValueError("density matrix: not finite")
-        trace = float(np.trace(rho).real)
+        # entries near the float limit overflow the trace or the deviation
+        # to inf, which the tolerances refuse
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(rho).real)
+            herm_dev = float(np.max(_modulus(rho - rho.conj().T)))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix: not of unit trace, trace {trace!r}")
-        herm_dev = float(np.max(_modulus(rho - rho.conj().T)))
         if herm_dev > HERMITIAN_TOL:
             raise ValueError(f"density matrix: not Hermitian, max |rho_ij - conj(rho_ji)| = {herm_dev:.3e}")
         lowest = float(np.linalg.eigvalsh(rho)[0])

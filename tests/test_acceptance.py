@@ -14,27 +14,12 @@ from duality_lab.cli import run_sweep
 from duality_lab.oracle import mc_pattern
 
 from exact_reference import EPS, bounds, deviations, exact
-
-WAVELENGTH = 500e-9
-DISTANCE = 1.0
-SPACING = 50e-6
-W = WAVELENGTH * DISTANCE / SPACING
+from optics import DISTANCE, SPACING, WAVELENGTH, W, aligned_coherence, coherence_with
 
 
 def verdict(num, ok, detail):
     print(f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def coherence_with(g, n=2):
-    m = np.ones((n, n), dtype=complex) * g
-    np.fill_diagonal(m, 1.0)
-    return dl.validate(m)
-
-
-def aligned_coherence(n, seed):
-    rng = np.random.default_rng(seed)
-    return dl.from_modes(dl.ModeDecomposition(np.abs(rng.standard_normal((n, n)))))
 
 
 @pytest.fixture(scope="module")

@@ -11,24 +11,7 @@ from duality_lab.analysis import (
     ZeroIncoherentIntensity,
     aligned_phases,
 )
-
-WAVELENGTH = 500e-9
-DISTANCE = 1.0
-SPACING = 50e-6
-W = WAVELENGTH * DISTANCE / SPACING
-
-
-def coherence_with(g, n=2):
-    m = np.ones((n, n), dtype=complex) * g
-    np.fill_diagonal(m, 1.0)
-    return dl.validate(m)
-
-
-def aligned_coherence(n, seed):
-    # Gram matrix of nonnegative rows: real nonnegative entries, so every
-    # pair phase is zero and all cosines peak together at x = 0
-    rng = np.random.default_rng(seed)
-    return dl.from_modes(dl.ModeDecomposition(np.abs(rng.standard_normal((n, n)))))
+from optics import DISTANCE, SPACING, WAVELENGTH, W, aligned_coherence, coherence_with
 
 
 def make_pattern(intensities, coh, samples=4097, **kw):

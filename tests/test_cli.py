@@ -272,6 +272,30 @@ class TestMcValidateCommand:
         assert run_scenario(cfg, tmp_path / "out") == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("scaled_by", ["config", "flag"])
+    def test_scaled_positions_in_the_csv_unit(self, runner, tmp_path, scaled_by):
+        # under scale_w every position a run writes is in fringe widths:
+        # convergence.json at_x was once in metres beside fringe-width CSVs
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        cfg_obj["oracle"]["realizations"] = 500
+        cfg_obj["outputs"]["scale_w"] = scaled_by == "config"
+        cfg = write_scenario(tmp_path, cfg_obj)
+        flag = ["--scale-w"] if scaled_by == "flag" else []
+        for command in ("mc-validate", "pattern"):
+            args = [command, "--config", str(cfg), "--out", str(tmp_path)]
+            result = runner.invoke(main, args + flag)
+            assert result.exit_code == 0, result.output
+        conv = json.loads((tmp_path / "convergence.json").read_text())
+        lines = (tmp_path / "mc_pattern.csv").read_text().splitlines()[1:]
+        assert repr(conv["at_x"]) in {line.split(",")[0] for line in lines}
+        result = runner.invoke(
+            main,
+            ["analyze", "--config", str(cfg), "--csv", str(tmp_path / "pattern.csv"),
+             "--out", str(tmp_path)] + flag,
+        )
+        assert result.exit_code == 0, result.output
+        assert abs(json.loads((tmp_path / "analysis.json").read_text())["x_star"]) <= 0.5
+
     def test_disabled_oracle_exits_one(self, runner, tmp_path):
         cfg = saturated_two_slit(tmp_path)
         result = runner.invoke(main, ["mc-validate", "--config", str(cfg), "--out", str(tmp_path)])

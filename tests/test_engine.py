@@ -12,23 +12,13 @@ import pytest
 
 import duality_lab as dl
 from duality_lab.engine import SPEED_OF_LIGHT, mutual_intensity, pivoted_cholesky, slit_positions
+from optics import DISTANCE, SPACING, WAVELENGTH, W, coherence_with
 
 REPO = Path(__file__).resolve().parents[1]
-
-WAVELENGTH = 500e-9
-DISTANCE = 1.0
-SPACING = 50e-6
-W = WAVELENGTH * DISTANCE / SPACING  # 0.01 m
 
 
 def two_slits(i1=1.0, i2=1.0):
     return dl.SlitArray(intensities=[i1, i2], spacing=SPACING)
-
-
-def coherence_with(g, n=2):
-    m = np.ones((n, n), dtype=complex) * g
-    np.fill_diagonal(m, 1.0)
-    return dl.validate(m)
 
 
 def geometry(samples=4097, **kw):
@@ -686,11 +676,11 @@ class TestCsv:
         slits = two_slits()
         pat = dl.pattern(slits, coherence_with(0.5), geometry(samples=257))
         path = tmp_path / "pattern_w.csv"
-        dl.write_pattern_csv(pat, path, scale_w=True)
+        dl.write_pattern_csv(pat.in_fringe_widths(), path)
         first = path.read_text().splitlines()[1].split(",")
         assert float(first[0]) == pytest.approx(-4.0)  # window spans +-4 fringes
-        back = dl.load_pattern_csv(path, n=2, fringe_width=W, scale_w=True)
-        assert np.allclose(back.grid, pat.grid, rtol=1e-15)
+        back = dl.load_pattern_csv(path, n=2, fringe_width=1.0)
+        assert np.array_equal(back.grid, pat.grid / W)
 
     @pytest.mark.parametrize(
         "case",
@@ -712,7 +702,7 @@ class TestCsv:
             pat = dl.pattern(two_slits(1.0, 0.3), coherence_with(0.4), geometry(**envelope))
         scale_w = case == "scale_w"
         path = tmp_path / "pattern.csv"
-        dl.write_pattern_csv(pat, path, scale_w=scale_w)
+        dl.write_pattern_csv(pat.in_fringe_widths() if scale_w else pat, path)
         xs = pat.grid / pat.fringe_width if scale_w else pat.grid
         rows = zip(xs.tolist(), pat.total.tolist(), pat.incoherent.tolist())
         reference = "x,total,incoherent\n" + "".join(f"{x!r},{t!r},{inc!r}\n" for x, t, inc in rows)

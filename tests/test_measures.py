@@ -14,12 +14,7 @@ from duality_lab.coherence import NotPositiveSemidefinite, _hermitian_part
 from duality_lab.measures import ZeroTotalIntensity, _reports
 
 from exact_reference import EPS, bounds, deviations, exact
-
-
-def coherence_with(g, n=2):
-    m = np.ones((n, n), dtype=complex) * g
-    np.fill_diagonal(m, 1.0)
-    return dl.validate(m)
+from optics import coherence_with
 
 
 def naive_visibility(intensities, coh):
@@ -271,8 +266,14 @@ class TestDensityMatrix:
             (2, [[0.5, 2.0], [2.0, 0.5]], "positive semidefinite"),
             # once built and gave quantum_coherence nan, dividing by n - 1 = 0
             (1, [[1.0]], "need at least 2 slits"),
+            # once warned of overflow instead of refusing
+            (2, [[1e308, 0.0], [0.0, 1e308]], "unit trace"),
+            (2, [[0.5, 1e308], [-1e308, 0.5]], "not Hermitian"),
         ],
-        ids=["shape", "nan", "trace", "hermitian", "psd", "one_slit"],
+        ids=[
+            "shape", "nan", "trace", "hermitian", "psd", "one_slit",
+            "trace_overflow", "hermitian_overflow",
+        ],
     )
     def test_invalid_rho_refused(self, n, rho, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -20,16 +20,8 @@ from duality_lab.oracle import (
     realize_fields,
 )
 from duality_lab.scenario import load_scenario
+from optics import DISTANCE, SPACING, WAVELENGTH, aligned_coherence
 from test_engine import double_sum_tolerance
-
-WAVELENGTH = 500e-9
-DISTANCE = 1.0
-SPACING = 50e-6
-
-
-def aligned_coherence(n, seed):
-    rng = np.random.default_rng(seed)
-    return dl.from_modes(dl.ModeDecomposition(np.abs(rng.standard_normal((n, n)))))
 
 
 def standard_setup(samples=4096):
