@@ -247,17 +247,27 @@ def analyze_cmd(config, csv_path, out, scale_w, seed):
     Reports both the operational and the analytic corrected visibility and
     flags disagreement when the pair phases are not aligned."""
     sc = load_scenario(config, seed_override=seed)
-    width = 1.0 if scale_w or sc.scale_w else engine.fringe_width(sc.geometry, sc.slits)
+    if scale_w or sc.scale_w:
+        width = 1.0
+        unit = "x read in fringe widths, as --scale-w or outputs.scale_w asks; without both, in metres"
+    else:
+        width = engine.fringe_width(sc.geometry, sc.slits)
+        unit = f"x read in metres (fringe width {width:.6g} m); --scale-w reads x in fringe widths"
     pat = analysis.load_pattern_csv(csv_path, sc.slits.n, width)
-    peak = analysis.find_primary_max(pat)
-    v_c_op = analysis.extract_vc(pat)
+    try:
+        peak = analysis.find_primary_max(pat)
+        v_c_op = analysis.extract_vc(pat)
+        michelson = analysis.extract_michelson(pat)
+    except (analysis.UndersampledGrid, analysis.EmptyWindow) as exc:
+        # a CSV read in the other unit fails here, so say which unit was read
+        raise type(exc)(f"{exc}: {unit}") from exc
     v_c_an = measures.visibility_analytic(sc.slits.intensities, sc.coherence)
     text = json.dumps({
         "x_star": peak.x_star,
         "i_max": peak.i_max,
         "v_c_operational": v_c_op,
         "v_c_analytic": v_c_an,
-        "michelson": analysis.extract_michelson(pat),
+        "michelson": michelson,
         "phases_aligned": analysis.aligned_phases(sc.slits, sc.coherence),
         "operational_matches_analytic": abs(v_c_op - v_c_an) <= 1e-6,
     }, indent=2) + "\n"

@@ -16,9 +16,11 @@ sample gives the first harmonic, and each higher one follows from the
 previous by multiplies and adds; rounding dust below zero is clipped.  The
 exact phase model factors A = F F^H by pivoted Cholesky and sums
 sum_m |sum_i F_im u_i(x)|^2, which is nonnegative and costs O(r n) per
-sample for a rank-r A.  Only elementwise IEEE-754 operations in a fixed
-order (sqrt among them) and the platform libm's cos, sin and, for the exact
-phase model, hypot enter the form, so its bits are reproducible.
+sample for a rank-r A; each phasor u_i comes from slit i's path excess over
+the wavelength, reduced to one cycle, so libm takes cos and sin of angles in
+[-pi, pi].  Only elementwise IEEE-754 operations in a fixed order (sqrt and
+rint among them) and the platform libm's cos and sin enter the form, so its
+bits are reproducible.
 screen_pattern is the one evaluator of that form: the analytic pattern
 passes A from mutual_intensity, the Monte-Carlo oracle its ensemble
 covariance.
@@ -253,7 +255,13 @@ def slit_positions(n: int, spacing: float) -> np.ndarray:
 
 
 def delay(geometry: ScreenGeometry, slits: SlitArray, i: int, j: int, x: float) -> float:
-    """Relative propagation delay tau_ij = t_i - t_j at screen position x, seconds."""
+    """Relative propagation delay tau_ij = t_i - t_j at screen position x, seconds.
+
+    The exact model takes the difference of the absolute paths
+    hypot(distance, x - pos), each rounded to about eps * distance, which
+    the pattern kernel never forms: this scalar route stays independent of
+    the kernel's path excess, for double-sum references to check it against.
+    """
     n = slits.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"slit indices ({i}, {j}) out of range for n={n}")
@@ -359,9 +367,8 @@ def _intensity_samples(
     # in a form that is real by construction, using only correctly rounded
     # scalar sums and elementwise real ufuncs applied in a fixed order (no
     # einsum, BLAS or multi-element numpy reduction).  Each sample's bits then
-    # depend only on IEEE-754 arithmetic and on the platform libm's cos/sin
-    # (and hypot in the exact model), which is what makes seeded outputs
-    # byte-stable.
+    # depend only on IEEE-754 arithmetic and on the platform libm's cos/sin,
+    # which is what makes seeded outputs byte-stable.
     n = slits.n
     if geometry.phase_model == "small_angle":
         # u_i(x) = exp(i*i*theta) with theta = scale*x, so q is the
@@ -400,18 +407,59 @@ def _intensity_samples(
             np.multiply(z_im, im, out=term)
             q -= term
     else:
-        # A = F F^H, so q(x) = sum_m |s_m(x)|^2 with s_m = sum_i F_im u_i(x):
-        # u_i(x) = exp(i omega t_i(x)) from exact path lengths, accumulated
-        # slit by slit in pivot order over the nonzero prefix of F's row.
+        # A = F F^H, so q(x) = sum_m |s_m(x)|^2 with s_m = sum_i F_im u_i(x),
+        # accumulated slit by slit in pivot order over the nonzero prefix of
+        # F's row.  u_i(x) = exp(2 pi i c_i(x)) with c_i = (r_i - L) / lambda
+        # the path excess of slit i in cycles, r_i = sqrt(L^2 + d^2) and
+        # d = x - pos_i: the common phase exp(i k L) drops out of every
+        # |s_m|^2.  c_i is formed without cancellation as
+        # d^2 / ((sqrt(L^2 + d^2) + L) lambda), and theta = 2 pi (c_i -
+        # rint(c_i)) lies in [-pi, pi], so libm's cos/sin need no large
+        # argument reduction.  Every step is correctly rounded (u = eps/2):
+        # d^2 carries 3u, the denominator 5u and the quotient u, so to first
+        # order c_i is within 9u |c_i| of the excess of the float x and pos_i.
+        # Subtracting rint(c_i) is exact, and the product with the float 2 pi
+        # adds at most 2 pi u, so theta is within 2 pi u (9 |c_i| + 1) of the
+        # true phase modulo 2 pi.  At 1 m and 500 nm, c_i is about 1600
+        # cycles 4 fringe widths off axis, so the bound is 1.0e-11 rad there
+        # and shrinks as d^2 towards the axis, where omega t_i from an
+        # absolute path of about L metres would err by about
+        # 2 pi eps L / lambda, 2.8e-9 rad, at every x.
+        # c_i is homogeneous of degree 0 in (x, pos, L, lambda), so all four
+        # are multiplied by the one power of two 2^shift that puts the
+        # largest of them in [2^509, 2^510).  That is exact, so the bits are
+        # those of the unscaled steps whenever neither over- or underflows.
+        # At any finite geometry d^2 stays below 2^1022, L^2 + d^2 below
+        # 2^1023 and the denominator below 2^1022; the denominator is at
+        # least L lambda 2^(2 shift), a normal float unless L lambda is below
+        # 2^-2040 times the square of the largest of the four.
         perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
         rank = f_re.shape[1]
         pos = slit_positions(n, slits.spacing)
-        wavenumber = 2.0 * np.pi / geometry.wavelength
+        distance, wavelength = geometry.distance, geometry.wavelength
+        largest = max(distance, wavelength, float(np.max(np.abs(x))), float(np.max(np.abs(pos))))
+        # 2^shift itself can lie outside the floats, so ldexp applies it
+        shift = 510 - math.frexp(largest)[1]
+        x_s, pos_s = np.ldexp(x, shift), np.ldexp(pos, shift).tolist()
+        dist_s, wave_s = math.ldexp(distance, shift), math.ldexp(wavelength, shift)
+        dist_sq = dist_s * dist_s
         s_re = np.zeros((rank, x.size))
         s_im = np.zeros((rank, x.size))
+        theta, den = np.empty_like(x), np.empty_like(x)
+        cos, sin = np.empty_like(x), np.empty_like(x)
         for k, i in enumerate(perm.tolist()):
-            theta = wavenumber * np.hypot(geometry.distance, x - pos[i])
-            cos, sin = np.cos(theta), np.sin(theta)
+            np.subtract(x_s, pos_s[i], out=theta)  # d
+            theta *= theta
+            np.add(theta, dist_sq, out=den)
+            np.sqrt(den, out=den)
+            den += dist_s
+            den *= wave_s
+            theta /= den  # c_i
+            np.rint(theta, out=den)
+            theta -= den
+            theta *= 2.0 * np.pi
+            np.cos(theta, out=cos)
+            np.sin(theta, out=sin)
             m = min(k + 1, rank)
             row_re, row_im = f_re[i, :m, None], f_im[i, :m, None]
             s_re[:m] += row_re * cos

@@ -1,4 +1,5 @@
-"""50-digit reference for the closed-form measures and both duality relations.
+"""50-digit references for the closed-form measures, both duality relations
+and the exact phase model's pattern.
 
 `exact(intensities, coh)` evaluates s, V_C, D^2, D', gamma_n, C and both
 left-hand sides with stdlib decimal from the same float inputs the library
@@ -14,6 +15,13 @@ computation in measures.py can have from the reference: each step is
 counted in units of the unit roundoff u = 2^-53 and the count k becomes
 gamma_k = k u / (1 - k u).  The counts are for the worst summation order,
 so they hold for any order numpy picks.
+
+`exact_pattern(a_re, a_im, pos, distance, wavelength, x)` evaluates the
+exact phase model's sum_ij A_ij e^{ik(r_i - r_j)} at one screen position from
+the float inputs, and the largest path excess (r_i - L) / lambda in cycles
+there.  r_i is Decimal.sqrt of L^2 + (x - pos_i)^2, the phase k r_i is
+reduced by a 60-digit 2 pi, and cos and sin are the Taylor series recipes of
+the decimal module's documentation.
 """
 
 from decimal import Decimal, localcontext
@@ -21,6 +29,8 @@ from typing import NamedTuple
 
 U = 2.0**-53
 EPS = 2.0**-52
+# 2 pi to 60 digits
+TWO_PI = 2 * Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 # |z| of a complex double: the scaled form larger * sqrt(1 + r^2) is within
 # 3.25u of the true modulus, rounded up here to cover any hypot
 MODULUS_U = 4
@@ -147,3 +157,59 @@ def deviations(report, ref: Exact) -> PerMeasure:
             pyth=float(abs(Decimal(report.pyth_lhs) - ref.pyth)),
             lin=float(abs(Decimal(report.lin_lhs) - ref.lin)),
         )
+
+
+def _cos(x: Decimal) -> Decimal:
+    """cos(x) by its Taylor series, as in the decimal module's recipes."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        i, lasts, total, fact, num, sign = 0, 0, Decimal(1), 1, Decimal(1), 1
+        while total != lasts:
+            lasts = total
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            total += num / fact * sign
+    return +total
+
+
+def _sin(x: Decimal) -> Decimal:
+    """sin(x) by its Taylor series, as in the decimal module's recipes."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        i, lasts, total, fact, num, sign = 1, 0, x, 1, x, 1
+        while total != lasts:
+            lasts = total
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            total += num / fact * sign
+    return +total
+
+
+def exact_pattern(a_re, a_im, pos, distance, wavelength, x) -> tuple[float, float]:
+    """(q, c_max) at screen position x: q = sum_ij A_ij e^{ik(r_i - r_j)}
+    with k = 2 pi / lambda, r_i = sqrt(L^2 + (x - pos_i)^2), read from A's
+    diagonal and lower triangle, and c_max the largest (r_i - L) / lambda,
+    both at 50 digits from the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        big_l, lam, x = Decimal(distance), Decimal(wavelength), Decimal(x)
+        phasors, c_max = [], Decimal(0)
+        for p in pos:
+            r = (big_l * big_l + (x - Decimal(p)) ** 2).sqrt()
+            c_max = max(c_max, (r - big_l) / lam)
+            phase = TWO_PI * r / lam
+            phase -= TWO_PI * (phase / TWO_PI).to_integral_value()
+            phasors.append((_cos(phase), _sin(phase)))
+        n = len(phasors)
+        q = sum(Decimal(a_re[i][i]) for i in range(n))
+        for i in range(n):
+            for j in range(i):
+                (ci, si), (cj, sj) = phasors[i], phasors[j]
+                # A_ij e^{i(phi_i - phi_j)} plus its conjugate, term ji
+                re, im = ci * cj + si * sj, si * cj - ci * sj
+                q += 2 * (Decimal(a_re[i][j]) * re - Decimal(a_im[i][j]) * im)
+        return float(q), float(c_max)

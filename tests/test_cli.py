@@ -112,6 +112,17 @@ class TestPatternCommand:
         first_x = float((tmp_path / "pattern.csv").read_text().splitlines()[1].split(",")[0])
         assert first_x == pytest.approx(-4.0)
 
+    def test_exact_model_at_a_huge_window(self, runner, tmp_path):
+        # x_min/x_max = -+1e200: the exact model's (x - pos_i)^2 would
+        # overflow to nan unscaled; a RuntimeWarning is an error here
+        cfg_obj = json.loads(saturated_two_slit(tmp_path).read_text())
+        cfg_obj["geometry"].update(x_min=-1e200, x_max=1e200, phase_model="exact")
+        cfg = write_scenario(tmp_path, cfg_obj)
+        result = runner.invoke(main, ["pattern", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        pat = dl.load_pattern_csv(tmp_path / "pattern.csv", n=2, fringe_width=1.0)
+        assert np.all(np.isfinite(pat.total)) and np.all(pat.total <= 4.0 * (1.0 + 1e-15))
+
 
 class TestAnalyzeCommand:
     def test_round_trip(self, runner, tmp_path):
@@ -244,6 +255,30 @@ class TestAnalyzeCommand:
         assert result.output.count("error:") == 1
         assert len(result.output.splitlines()) == 1
         assert not (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize(
+        "write_flag, read_flag, fragment, unit",
+        [
+            (["--scale-w"], [], "samples per fringe, need >= 64",
+             "x read in metres (fringe width 0.01 m)"),
+            ([], ["--scale-w"], "no samples in window (",
+             "x read in fringe widths, as --scale-w or outputs.scale_w asks"),
+        ],
+        ids=["scaled_csv_read_in_metres", "metres_csv_read_scaled"],
+    )
+    def test_names_the_unit_x_was_read_in(self, runner, tmp_path, write_flag, read_flag, fragment, unit):
+        # the CSV holds no unit, so a file read in the other unit fails on
+        # the grid or the search window; the error says which unit was read
+        out = str(tmp_path)
+        result = runner.invoke(main, ["pattern", "--config", str(THREE_SLIT), "--out", out] + write_flag)
+        assert result.exit_code == 0, result.output
+        csv = str(tmp_path / "pattern.csv")
+        result = runner.invoke(
+            main, ["analyze", "--config", str(THREE_SLIT), "--csv", csv, "--out", out] + read_flag
+        )
+        assert_input_error(result, fragment)
+        assert unit in result.output and "--scale-w" in result.output
+        assert not (tmp_path / "analysis.json").exists()
 
 
 class TestMcValidateCommand:

@@ -1,7 +1,5 @@
 import cmath
 import csv
-import ctypes
-import ctypes.util
 import math
 import sys
 from fractions import Fraction
@@ -12,6 +10,7 @@ import pytest
 
 import duality_lab as dl
 from duality_lab.engine import SPEED_OF_LIGHT, mutual_intensity, pivoted_cholesky, slit_positions
+from exact_reference import exact_pattern, gamma
 from optics import DISTANCE, SPACING, WAVELENGTH, W, coherence_with
 
 REPO = Path(__file__).resolve().parents[1]
@@ -292,11 +291,12 @@ def kernel_replica(slits, coh, geom, xs):
     """pattern().total for a uniform envelope, rebuilt in Python floats with
     the kernel's operations in the kernel's order: the same products, sums,
     math.fsum of the lower diagonals of A and phasor recurrence
-    z_k = z_{k-1} z_1 (small angle), or the same pivoted Cholesky factor and
-    per-slit sums (exact), with math.cos/math.sin and the C library's hypot
-    for the libm calls.  Bit equality with the
-    kernel shows that its bytes are fixed by its code, IEEE-754 arithmetic
-    and libm, and not by how numpy vectorises or reduces.
+    z_k = z_{k-1} z_1 (small angle), or the same pivoted Cholesky factor,
+    power-of-two rescale, path excess in cycles reduced by round() (half to
+    even, as np.rint) and per-slit sums (exact), with math.sqrt and
+    math.cos/math.sin.  Bit equality with the kernel shows that its bytes
+    are fixed by its code, IEEE-754 arithmetic and libm, and not by how
+    numpy vectorises or reduces.
     """
     assert geom.envelope == "uniform"
     n = slits.n
@@ -340,16 +340,18 @@ def kernel_replica(slits, coh, geom, xs):
         return totals
     perm, f_re, f_im = replica_cholesky(a_re, a_im)
     rank = len(f_re[0])
-    libm = ctypes.CDLL(ctypes.util.find_library("m"))
-    libm.hypot.restype = ctypes.c_double
-    libm.hypot.argtypes = (ctypes.c_double, ctypes.c_double)
     pos = [((n - 1) / 2.0 - i) * slits.spacing for i in range(n)]
-    wavenumber = 2.0 * math.pi / geom.wavelength
+    largest = max(geom.distance, geom.wavelength, *map(abs, xs), *map(abs, pos))
+    shift = 510 - math.frexp(largest)[1]
+    dist, wave = math.ldexp(geom.distance, shift), math.ldexp(geom.wavelength, shift)
+    dist_sq = dist * dist
     for x in xs:
         s_re = [0.0] * rank
         s_im = [0.0] * rank
         for k, i in enumerate(perm):
-            theta = wavenumber * libm.hypot(geom.distance, x - pos[i])
+            d = math.ldexp(x, shift) - math.ldexp(pos[i], shift)
+            cycles = d * d / ((math.sqrt(d * d + dist_sq) + dist) * wave)
+            theta = 2.0 * math.pi * (cycles - round(cycles))
             cos, sin = math.cos(theta), math.sin(theta)
             for m in range(min(k + 1, rank)):
                 s_re[m] = s_re[m] + f_re[k][m] * cos
@@ -410,9 +412,11 @@ def double_sum_tolerance(slits, geom, weight):
     The routes round the phase argument of term ij differently: each forms
     omega*tau_ij and adds alpha_i - alpha_j + arg g_ij in a few rounded
     steps, so the arguments differ by a few eps times their size, and term ij
-    by that times its weight.  The exact model forms omega*t_i from absolute
-    paths of about geom.distance metres, whose rounding adds
-    8*pi*eps*distance/wavelength.
+    by that times its weight.  In the exact model delay() forms omega*t_i
+    from absolute paths of about geom.distance metres, whose rounding adds
+    8*pi*eps*distance/wavelength on that route alone: the kernel's phase
+    comes from the path excess over the wavelength and errs by far less
+    (the bound is in engine._intensity_samples).
     """
     eps = np.finfo(float).eps
     scale = 2.0 * np.pi * slits.spacing / (geom.wavelength * geom.distance)
@@ -444,6 +448,21 @@ def random_case(n, model):
 
 
 class TestKernelBits:
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_exact_model_is_scale_free(self, power):
+        # the exact model's phase depends on x, the slit positions, L and
+        # lambda only through their ratios, and the kernel rescales all four
+        # by one power of two, so scaling every length by 2^power keeps every
+        # bit; at 2^600, (x - pos_i)^2 would overflow unscaled
+        slits, coh, geom = random_case(8, "exact")
+        factor = 2.0**power
+        big = dl.ScreenGeometry(
+            geom.wavelength * factor, geom.distance * factor, geom.x_min * factor,
+            geom.x_max * factor, samples=geom.samples, phase_model="exact",
+        )
+        scaled = dl.SlitArray(slits.intensities, slits.spacing * factor, slits.phases)
+        assert dl.pattern(scaled, coh, big).total.tolist() == dl.pattern(slits, coh, geom).total.tolist()
+
     def test_golden_pattern_is_the_kernel(self):
         # every frozen total is the kernel's own arithmetic on the frozen x,
         # byte for byte, so the golden does not carry one numpy build's bits
@@ -492,6 +511,64 @@ class TestDoubleSumReference:
 # libm's cos and sin are within one ulp, so within LIBM_ERR * u of the true
 # value on [-1, 1], with u = eps/2 the unit roundoff
 LIBM_ERR = 2.0
+
+
+class TestExactModelReference:
+    @pytest.mark.parametrize("n, rank", [(3, 2), (16, 4)])
+    def test_pattern_within_its_bound_of_the_50_digit_sum(self, n, rank):
+        # pattern().total of the exact model against exact_pattern, the
+        # 50-digit sum_ij A_ij e^{ik(r_i - r_j)} of the same float inputs, at
+        # 1 m and 500 nm over +-1 fringe width.  With u = eps/2,
+        # S = sum_m (sum_i |F_im|)^2 and c the largest path excess in cycles
+        # at x, the kernel differs by at most
+        #   phase: theta_i within 2 pi u (9 c + 1) (engine comment), and
+        #     libm's cos/sin within LIBM_ERR u each, so each phasor is within
+        #     delta = 2 pi u (9 c + 1) + sqrt(2) LIBM_ERR u of e^{i theta_i},
+        #     and sum_m |s_m|^2 moves by at most S (2 delta + delta^2)
+        #   accumulation: each part of s_m is 2n products and sums, so
+        #     |s_m| errs by gamma_{2n} 2 sum_i |F_im| and |s_m|^2 by
+        #     4 gamma_{2n} (sum_i |F_im|)^2; the 2r squares and sums of q
+        #     add gamma_{2r+1} S
+        #   factor: |A - F F^H|_ij <= gamma_{2r+2} sum_k |F_ik| |F_jk| in
+        #     each part (pivoted_cholesky), at most sqrt(2) gamma_{2r+2} S on
+        #     the form, and the dropped residual at most n (n - r) tol, with
+        #     tol = n eps max(diag A) (n^2 tol is taken here)
+        # where S <= n sum_im |F_im|^2 (Cauchy-Schwarz) <= n T (1 + gamma_{2r+2})
+        # with T the trace of A, as sum_m |F_im|^2 is F F^H's diagonal entry.
+        # The reference is exact to far below that, and clipping at 0
+        # cannot widen the gap.  At the grid points below c <= 110, so the
+        # bound is about 2 S 7e-13 and stays under 1e-11 of the peak; a
+        # phase formed from absolute paths of about 1 m errs by about
+        # 2 pi eps L / lambda = 2.8e-9 rad and misses it.
+        rng = np.random.default_rng(2400 + n)
+        slits = dl.SlitArray(
+            intensities=rng.uniform(0.1, 2.0, n),
+            spacing=SPACING,
+            phases=rng.uniform(-np.pi, np.pi, n),
+        )
+        modes = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        coh = dl.from_modes(dl.ModeDecomposition(modes))
+        geom = dl.ScreenGeometry(WAVELENGTH, DISTANCE, -W, W, samples=4097, phase_model="exact")
+        pat = dl.pattern(slits, coh, geom)
+        a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+        ar, ai = a_re.tolist(), a_im.tolist()
+        pos = slit_positions(n, SPACING).tolist()
+        u = sys.float_info.epsilon / 2.0
+        trace = math.fsum(slits.intensities.tolist())
+        tol = n * sys.float_info.epsilon * float(np.max(a_re.diagonal()))
+        peak = float(pat.total.max())
+        for k in (0, 1024, 2048, 2049, 3000, 4096):
+            x = float(pat.grid[k])
+            ref, cycles = exact_pattern(ar, ai, pos, DISTANCE, WAVELENGTH, x)
+            delta = 2.0 * math.pi * u * (9.0 * cycles + 1.0) + math.sqrt(2.0) * LIBM_ERR * u
+            per_s = 2.0 * delta + delta * delta + 4.0 * gamma(2 * n) + gamma(2 * rank + 1)
+            per_s += math.sqrt(2.0) * gamma(2 * rank + 2)
+            bound = n * trace * (1.0 + gamma(2 * rank + 2)) * per_s + n * n * tol
+            assert bound <= 1e-11 * peak
+            error = abs(float(pat.total[k]) - max(ref, 0.0))
+            print(f"n={n} x={x:+.4f} cycles={cycles:.1f}: error / peak {error / peak:.2g}, "
+                  f"bound / peak {bound / peak:.2g}")
+            assert error <= bound, (k, error / peak, bound / peak)
 
 
 def recurrence_case(n, aligned):
