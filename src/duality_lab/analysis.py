@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from duality_lab.coherence import CoherenceMatrix
-from duality_lab.engine import _CSV_COLUMNS, InterferencePattern, SlitArray, mutual_intensity
+from duality_lab.engine import _CSV_COLUMNS, _CSV_HEADERS, InterferencePattern, SlitArray, mutual_intensity
 from duality_lab.measures import michelson
 
 MIN_SAMPLES_PER_FRINGE = 64
@@ -161,21 +161,22 @@ def _bad_row(path, numbers, rows) -> ValueError | None:
 def load_pattern_csv(path, n: int, fringe_width: float) -> InterferencePattern:
     """Re-import an `x,total,incoherent` CSV written by the engine.
 
-    The CSV carries no geometry metadata, so the caller supplies the slit
-    count and the fringe width in the file's unit: engine.fringe_width for
-    x in metres, 1.0 for x in fringe widths; x is returned as written.  The
-    first line must be the engine's header and at least one data row must
-    follow; every cell must be a finite number and x must strictly increase
-    (NonIncreasingGrid otherwise).  Errors name the line of the file, blank
-    lines counted.
+    The caller supplies the slit count and the fringe width in metres,
+    engine.fringe_width; a header `x_w` in place of `x` marks x in fringe
+    widths and sets the fringe width to 1.0.  x is returned as written.  At
+    least one data row must follow the header; every cell must be a finite
+    number and x must strictly increase (NonIncreasingGrid otherwise).
+    Errors name the line of the file, blank lines counted.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    header = ",".join(_CSV_COLUMNS)
-    if lines[:1] != [header]:
-        raise ValueError(f"{path}: first line is not the header {header}")
+    metres, widths = _CSV_HEADERS
+    if lines[:1] == [widths]:
+        fringe_width = 1.0
+    elif lines[:1] != [metres]:
+        raise ValueError(f"{path}: first line is not the header {metres} or {widths}")
     # the file's line number of each data row: blank lines are skipped here
     # rather than by np.loadtxt, which would lose the count
     numbers, rows = [], []

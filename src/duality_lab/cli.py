@@ -239,28 +239,17 @@ def measures_cmd(config, out, seed):
     help="Pattern CSV to re-import.",
 )
 @_out_opt
-@click.option("--scale-w", is_flag=True, help="CSV positions are in fringe-width units.")
 @_seed_opt
-def analyze_cmd(config, csv_path, out, scale_w, seed):
-    """Extract operational visibilities from a pattern CSV.
+def analyze_cmd(config, csv_path, out, seed):
+    """Extract operational visibilities from a pattern CSV, x in its header's unit.
 
     Reports both the operational and the analytic corrected visibility and
     flags disagreement when the pair phases are not aligned."""
     sc = load_scenario(config, seed_override=seed)
-    if scale_w or sc.scale_w:
-        width = 1.0
-        unit = "x read in fringe widths, as --scale-w or outputs.scale_w asks; without both, in metres"
-    else:
-        width = engine.fringe_width(sc.geometry, sc.slits)
-        unit = f"x read in metres (fringe width {width:.6g} m); --scale-w reads x in fringe widths"
-    pat = analysis.load_pattern_csv(csv_path, sc.slits.n, width)
-    try:
-        peak = analysis.find_primary_max(pat)
-        v_c_op = analysis.extract_vc(pat)
-        michelson = analysis.extract_michelson(pat)
-    except (analysis.UndersampledGrid, analysis.EmptyWindow) as exc:
-        # a CSV read in the other unit fails here, so say which unit was read
-        raise type(exc)(f"{exc}: {unit}") from exc
+    pat = analysis.load_pattern_csv(csv_path, sc.slits.n, engine.fringe_width(sc.geometry, sc.slits))
+    peak = analysis.find_primary_max(pat)
+    v_c_op = analysis.extract_vc(pat)
+    michelson = analysis.extract_michelson(pat)
     v_c_an = measures.visibility_analytic(sc.slits.intensities, sc.coherence)
     text = json.dumps({
         "x_star": peak.x_star,

@@ -142,19 +142,11 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     n = m.shape[-1]
     if n < 2:
         raise TooSmall(f"need at least 2 slits, got n={n}")
-    finite = np.isfinite(m)
-    if not finite.all():
-        at = tuple(np.argwhere(~finite)[0])
-        raise NotFinite(f"g[{at[-2]},{at[-1]}] = {m[at]} is not finite")
-    m_h = m.conj().swapaxes(-1, -2)
-    # entries near the float limit overflow these deviations to inf, which
-    # every tolerance refuses
+    m_h = _check_hermitian(m, "g")
+    # huge entries are refused here, before m + m^H; an overflowing modulus is inf
     with np.errstate(over="ignore"):
-        herm_dev = float(np.max(_modulus(m - m_h)))
         diag_dev = float(np.max(_modulus(np.diagonal(m, axis1=-2, axis2=-1) - 1.0)))
         mag_max = float(np.max(_modulus(m)))
-    if herm_dev > HERMITIAN_TOL:
-        raise NotHermitian(f"max |g_ij - conj(g_ji)| = {herm_dev:.3e}")
     if diag_dev > DIAGONAL_TOL:
         raise DiagonalNotUnit(f"max |g_ii - 1| = {diag_dev:.3e}")
     if mag_max > 1.0 + MODULUS_TOL:
@@ -163,10 +155,31 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     parts = g.view(float)  # halved in real arithmetic, re and im alike
     parts *= 0.5
     _set_diagonal(g, 1.0)
-    lowest = float(np.min(np.linalg.eigvalsh(g)[..., 0]))
-    if lowest < PSD_FLOOR:
-        raise NotPositiveSemidefinite(f"smallest eigenvalue {lowest:.3e}")
+    _check_psd(g)
     return g
+
+
+def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
+    """Refuse a stack of complex matrices [..., n, n] named `name` with an
+    entry not finite or max |m_ij - conj(m_ji)| above HERMITIAN_TOL; returns m^H."""
+    finite = np.isfinite(m)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0])
+        raise NotFinite(f"{name}[{at[-2]},{at[-1]}] = {m[at]} is not finite")
+    m_h = m.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore"):  # an overflowing deviation is inf, refused
+        herm_dev = float(np.max(_modulus(m - m_h)))
+    if herm_dev > HERMITIAN_TOL:
+        raise NotHermitian(f"not Hermitian, max |{name}_ij - conj({name}_ji)| = {herm_dev:.3e}")
+    return m_h
+
+
+def _check_psd(h: np.ndarray) -> None:
+    """Refuse a stack of Hermitian matrices [..., n, n] with an eigenvalue below
+    PSD_FLOOR; eigvalsh reads the lower triangle and is the package's one LAPACK call."""
+    lowest = float(np.min(np.linalg.eigvalsh(h)[..., 0]))
+    if lowest < PSD_FLOOR:
+        raise NotPositiveSemidefinite(f"not positive semidefinite, smallest eigenvalue {lowest:.3e}")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -202,7 +215,7 @@ class ModeDecomposition:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2:
             raise ValueError(f"expected an (n, r) array, got shape {v.shape}")
         finite = np.isfinite(v).all(axis=1)
@@ -227,7 +240,7 @@ class PolarizationSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array, got shape {v.shape}")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, refused

@@ -41,9 +41,10 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 WINDOW_FRINGES = 4.0  # half-width of the over_fringes window, in fringe widths
 PHASE_MODELS = ("small_angle", "exact")
 ENVELOPES = ("uniform", "gaussian")
-# the pattern CSV's columns, in order: write_pattern_csv writes them as its
-# header and analysis.load_pattern_csv checks it
+# the pattern CSV's columns and its headers for x in metres and in fringe
+# widths: write_pattern_csv writes one, analysis.load_pattern_csv reads it
 _CSV_COLUMNS = ("x", "total", "incoherent")
+_CSV_HEADERS = ("x,total,incoherent", "x_w,total,incoherent")
 # rows per write of write_pattern_csv: every bundled scenario is one block,
 # and the text held at once stays bounded at any grid size
 _CSV_BLOCK_ROWS = 4096
@@ -114,11 +115,11 @@ class SlitArray:
     phases: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        inten = intensity_vector(self.intensities)
+        inten = intensity_vector(np.array(self.intensities, dtype=float))
         if not 0.0 < self.spacing < math.inf:
             raise ValueError(f"slit spacing must be positive and finite, got {self.spacing}")
         ph = self.phases
-        ph = np.zeros(inten.size) if ph is None else np.asarray(ph, dtype=float)
+        ph = np.zeros(inten.size) if ph is None else np.array(ph, dtype=float)
         if ph.shape != inten.shape:
             raise ValueError("phases must match the intensity vector length")
         if not np.all(np.isfinite(ph)):
@@ -227,7 +228,7 @@ class InterferencePattern:
 
     def __post_init__(self):
         for name in ("grid", "total", "incoherent"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
@@ -517,6 +518,8 @@ def intensity_at(
 def write_pattern_csv(pat: InterferencePattern, path) -> None:
     """Write `x,total,incoherent` rows, x in the unit of pat.grid.
 
+    The header names x `x_w` when pat.fringe_width is 1.0, as in_fringe_widths()
+    sets it; x in metres at a fringe width of exactly 1 m reads the same.
     Floats use shortest round-trip repr with a `.` decimal point, so files
     are byte-stable and locale independent.  Each block of _CSV_BLOCK_ROWS
     rows is formatted into one string and written with one call, and a
@@ -529,7 +532,7 @@ def write_pattern_csv(pat: InterferencePattern, path) -> None:
     # bits, not float ==, so 0.0 and -0.0 keep their own reprs
     tail = f",{inc[0].item()!r}\n" if bits.size and (bits == bits[0]).all() else None
     with open(path, "w", newline="") as f:
-        f.write(",".join(_CSV_COLUMNS) + "\n")
+        f.write(_CSV_HEADERS[pat.fringe_width == 1.0] + "\n")
         for start in range(0, pat.grid.size, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
             cols = pat.grid[block].tolist(), pat.total[block].tolist()

@@ -23,14 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from duality_lab.coherence import (
-    HERMITIAN_TOL,
-    PSD_FLOOR,
     CoherenceMatrix,
+    _check_hermitian,
+    _check_psd,
     _complex,
     _degree_of_coherence,
     _magnitudes,
     _matrix_sums,
-    _modulus,
     _set_diagonal,
 )
 # ZeroTotalIntensity comes from the intensity rule and stays importable from here
@@ -131,11 +130,11 @@ def michelson(i_max: float, i_min: float) -> float:
 @dataclass(frozen=True)
 class BeamDensityMatrix:
     """Density matrix of the beam in the path basis: rho_ij =
-    sqrt(I_i I_j) g_ij / sum_k I_k.  Construction refuses, with a ValueError
-    naming the property, fewer than 2 slits (quantum_coherence divides by
-    n - 1), and a rho that is not n x n, not finite, not of unit trace within
-    TRACE_TOL, not Hermitian within HERMITIAN_TOL, or whose smallest
-    eigvalsh is below PSD_FLOOR."""
+    sqrt(I_i I_j) g_ij / sum_k I_k, stored as a read-only complex copy.
+    Construction refuses, with a ValueError naming the property, fewer than
+    2 slits (quantum_coherence divides by n - 1), a rho that is not n x n,
+    one that validate's checks find not finite, not Hermitian or with an
+    eigenvalue below PSD_FLOOR, and one not of unit trace within TRACE_TOL."""
 
     n: int
     rho: np.ndarray
@@ -143,23 +142,16 @@ class BeamDensityMatrix:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"density matrix: need at least 2 slits, got n={self.n}")
-        rho = self.rho
+        rho = np.array(self.rho, dtype=complex)
         if rho.shape != (self.n, self.n):
             raise ValueError(f"density matrix: not {self.n} x {self.n}, shape {rho.shape}")
-        if not np.isfinite(rho).all():
-            raise ValueError("density matrix: not finite")
-        # entries near the float limit overflow the trace or the deviation
-        # to inf, which the tolerances refuse
-        with np.errstate(over="ignore"):
+        _check_hermitian(rho, "rho")
+        with np.errstate(over="ignore"):  # an overflowing trace is inf, refused
             trace = float(np.trace(rho).real)
-            herm_dev = float(np.max(_modulus(rho - rho.conj().T)))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix: not of unit trace, trace {trace!r}")
-        if herm_dev > HERMITIAN_TOL:
-            raise ValueError(f"density matrix: not Hermitian, max |rho_ij - conj(rho_ji)| = {herm_dev:.3e}")
-        lowest = float(np.linalg.eigvalsh(rho)[0])
-        if lowest < PSD_FLOOR:
-            raise ValueError(f"density matrix: not positive semidefinite, smallest eigenvalue {lowest:.3e}")
+        _check_psd(rho)
+        object.__setattr__(self, "rho", rho)
         rho.setflags(write=False)
 
 

@@ -256,29 +256,20 @@ class TestAnalyzeCommand:
         assert len(result.output.splitlines()) == 1
         assert not (out / "analysis.json").exists()
 
-    @pytest.mark.parametrize(
-        "write_flag, read_flag, fragment, unit",
-        [
-            (["--scale-w"], [], "samples per fringe, need >= 64",
-             "x read in metres (fringe width 0.01 m)"),
-            ([], ["--scale-w"], "no samples in window (",
-             "x read in fringe widths, as --scale-w or outputs.scale_w asks"),
-        ],
-        ids=["scaled_csv_read_in_metres", "metres_csv_read_scaled"],
-    )
-    def test_names_the_unit_x_was_read_in(self, runner, tmp_path, write_flag, read_flag, fragment, unit):
-        # the CSV holds no unit, so a file read in the other unit fails on
-        # the grid or the search window; the error says which unit was read
+    @pytest.mark.parametrize("write_flag", [[], ["--scale-w"]], ids=["metres", "scaled"])
+    def test_reads_the_unit_from_the_header(self, runner, tmp_path, write_flag):
+        # the header names x's unit, so analyze reads either file without a
+        # flag; the operational V_C does not depend on the unit x is in
         out = str(tmp_path)
         result = runner.invoke(main, ["pattern", "--config", str(THREE_SLIT), "--out", out] + write_flag)
         assert result.exit_code == 0, result.output
-        csv = str(tmp_path / "pattern.csv")
-        result = runner.invoke(
-            main, ["analyze", "--config", str(THREE_SLIT), "--csv", csv, "--out", out] + read_flag
-        )
-        assert_input_error(result, fragment)
-        assert unit in result.output and "--scale-w" in result.output
-        assert not (tmp_path / "analysis.json").exists()
+        csv = tmp_path / "pattern.csv"
+        assert csv.read_text().split(",", 1)[0] == ("x_w" if write_flag else "x")
+        result = runner.invoke(main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", out])
+        assert result.exit_code == 0, result.output
+        sc = dl.load_scenario(THREE_SLIT)
+        metres = dl.extract_vc(dl.pattern(sc.slits, sc.coherence, sc.geometry))
+        assert json.loads((tmp_path / "analysis.json").read_text())["v_c_operational"] == metres
 
 
 class TestMcValidateCommand:
@@ -326,7 +317,7 @@ class TestMcValidateCommand:
         result = runner.invoke(
             main,
             ["analyze", "--config", str(cfg), "--csv", str(tmp_path / "pattern.csv"),
-             "--out", str(tmp_path)] + flag,
+             "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
         assert abs(json.loads((tmp_path / "analysis.json").read_text())["x_star"]) <= 0.5

@@ -68,6 +68,36 @@ class TestSlitArray:
         assert np.array_equal(slits.phases, np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "array, hold",
+    [
+        (np.array([1.0, 0.5]), lambda a: dl.SlitArray(intensities=a, spacing=SPACING).intensities),
+        (np.array([0.0, 0.3]),
+         lambda a: dl.SlitArray(intensities=[1.0, 1.0], spacing=SPACING, phases=a).phases),
+        (np.array([-W, W]),
+         lambda a: dl.InterferencePattern(a, [1.0, 2.0], [1.5, 1.5], n=2, fringe_width=W).grid),
+        # the pattern intensity_at forms once held the caller's x
+        (np.array([0.25 * W]),
+         lambda a: np.float64(dl.intensity_at(two_slits(), coherence_with(0.5), geometry(65), a))),
+        (np.array([[1.0, 0.0], [0.6, 0.8j]]), lambda a: dl.ModeDecomposition(a).vectors),
+        (np.array([[1.0, 0.0], [0.6, 0.8j]]), lambda a: dl.PolarizationSet(a).vectors),
+        (np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex),
+         lambda a: dl.BeamDensityMatrix(n=2, rho=a).rho),
+    ],
+    ids=[
+        "slit_intensities", "slit_phases", "pattern_grid", "intensity_at",
+        "mode_vectors", "polarization_vectors", "density_rho",
+    ],
+)
+def test_keeps_its_own_copy_of_the_callers_array(array, hold):
+    # each of these once froze the caller's array and kept it as its own:
+    # the write below raised "assignment destination is read-only"
+    held = hold(array)
+    kept = held.copy()
+    array[...] = 0.125
+    assert held.tobytes() == kept.tobytes()
+
+
 class TestScreenGeometry:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -754,10 +784,27 @@ class TestCsv:
         pat = dl.pattern(slits, coherence_with(0.5), geometry(samples=257))
         path = tmp_path / "pattern_w.csv"
         dl.write_pattern_csv(pat.in_fringe_widths(), path)
-        first = path.read_text().splitlines()[1].split(",")
-        assert float(first[0]) == pytest.approx(-4.0)  # window spans +-4 fringes
-        back = dl.load_pattern_csv(path, n=2, fringe_width=1.0)
+        header, first = path.read_text().splitlines()[:2]
+        assert header == "x_w,total,incoherent"
+        assert float(first.split(",")[0]) == pytest.approx(-4.0)  # window spans +-4 fringes
+        # the header, not the fringe width in metres passed here, sets the unit
+        back = dl.load_pattern_csv(path, n=2, fringe_width=W)
+        assert back.fringe_width == 1.0
         assert np.array_equal(back.grid, pat.grid / W)
+
+    def test_round_trip_at_a_one_metre_fringe_width(self, tmp_path):
+        # x in metres equals x in fringe widths here, so the header says x_w
+        slits = dl.SlitArray(intensities=[1.0, 0.6], spacing=1e-6)
+        geom = dl.ScreenGeometry.over_fringes(slits, 1e-6, 1.0, samples=257)
+        assert dl.fringe_width(geom, slits) == 1.0
+        pat = dl.pattern(slits, coherence_with(0.5), geom)
+        path = tmp_path / "pattern.csv"
+        dl.write_pattern_csv(pat, path)
+        assert path.read_text().splitlines()[0] == "x_w,total,incoherent"
+        back = dl.load_pattern_csv(path, n=2, fringe_width=dl.fringe_width(geom, slits))
+        for name in ("grid", "total", "incoherent"):
+            assert getattr(back, name).tobytes() == getattr(pat, name).tobytes()
+        assert back.fringe_width == 1.0
 
     @pytest.mark.parametrize(
         "case",
@@ -782,7 +829,8 @@ class TestCsv:
         dl.write_pattern_csv(pat.in_fringe_widths() if scale_w else pat, path)
         xs = pat.grid / pat.fringe_width if scale_w else pat.grid
         rows = zip(xs.tolist(), pat.total.tolist(), pat.incoherent.tolist())
-        reference = "x,total,incoherent\n" + "".join(f"{x!r},{t!r},{inc!r}\n" for x, t, inc in rows)
+        header = "x_w,total,incoherent\n" if scale_w else "x,total,incoherent\n"
+        reference = header + "".join(f"{x!r},{t!r},{inc!r}\n" for x, t, inc in rows)
         assert path.read_bytes() == reference.encode()
 
     def test_write_deterministic(self, tmp_path):

@@ -279,6 +279,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match=fragment):
             dl.BeamDensityMatrix(n=n, rho=np.array(rho, dtype=complex))
 
+    def test_nested_list_rho(self):
+        # a nested list once raised AttributeError on rho.shape
+        dm = dl.BeamDensityMatrix(n=2, rho=[[0.5, 0], [0, 0.5]])
+        assert dm.rho.dtype == complex and dm.rho.tobytes() == np.diag([0.5, 0.5]).astype(complex).tobytes()
+
 
 class TestQuantumCoherence:
     def test_diagonal_is_zero(self):
