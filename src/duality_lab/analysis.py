@@ -14,6 +14,7 @@ from duality_lab.measures import michelson
 
 MIN_SAMPLES_PER_FRINGE = 64
 PHASE_TOL = 1e-9  # largest wrapped pair phase, in radians, counted as aligned
+VC_MATCH_TOL = 1e-6  # largest |operational - analytic V_C| that `analyze` counts as a match
 
 
 class EmptyWindow(ValueError):
@@ -92,9 +93,9 @@ def extract_vc(pat: InterferencePattern) -> float:
     count over a symmetric window).  Otherwise the parabola misses a peak
     that sharpens with n: with aligned phases, rank-4 modes and 4096 samples
     over +-0.04 m, |extract_vc - V_C| is about 2e-9 at n=3, 2e-6 at n=16 and
-    5e-4 at n=64, so `analyze`'s 1e-6 match fails from about n=16 at an even
-    sample count; with 4097 samples it is at most a few 1e-16.  With
-    misaligned phases the value falls below the analytic one.
+    5e-4 at n=64, so `analyze`'s match within VC_MATCH_TOL fails from about
+    n=16 at an even sample count; with 4097 samples it is at most a few
+    1e-16.  With misaligned phases the value falls below the analytic one.
     """
     peak = find_primary_max(pat)
     i_inc = float(np.interp(peak.x_star, pat.grid, pat.incoherent))

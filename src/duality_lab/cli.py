@@ -126,9 +126,7 @@ def _sweep_reports(streams, n: int, count: int, rank: int) -> list[measures.Dual
     shape, scale, modes = streams
     # uniform on the intensity simplex, rescaled to exercise scale invariance
     intensities = shape.dirichlet(np.ones(n), count) * scale.uniform(0.1, 10.0, count)[:, None]
-    z = modes.standard_normal((count, 2, n, rank))
-    g = coherence._hermitian_part(coherence._unit_gram(coherence._complex(z[:, 0], z[:, 1])))
-    return measures._reports(engine._intensity_rows(intensities), g)
+    return measures._reports(intensities, coherence._random_grams(modes, n, rank, (count,)))
 
 
 def run_sweep(config, out_dir, seed: int | None = None) -> int:
@@ -258,7 +256,7 @@ def analyze_cmd(config, csv_path, out, seed):
         "v_c_analytic": v_c_an,
         "michelson": michelson,
         "phases_aligned": analysis.aligned_phases(sc.slits, sc.coherence),
-        "operational_matches_analytic": abs(v_c_op - v_c_an) <= 1e-6,
+        "operational_matches_analytic": abs(v_c_op - v_c_an) <= analysis.VC_MATCH_TOL,
     }, indent=2) + "\n"
     (_out_dir(out) / ANALYSIS_JSON).write_text(text)
     click.echo(text, nl=False)

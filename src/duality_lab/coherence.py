@@ -7,11 +7,17 @@ input with unit diagonal, the one g that every reader uses as stored.
 Physically realizable matrices are Gram matrices of field modes, which is
 also how random test instances are generated here.
 
-The checks and the Gram product are written once, as private cores over
-leading batch axes ([..., n, n] matrices, [..., n, r] mode rows): the sweep
-evaluates each n as one stack, and validate(), from_modes() and
-random_coherence() are the no-batch case of the same cores, with the same
-bits.
+validate() and its checks judge matrices from outside: configs, library
+callers, density matrices and the Gram matrices of user-given mode rows.
+The program's own random draws (random_coherence() and the sweep) are Gram
+matrices of unit rows, exactly Hermitian as formed and PSD in exact
+arithmetic, so they are stored as formed, with the diagonal set to 1.
+
+The checks, the Gram product and the random draw are written once, as
+private cores over leading batch axes ([..., n, n] matrices, [..., n, r]
+mode rows): the sweep evaluates each n as one stack, and validate(),
+from_modes() and random_coherence() are the no-batch case of the same
+cores, with the same bits.
 
 Every complex value that reaches an output is formed from real and
 imaginary parts by elementwise real ufuncs in a fixed order.  Here, _product
@@ -23,9 +29,9 @@ every row norm the sqrt of the row sum of re^2 + im^2 (_row_norms), and
 _complex joins parts by copying them.
 No BLAS call and no numpy complex multiply, division or modulus enters g, so
 its bits do not depend on the BLAS kernel or on which SIMD loops numpy
-dispatches to.  The tolerance checks that accept or refuse a matrix or a
-Jones state use the same moduli and norms; only eigvalsh's PSD test rests on
-LAPACK.
+dispatches to.  The tolerance checks that accept or refuse a matrix from
+outside or a Jones state use the same moduli and norms; only eigvalsh's PSD
+test rests on LAPACK.
 """
 
 from __future__ import annotations
@@ -71,14 +77,15 @@ class CoherenceMatrix:
     """Validated n x n normalized mutual-coherence matrix.
 
     Construct through validate(), from_modes() or random_coherence().  The
-    entry array is frozen after construction; all operations treat it as
-    immutable.
+    entry array is a read-only copy of the one given; all operations treat
+    it as immutable.
     """
 
     n: int
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", np.array(self.entries))
         self.entries.setflags(write=False)
 
     def magnitudes(self) -> np.ndarray:
@@ -289,13 +296,14 @@ def _product(a_re, a_im, b_re, b_im) -> np.ndarray:
     return _complex(out_re, out_im)
 
 
-def _unit_gram(rows: np.ndarray) -> np.ndarray:
+def _unit_gram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Raw Gram products u u^H of the unit-normalized rows u of a stack
-    [..., n, r], for validation.  Each row norm is the sqrt of the row sum
-    of re^2 + im^2, each unit row two real divisions by it, and the Gram
-    matrix one _product, so the bits of g rest on IEEE-754 arithmetic alone
-    and each member of a stack gets the bits it gets alone."""
-    re, im = rows.real, rows.imag
+    [..., n, r] given as real and imaginary parts.  Each row norm is the
+    sqrt of the row sum of re^2 + im^2, each unit row two real divisions by
+    it, and the Gram matrix one _product, so the bits of g rest on IEEE-754
+    arithmetic alone and each member of a stack gets the bits it gets alone.
+    Entry (j, i) sums the same products as (i, j), the imaginary ones
+    negated, so g is Hermitian bit for bit."""
     norm = _row_norms(re, im)[..., None]
     u_re, u_im = re / norm, im / norm
     # u^H with the broadcast axis that a batched right factor needs
@@ -328,7 +336,7 @@ def from_modes(
         p = pols.vectors[:, None, None, :]
         rows = _product(rows.real[:, :, None], rows.imag[:, :, None], p.real, p.imag)
         rows = rows.reshape(decomp.n, -1)
-    return validate(_unit_gram(rows))
+    return validate(_unit_gram(rows.real, rows.imag))
 
 
 def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> CoherenceMatrix:
@@ -336,7 +344,9 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
     unit vectors of dimension `rank`.  Deterministic for a given seed.  The
     seed may be a numpy Generator, which is drawn from as it is and moves on
     by exactly standard_normal((2, n, rank)); an integer seed gives the
-    matrix that default_rng(seed) would.
+    matrix that default_rng(seed) would.  The Gram matrix is stored as
+    formed, with diagonal 1, and not passed through validate(): it is
+    exactly Hermitian, and PSD up to rounding far inside PSD_FLOOR.
 
     rank=1 gives a fully coherent matrix (all moduli 1); rank >= n gives a
     generically full-rank matrix with all off-diagonal moduli below 1.
@@ -345,9 +355,20 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
         raise TooSmall(f"need at least 2 slits, got n={n}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    rng = np.random.default_rng(seed)  # returns a Generator unaltered
-    re = rng.standard_normal((n, rank))
-    return validate(_unit_gram(_complex(re, rng.standard_normal((n, rank)))))
+    # default_rng returns a Generator unaltered, so it is drawn from as it is
+    return CoherenceMatrix(n=n, entries=_random_grams(np.random.default_rng(seed), n, rank))
+
+
+def _random_grams(rng: np.random.Generator, n: int, rank: int, count: tuple = ()) -> np.ndarray:
+    """Stored entries [*count, n, n] of random_coherence(n, rank, rng) for
+    each of `count` instances, drawn as one rng.standard_normal((*count, 2,
+    n, rank)) of real then imaginary mode rows: _unit_gram of those rows with
+    the diagonal set to exactly 1.  numpy fills an array in order, so
+    instance s gets the bits of the (s+1)-th one-instance draw."""
+    z = rng.standard_normal((*count, 2, n, rank))
+    g = _unit_gram(z[..., 0, :, :], z[..., 1, :, :])
+    _set_diagonal(g, 1.0)
+    return g
 
 
 def degree_of_coherence(coh: CoherenceMatrix) -> float:

@@ -78,24 +78,16 @@ def intensity_vector(values) -> np.ndarray:
     inten = np.asarray(values, dtype=float)
     if inten.ndim != 1 or inten.size < 2:
         raise ValueError(f"need at least 2 slit intensities in 1-D, got shape {inten.shape}")
-    return _intensity_rows(inten)
-
-
-def _intensity_rows(inten: np.ndarray) -> np.ndarray:
-    """intensity_vector()'s value rule for each row of a float stack [..., n],
-    n >= 2; returns the stack."""
     if np.any(inten < 0.0):
         raise ValueError("slit intensities must be nonnegative")
     with np.errstate(over="ignore"):
-        totals = inten.sum(axis=-1)
-    limit = MAX_N_TIMES_SUM / inten.shape[-1]
-    bad = ~((totals > 0.0) & (totals <= limit))
-    if bad.any():
-        total = totals[bad][0]
+        total = inten.sum()
+    limit = MAX_N_TIMES_SUM / inten.size
+    if not 0.0 < total <= limit:
         error = ZeroTotalIntensity if total == 0.0 else ValueError
         raise error(
             f"sum of slit intensities must be positive and finite, at most {limit!r} "
-            f"for {inten.shape[-1]} slits, got {total}"
+            f"for {inten.size} slits, got {total}"
         )
     return inten
 

@@ -72,6 +72,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ValueError(f"need 1 to {MAX_REALIZATIONS} realizations")
+        object.__setattr__(self, "factor", np.array(self.factor))
         self.factor.setflags(write=False)
 
 

@@ -11,12 +11,15 @@ from duality_lab.coherence import (
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
+    PSD_FLOOR,
     TooSmall,
+    _hermitian_part,
     _magnitudes,
+    _random_grams,
     _unit_gram,
 )
 from duality_lab.engine import mutual_intensity
-from duality_lab.scenario import ScenarioError, load_matrix
+from duality_lab.scenario import MAX_SWEEP_N, ScenarioError, load_matrix
 from exact_reference import MODULUS_U, gamma
 
 
@@ -270,6 +273,42 @@ def test_random_coherence_bad_args():
         dl.random_coherence(3, 0, seed=0)
 
 
+def _validated_gram(rng, n, rank, count=()):
+    # the dropped route, stays here as the reference: the raw Gram matrix of
+    # the drawn rows through validate()'s checks and its stored Hermitian part
+    z = rng.standard_normal((*count, 2, n, rank))
+    rows = z[..., 0, :, :] + 1j * z[..., 1, :, :]  # exact: no draw is 0
+    return _hermitian_part(_unit_gram(rows.real, rows.imag))
+
+
+def test_random_coherence_stores_what_validate_would():
+    # the Gram matrix of unit rows is stored as formed, with diagonal 1; it
+    # is the bytes validate() stores for it, whose checks it passes.  Seeds
+    # alternate between integers and Generators.
+    for n in range(2, 41):
+        for rank in range(1, n + 3):
+            seed = 100 * n + rank
+            coh = dl.random_coherence(n, rank, seed if rank % 2 else np.random.default_rng(seed))
+            expected = _validated_gram(np.random.default_rng(seed), n, rank)
+            assert coh.entries.tobytes() == expected.tobytes(), (n, rank)
+
+
+@pytest.mark.parametrize("n, rank", [(2, 1), (7, 3), (16, 18)])
+def test_random_grams_of_a_stack_are_what_validate_would(n, rank):
+    g = _random_grams(np.random.default_rng(2600 + n), n, rank, (5,))
+    assert g.tobytes() == _validated_gram(np.random.default_rng(2600 + n), n, rank, (5,)).tobytes()
+    rng = np.random.default_rng(2600 + n)  # member s is the (s+1)-th one-instance draw
+    assert [m.tobytes() for m in g] == [dl.random_coherence(n, rank, rng).entries.tobytes() for _ in g]
+
+
+@pytest.mark.parametrize("n, rank", [(MAX_SWEEP_N, 1), (128, 128)])
+def test_random_coherence_is_psd_far_inside_the_floor(n, rank):
+    # the stored draws skip the PSD test, so the floor must hold with room
+    # to spare at the sweep's largest n and at full rank
+    lowest = np.linalg.eigvalsh(dl.random_coherence(n, rank, seed=n + rank).entries)[0]
+    assert lowest >= PSD_FLOOR / 10
+
+
 def test_degree_of_coherence_uniform_moduli():
     m = np.full((3, 3), 0.5, dtype=complex)
     np.fill_diagonal(m, 1.0)
@@ -358,7 +397,7 @@ def test_unit_gram_is_the_blas_product_within_its_rounding_bound(n, r):
     rows = scale * (rng.standard_normal((4, n, r)) + 1j * rng.standard_normal((4, n, r)))
     unit = rows / np.linalg.norm(rows, axis=-1)[..., None]
     reference = unit @ unit.conj().swapaxes(-1, -2)
-    g = _unit_gram(rows)
+    g = _unit_gram(rows.real, rows.imag)
     bound = 2 * gram_bound(r)
     assert np.max(np.abs(g.real - reference.real)) <= bound
     assert np.max(np.abs(g.imag - reference.imag)) <= bound

@@ -83,10 +83,13 @@ class TestSlitArray:
         (np.array([[1.0, 0.0], [0.6, 0.8j]]), lambda a: dl.PolarizationSet(a).vectors),
         (np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex),
          lambda a: dl.BeamDensityMatrix(n=2, rho=a).rho),
+        (np.eye(2, dtype=complex), lambda a: dl.CoherenceMatrix(n=2, entries=a).entries),
+        (np.array([[1.0], [0.5j]]), lambda a: dl.EnsembleSpec(realizations=1, seed=0, factor=a).factor),
     ],
     ids=[
         "slit_intensities", "slit_phases", "pattern_grid", "intensity_at",
-        "mode_vectors", "polarization_vectors", "density_rho",
+        "mode_vectors", "polarization_vectors", "density_rho", "coherence_entries",
+        "ensemble_factor",
     ],
 )
 def test_keeps_its_own_copy_of_the_callers_array(array, hold):
