@@ -7,11 +7,15 @@ input with unit diagonal, the one g that every reader uses as stored.
 Physically realizable matrices are Gram matrices of field modes, which is
 also how random test instances are generated here.
 
-validate() and its checks judge matrices from outside: configs, library
-callers, density matrices and the Gram matrices of user-given mode rows.
-The program's own random draws (random_coherence() and the sweep) are Gram
-matrices of unit rows, exactly Hermitian as formed and PSD in exact
-arithmetic, so they are stored as formed, with the diagonal set to 1.
+validate() admits a matrix by one of two rules.  A matrix from outside
+(configs, load_matrix, library callers) must pass its checks: finite,
+Hermitian, unit diagonal, moduli at most 1 and eigvalsh's PSD test, which
+measures' density matrices share.  A Gram matrix of unit rows, which
+_unit_gram forms for from_modes(), random_coherence() and the sweep, is
+exactly Hermitian as formed and PSD in exact arithmetic; it is stored as
+formed, with the diagonal set to 1, when the rounding bound
+9 n r u <= 1e-10 of _gram_certified() holds (u = eps/2, r the row
+dimension: n r up to 100079), and goes through the checks otherwise.
 
 The checks, the Gram product and the random draw are written once, as
 private cores over leading batch axes ([..., n, n] matrices, [..., n, r]
@@ -41,6 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# unit roundoff of a double
+U = np.finfo(float).eps / 2
+# constant c of the rounding bound c n r u that certifies a unit-row Gram matrix
+GRAM_C = 9
 HERMITIAN_TOL = 1e-10
 DIAGONAL_TOL = 1e-10
 MODULUS_TOL = 1e-10
@@ -122,11 +130,76 @@ def validate(matrix) -> CoherenceMatrix:
       DiagonalNotUnit          max |g_ii - 1| > 1e-10
       NotPositiveSemidefinite  smallest eigenvalue < -1e-10, or any
                                |g_ij| > 1 + 1e-10 (cheap independent guard)
+
+    The one other argument is _unit_gram's private result, which from_modes()
+    passes: the Gram matrix of n unit rows of dimension r.  It is stored as
+    formed, with diagonal exactly 1, when _gram_certified(n, r) shows that
+    it passes every check above (9 n r u <= 1e-10, so n r up to 100079),
+    and judged by them otherwise; either way its stored bytes are the same.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise CoherenceMatrixError(f"expected a square matrix, got shape {m.shape}")
-    return CoherenceMatrix(n=m.shape[0], entries=_hermitian_part(m))
+    if isinstance(matrix, _UnitGram):
+        g = _stored_gram(matrix)
+    else:
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise CoherenceMatrixError(f"expected a square matrix, got shape {m.shape}")
+        g = _hermitian_part(m)
+    return CoherenceMatrix(n=g.shape[0], entries=g)
+
+
+@dataclass(frozen=True)
+class _UnitGram:
+    """_unit_gram's result: raw Gram products [..., n, n] of unit rows of
+    dimension `rank`.  Only this form reaches _gram_certified(); a plain
+    array given to validate() never does."""
+
+    entries: np.ndarray
+    rank: int
+
+
+def _gram_certified(n: int, rank: int) -> bool:
+    """Whether n x n Gram matrices of unit rows of dimension r = rank, as
+    _unit_gram forms them and with the diagonal set to 1, pass every check
+    of _hermitian_part by the rounding bound GRAM_C n r u (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3; gamma_k =
+    k u / (1 - k u), which is below 1.0102 k u for the k u <= 0.01 of any
+    certified n r).  Such a g is finite, and Hermitian bit for bit because
+    entry (j, i) sums the products of (i, j) with the imaginary ones negated.
+
+    Each part of a computed unit row v_i is within e = gamma_(2r+3) of the
+    exact unit row's, relatively (a norm of 2r squares, its sqrt, one
+    division), so |v_i| lies within e of 1.  G = V V^H of the computed rows
+    is PSD, and g - G = E is Hermitian:
+      off the diagonal, a part of g_ij sums 2r real products and rounds by
+      at most gamma_2r |v_i| |v_j|, so |E_ij| <= sqrt(2) gamma_2r (1 + e)^2;
+      on it, |E_ii| = |1 - |v_i|^2| <= 2e + e^2.
+    By Weyl's inequality, lambda_min(g) >= -||E||_2 >= -(max row sum of |E|)
+      >= -[2e + e^2 + (n - 1) sqrt(2) gamma_2r (1 + e)^2]
+      >= -1.0102 [(4r + 6) + 2.83 (n - 1) r] u >= -7.91 n r u,
+    using 4r + 6 <= 5 n r for n >= 2.  Each computed modulus (hypot, within
+    4u of the exact one, relatively) is at most
+      (1 + e)^2 + sqrt(2) gamma_2r (1 + e)^2 + 4u <= 1 + (6.9 r + 10.1) u
+      <= 1 + 8.5 n r u.
+    So c = GRAM_C = 9 bounds both, and n r u c <= 1e-10 = -PSD_FLOOR =
+    MODULUS_TOL admits n r up to 100079.  Underflow is left out: from_modes
+    scales each row so that its largest part lies in [0.5, 1), which leaves
+    absolute errors below 2^-1000 per operation, and a row of standard
+    normals underflows in its norm only if every part is below 2^-500.
+    """
+    return GRAM_C * n * rank * U <= min(-PSD_FLOOR, MODULUS_TOL)
+
+
+def _stored_gram(gram: _UnitGram) -> np.ndarray:
+    """Stored entries of a stack of unit-row Gram matrices, written in place
+    of gram.entries: as formed with the diagonal set to exactly 1 when
+    _gram_certified(n, rank) and n >= 2, else _hermitian_part's checks and
+    result, which are the same bytes for a matrix that passes them."""
+    g = gram.entries
+    n = g.shape[-1]
+    if n < 2 or not _gram_certified(n, gram.rank):
+        return _hermitian_part(g)
+    _set_diagonal(g, 1.0)
+    return g
 
 
 def _set_diagonal(a: np.ndarray, value) -> None:
@@ -296,12 +369,14 @@ def _product(a_re, a_im, b_re, b_im) -> np.ndarray:
     return _complex(out_re, out_im)
 
 
-def _unit_gram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _unit_gram(re: np.ndarray, im: np.ndarray) -> _UnitGram:
     """Raw Gram products u u^H of the unit-normalized rows u of a stack
-    [..., n, r] given as real and imaginary parts.  Each row norm is the
-    sqrt of the row sum of re^2 + im^2, each unit row two real divisions by
-    it, and the Gram matrix one _product, so the bits of g rest on IEEE-754
-    arithmetic alone and each member of a stack gets the bits it gets alone.
+    [..., n, r] given as real and imaginary parts, with their dimension r,
+    as the _UnitGram that validate() and _stored_gram() admit.  Each row
+    norm is the sqrt of the row sum of re^2 + im^2, each unit row two real
+    divisions by it, and the Gram matrix one _product, so the bits of g rest
+    on IEEE-754 arithmetic alone and each member of a stack gets the bits it
+    gets alone.
     Entry (j, i) sums the same products as (i, j), the imaginary ones
     negated, so g is Hermitian bit for bit."""
     norm = _row_norms(re, im)[..., None]
@@ -309,7 +384,7 @@ def _unit_gram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     # u^H with the broadcast axis that a batched right factor needs
     h_re = u_re.swapaxes(-1, -2)[..., None, :, :]
     h_im = -u_im.swapaxes(-1, -2)[..., None, :, :]
-    return _product(u_re, u_im, h_re, h_im)
+    return _UnitGram(_product(u_re, u_im, h_re, h_im), re.shape[-1])
 
 
 def from_modes(
@@ -322,6 +397,12 @@ def from_modes(
     kill the coherence of otherwise identical modes).  The overlap convention
     matches the field correlation <E_i E_j*>, so the result is exactly what
     the Monte-Carlo ensemble realizes.
+
+    The Gram matrix of the unit rows (dimension r = the mode count, twice
+    it with Jones states) goes to validate() in _unit_gram's private form:
+    it is stored as formed, with diagonal 1, when 9 n r u <= 1e-10 (n r up
+    to 100079, u = eps/2) proves it passes validate()'s checks, and is
+    judged by those checks and eigvalsh otherwise.
     """
     # Each mode row is first scaled by the power of two that brings its
     # largest part into [0.5, 1): exact, so unit rows keep their bits, no
@@ -344,9 +425,10 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
     unit vectors of dimension `rank`.  Deterministic for a given seed.  The
     seed may be a numpy Generator, which is drawn from as it is and moves on
     by exactly standard_normal((2, n, rank)); an integer seed gives the
-    matrix that default_rng(seed) would.  The Gram matrix is stored as
-    formed, with diagonal 1, and not passed through validate(): it is
-    exactly Hermitian, and PSD up to rounding far inside PSD_FLOOR.
+    matrix that default_rng(seed) would.  The Gram matrix is admitted as
+    validate() admits from_modes()'s: stored as formed, with diagonal 1,
+    when _gram_certified(n, rank) holds (n * rank up to 100079), and
+    through validate()'s checks otherwise, with the same bytes.
 
     rank=1 gives a fully coherent matrix (all moduli 1); rank >= n gives a
     generically full-rank matrix with all off-diagonal moduli below 1.
@@ -362,13 +444,11 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
 def _random_grams(rng: np.random.Generator, n: int, rank: int, count: tuple = ()) -> np.ndarray:
     """Stored entries [*count, n, n] of random_coherence(n, rank, rng) for
     each of `count` instances, drawn as one rng.standard_normal((*count, 2,
-    n, rank)) of real then imaginary mode rows: _unit_gram of those rows with
-    the diagonal set to exactly 1.  numpy fills an array in order, so
-    instance s gets the bits of the (s+1)-th one-instance draw."""
+    n, rank)) of real then imaginary mode rows: _stored_gram of _unit_gram of
+    those rows.  numpy fills an array in order, so instance s gets the bits
+    of the (s+1)-th one-instance draw."""
     z = rng.standard_normal((*count, 2, n, rank))
-    g = _unit_gram(z[..., 0, :, :], z[..., 1, :, :])
-    _set_diagonal(g, 1.0)
-    return g
+    return _stored_gram(_unit_gram(z[..., 0, :, :], z[..., 1, :, :]))
 
 
 def degree_of_coherence(coh: CoherenceMatrix) -> float:

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duality_lab as dl
+from duality_lab import coherence
 from duality_lab.coherence import (
     DiagonalNotUnit,
+    MODULUS_TOL,
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
     PSD_FLOOR,
     TooSmall,
+    _gram_certified,
     _hermitian_part,
     _magnitudes,
     _random_grams,
@@ -278,7 +281,7 @@ def _validated_gram(rng, n, rank, count=()):
     # the drawn rows through validate()'s checks and its stored Hermitian part
     z = rng.standard_normal((*count, 2, n, rank))
     rows = z[..., 0, :, :] + 1j * z[..., 1, :, :]  # exact: no draw is 0
-    return _hermitian_part(_unit_gram(rows.real, rows.imag))
+    return _hermitian_part(_unit_gram(rows.real, rows.imag).entries)
 
 
 def test_random_coherence_stores_what_validate_would():
@@ -303,10 +306,95 @@ def test_random_grams_of_a_stack_are_what_validate_would(n, rank):
 
 @pytest.mark.parametrize("n, rank", [(MAX_SWEEP_N, 1), (128, 128)])
 def test_random_coherence_is_psd_far_inside_the_floor(n, rank):
-    # the stored draws skip the PSD test, so the floor must hold with room
-    # to spare at the sweep's largest n and at full rank
+    # draws inside the Gram bound skip the PSD test, so the floor must hold
+    # with room to spare at the sweep's largest n and at full rank
     lowest = np.linalg.eigvalsh(dl.random_coherence(n, rank, seed=n + rank).entries)[0]
     assert lowest >= PSD_FLOOR / 10
+
+
+def _modes(rng, n, r, kind):
+    rows = rng.standard_normal((n, r))
+    return rows if kind == "real" else rows + 1j * rng.standard_normal((n, r))
+
+
+def _jones(rng, n):
+    p = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    return dl.PolarizationSet(p / np.linalg.norm(p, axis=1)[:, None])
+
+
+@pytest.mark.parametrize("polarized", [False, True], ids=["modes", "jones"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_from_modes_stores_what_validate_would(kind, polarized, monkeypatch):
+    # the skipped route stays here as the reference: with the certificate
+    # refused, validate() runs _hermitian_part(_unit_gram(...)) and its checks
+    rng = np.random.default_rng(2700 + polarized)
+    for n in (2, 3, 7, 16, 64, 128):
+        for r in (1, 2, 3, 8):
+            decomp = dl.ModeDecomposition(_modes(rng, n, r, kind))
+            pols = _jones(rng, n) if polarized else None
+            stored = dl.from_modes(decomp, pols).entries
+            with monkeypatch.context() as m:
+                m.setattr(coherence, "_gram_certified", lambda n, rank: False)
+                expected = dl.from_modes(decomp, pols).entries
+            assert stored.tobytes() == expected.tobytes(), (n, r)
+
+
+@pytest.fixture
+def psd_calls(monkeypatch):
+    calls = []
+    original = coherence._check_psd
+    monkeypatch.setattr(coherence, "_check_psd", lambda h: calls.append(h.shape) or original(h))
+    return calls
+
+
+def test_gram_matrices_outside_the_bound_take_the_checks(psd_calls, monkeypatch):
+    # full rank, so the smallest eigenvalues stay far above a floor near 0
+    rng = np.random.default_rng(2701)
+    decomp = dl.ModeDecomposition(_modes(rng, 3, 4, "complex"))
+    certified = [dl.from_modes(decomp), dl.random_coherence(3, 4, seed=5)]
+    stack = _random_grams(np.random.default_rng(6), 3, 4, (5,))
+    assert psd_calls == []
+    # a plain array never takes the certificate, though it is the same Gram matrix
+    dl.validate(certified[0].entries)
+    assert psd_calls == [(3, 3)]
+    psd_calls.clear()
+    monkeypatch.setattr(coherence, "PSD_FLOOR", -1e-18)
+    assert not _gram_certified(3, 4)
+    checked = [dl.from_modes(decomp), dl.random_coherence(3, 4, seed=5)]
+    assert psd_calls == [(3, 3), (3, 3)]
+    assert [c.entries.tobytes() for c in checked] == [c.entries.tobytes() for c in certified]
+    assert _random_grams(np.random.default_rng(6), 3, 4, (5,)).tobytes() == stack.tobytes()
+    assert psd_calls[2:] == [(5, 3, 3)]
+
+
+def _largest_certified_rank(n):
+    r = 1
+    while _gram_certified(n, r + 1):
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("route", ["from_modes", "random_coherence"])
+def test_gram_bound_holds_at_the_largest_certified_size(route):
+    # the sweep's largest n at the largest rank the bound admits: rank below
+    # n, so g has n - r eigenvalues that are 0 in exact arithmetic
+    n = MAX_SWEEP_N
+    r = _largest_certified_rank(n)
+    assert r < n and n * r > 100079 - n
+    assert _gram_certified(1, 100079) and not _gram_certified(1, 100080)  # the documented range
+    if route == "from_modes":
+        g = dl.from_modes(dl.ModeDecomposition(_modes(np.random.default_rng(2702), n, r, "complex")))
+    else:
+        g = dl.random_coherence(n, r, seed=2703)
+    lowest = np.linalg.eigvalsh(g.entries)[0]
+    assert lowest >= PSD_FLOOR
+    assert np.max(np.abs(g.entries)) <= 1.0 + MODULUS_TOL
+    assert np.array_equal(g.entries, g.entries.conj().T)
+
+
+def test_from_modes_single_row_rejected():
+    with pytest.raises(TooSmall):
+        dl.from_modes(dl.ModeDecomposition(np.ones((1, 2))))
 
 
 def test_degree_of_coherence_uniform_moduli():
@@ -397,7 +485,7 @@ def test_unit_gram_is_the_blas_product_within_its_rounding_bound(n, r):
     rows = scale * (rng.standard_normal((4, n, r)) + 1j * rng.standard_normal((4, n, r)))
     unit = rows / np.linalg.norm(rows, axis=-1)[..., None]
     reference = unit @ unit.conj().swapaxes(-1, -2)
-    g = _unit_gram(rows.real, rows.imag)
+    g = _unit_gram(rows.real, rows.imag).entries
     bound = 2 * gram_bound(r)
     assert np.max(np.abs(g.real - reference.real)) <= bound
     assert np.max(np.abs(g.imag - reference.imag)) <= bound
