@@ -1,11 +1,14 @@
 """Batch front end: scenario runs, ensemble sweeps and offline analysis.
 
-Each command computes all it writes before it creates `--out`, so a run
-refused with exit 1 writes no file; a run that ends in exit 2 writes them all.
+Each command computes all it writes before _write creates `--out` and
+writes every file, so a run refused with exit 1 writes no file; a run that
+ends in exit 2 writes them all.
 
-Exit codes: 0 success, 1 input, usage or write error, 2 a duality inequality
-was violated beyond tolerance (the relations are theorems for valid inputs,
-so a violation signals an implementation fault, not bad user data).
+_exit_status turns the outcome of every command, and of run_scenario and
+run_sweep, into the exit code: 0 success, 1 input, usage or write error, 2 a
+duality inequality was violated beyond tolerance (the relations are theorems
+for valid inputs, so a violation signals an implementation fault, not bad
+user data).
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 import click
 import numpy as np
@@ -45,57 +47,74 @@ ANALYSIS_JSON = "analysis.json"
 SWEEP_CSV = "sweep.csv"
 
 
-def _fail(message) -> NoReturn:
+def _exit_status(body, *args, **kwargs) -> int:
+    """Run body(*args, **kwargs) and turn its outcome into the exit status:
+    a click usage error, click.Abort, bad input or a failed write prints one
+    `error: <message>` line and gives EXIT_INPUT; returned reports in which a
+    duality relation fails print the violation line and give EXIT_VIOLATION;
+    anything else gives EXIT_OK."""
+    try:
+        reports = body(*args, **kwargs) or ()
+    except click.ClickException as exc:
+        message = exc.format_message()
+    except click.Abort:
+        message = "aborted"
+    except _INPUT_ERRORS as exc:
+        message = exc
+    else:
+        if all(r.pyth_holds and r.lin_holds for r in reports):
+            return EXIT_OK
+        click.echo("error: duality inequality violated beyond tolerance", err=True)
+        return EXIT_VIOLATION
     click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_INPUT)
+    return EXIT_INPUT
 
 
-def _out_dir(out) -> Path:
-    """The output directory, created with its parents if missing."""
+def _write(out, files) -> None:
+    """Create the directory `out` with its parents if missing and write each
+    of the already computed files into it by name: a pattern through
+    engine.write_pattern_csv, text as it is."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content, newline="")
+        else:
+            engine.write_pattern_csv(content, out / name)
 
 
 def _run(sc, out, names, scale_w: bool = False):
     """Compute the named output files of scenario sc, each pattern once and in
-    fringe widths if scale_w or sc.scale_w, then create `out` and write them.
-    Returns the files by name, JSON as text, and the report (None unless
-    report.json is named)."""
+    fringe widths if scale_w or sc.scale_w, then write them into `out`.
+    Returns the files by name, JSON as text, and the reports: the one of
+    report.json if it is named, else none."""
     def in_unit(pat):
         return pat.in_fringe_widths() if scale_w or sc.scale_w else pat
 
     ensemble = MC_PATTERN_CSV in names or CONVERGENCE_JSON in names
     if ensemble and not sc.oracle_enabled:
         raise ValueError("oracle: not enabled in config")
-    files, report = {}, None
+    files, reports = {}, []
     if PATTERN_CSV in names or ensemble:
         files[PATTERN_CSV] = in_unit(engine.pattern(sc.slits, sc.coherence, sc.geometry))
     if REPORT_JSON in names:
-        report = measures.duality_report(sc.slits.intensities, sc.coherence)
-        files[REPORT_JSON] = report.to_json()
+        reports.append(measures.duality_report(sc.slits.intensities, sc.coherence))
+        files[REPORT_JSON] = reports[0].to_json()
     if ensemble:
         mc = files[MC_PATTERN_CSV] = in_unit(oracle.mc_pattern(
             sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
         ))
         conv = oracle.convergence_report(mc, files[PATTERN_CSV], sc.oracle_realizations)
         files[CONVERGENCE_JSON] = json.dumps(conv, indent=2) + "\n"
-    out = _out_dir(out)
-    for name in names:
-        if name.endswith(".csv"):
-            engine.write_pattern_csv(files[name], out / name)
-        else:
-            (out / name).write_text(files[name])
-    return files, report
+    _write(out, {name: files[name] for name in names})
+    return files, reports
 
 
-def _verdict(reports) -> int:
-    """EXIT_OK when both duality relations hold in every report; otherwise
-    say so on stderr and return EXIT_VIOLATION."""
-    if all(r.pyth_holds and r.lin_holds for r in reports):
-        return EXIT_OK
-    click.echo("error: duality inequality violated beyond tolerance", err=True)
-    return EXIT_VIOLATION
+def _scenario(config, out_dir, seed):
+    """run_scenario's body: writes the files and returns the report."""
+    sc = load_scenario(config, seed_override=seed)
+    names = (PATTERN_CSV, REPORT_JSON) + ((CONVERGENCE_JSON,) if sc.oracle_enabled else ())
+    return _run(sc, out_dir, names)[1]
 
 
 def run_scenario(config, out_dir, seed: int | None = None) -> int:
@@ -106,14 +125,7 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
     Returns the process exit status (0 / 1 / 2) instead of raising on bad
     input, so callers can surface it directly.
     """
-    try:
-        sc = load_scenario(config, seed_override=seed)
-        names = (PATTERN_CSV, REPORT_JSON) + ((CONVERGENCE_JSON,) if sc.oracle_enabled else ())
-        _, report = _run(sc, out_dir, names)
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT
-    return _verdict([report])
+    return _exit_status(_scenario, config, out_dir, seed)
 
 
 def _sweep_reports(streams, n: int, count: int, rank: int) -> list[measures.DualityReport]:
@@ -129,6 +141,38 @@ def _sweep_reports(streams, n: int, count: int, rank: int) -> list[measures.Dual
     return measures._reports(intensities, coherence._random_grams(modes, n, rank, (count,)))
 
 
+def _sweep(config, out_dir, seed):
+    """The body of run_sweep and of the sweep command: writes sweep.csv and
+    returns the reports."""
+    sweep = load_sweep(config, seed_override=seed)
+    cases, reports = [], []
+    for n in range(sweep.n_min, sweep.n_max + 1):
+        # SeedSequence.spawn, not Generator.spawn, which numpy 1.24 lacks
+        children = np.random.SeedSequence((sweep.seed, n)).spawn(3)
+        streams = [np.random.default_rng(c) for c in children]
+        stack = max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, sweep.seeds, stack):
+            seeds = range(start, min(start + stack, sweep.seeds))
+            cases += [(n, s) for s in seeds]
+            reports += _sweep_reports(streams, n, len(seeds), sweep.rank or n)
+    pyth_at = max(range(len(reports)), key=lambda k: reports[k].pyth_lhs)
+    lin_at = max(range(len(reports)), key=lambda k: reports[k].lin_lhs)
+    rows = [
+        f"{n},{s},{r.v_c!r},{r.d!r},{r.d_prime!r},{r.gamma_n!r},"
+        f"{r.c!r},{r.pyth_lhs!r},{r.lin_lhs!r}\n"
+        for (n, s), r in zip(cases, reports)
+    ]
+    summary = (
+        f"summary,instances={len(cases)},max_pyth_lhs={reports[pyth_at].pyth_lhs!r},"
+        f"max_lin_lhs={reports[lin_at].lin_lhs!r},"
+        f"max_pyth_at={cases[pyth_at][0]}:{cases[pyth_at][1]},"
+        f"max_lin_at={cases[lin_at][0]}:{cases[lin_at][1]},,,\n"
+    )
+    header = "n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n"
+    _write(out_dir, {SWEEP_CSV: "".join([header, *rows, summary])})
+    return reports
+
+
 def run_sweep(config, out_dir, seed: int | None = None) -> int:
     """Run the random-instance sweep described by a sweep config and write
     one CSV row per instance plus a trailing summary row, which also names
@@ -136,38 +180,9 @@ def run_sweep(config, out_dir, seed: int | None = None) -> int:
     slit count n draws its seeds in order from its own three streams, the
     children of SeedSequence((master, n)), in stacks of at most
     _STACK_ENTRIES matrix entries; where the stacks are cut moves no row,
-    and a larger `seeds` keeps the rows of a smaller one."""
-    try:
-        sweep = load_sweep(config, seed_override=seed)
-        cases, reports = [], []
-        for n in range(sweep.n_min, sweep.n_max + 1):
-            # SeedSequence.spawn, not Generator.spawn, which numpy 1.24 lacks
-            children = np.random.SeedSequence((sweep.seed, n)).spawn(3)
-            streams = [np.random.default_rng(c) for c in children]
-            stack = max(1, _STACK_ENTRIES // (n * n))
-            for start in range(0, sweep.seeds, stack):
-                seeds = range(start, min(start + stack, sweep.seeds))
-                cases += [(n, s) for s in seeds]
-                reports += _sweep_reports(streams, n, len(seeds), sweep.rank or n)
-        pyth_at = max(range(len(reports)), key=lambda k: reports[k].pyth_lhs)
-        lin_at = max(range(len(reports)), key=lambda k: reports[k].lin_lhs)
-        with open(_out_dir(out_dir) / SWEEP_CSV, "w", newline="") as f:
-            f.write("n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n")
-            for (n, s), r in zip(cases, reports):
-                f.write(
-                    f"{n},{s},{r.v_c!r},{r.d!r},{r.d_prime!r},{r.gamma_n!r},"
-                    f"{r.c!r},{r.pyth_lhs!r},{r.lin_lhs!r}\n"
-                )
-            f.write(
-                f"summary,instances={len(cases)},max_pyth_lhs={reports[pyth_at].pyth_lhs!r},"
-                f"max_lin_lhs={reports[lin_at].lin_lhs!r},"
-                f"max_pyth_at={cases[pyth_at][0]}:{cases[pyth_at][1]},"
-                f"max_lin_at={cases[lin_at][0]}:{cases[lin_at][1]},,,\n"
-            )
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT
-    return _verdict(reports)
+    and a larger `seeds` keeps the rows of a smaller one.  Returns the exit
+    status as run_scenario does."""
+    return _exit_status(_sweep, config, out_dir, seed)
 
 
 _config_opt = click.option(
@@ -185,21 +200,15 @@ _seed_opt = click.option(
 
 class _Main(click.Group):
     """Runs click outside its standalone mode, which would exit 2 on a usage
-    error and end even a successful command with SystemExit(0).  Usage
-    errors, input errors and failed writes all end in one `error: <message>`
-    line and exit 1, keeping exit 2 for a violated duality relation; a
-    command that succeeds returns."""
+    error and end even a successful command with SystemExit(0), and leaves
+    the exit status to _exit_status: a nonzero one ends in SystemExit, and a
+    command that succeeds returns None."""
 
     def main(self, *args, **kwargs):
         kwargs["standalone_mode"] = False
-        try:
-            return super().main(*args, **kwargs)
-        except click.ClickException as exc:
-            _fail(exc.format_message())
-        except click.Abort:
-            _fail("aborted")
-        except _INPUT_ERRORS as exc:
-            _fail(exc)
+        status = _exit_status(super().main, *args, **kwargs)
+        if status:
+            sys.exit(status)
 
 
 @click.group(cls=_Main, no_args_is_help=False)
@@ -224,10 +233,9 @@ def pattern_cmd(config, out, scale_w, seed):
 @_seed_opt
 def measures_cmd(config, out, seed):
     """Compute the duality report and write report JSON."""
-    files, report = _run(load_scenario(config, seed_override=seed), out, (REPORT_JSON,))
+    files, reports = _run(load_scenario(config, seed_override=seed), out, (REPORT_JSON,))
     click.echo(files[REPORT_JSON], nl=False)
-    if _verdict([report]):
-        sys.exit(EXIT_VIOLATION)
+    return reports
 
 
 @main.command("analyze")
@@ -258,7 +266,7 @@ def analyze_cmd(config, csv_path, out, seed):
         "phases_aligned": analysis.aligned_phases(sc.slits, sc.coherence),
         "operational_matches_analytic": abs(v_c_op - v_c_an) <= analysis.VC_MATCH_TOL,
     }, indent=2) + "\n"
-    (_out_dir(out) / ANALYSIS_JSON).write_text(text)
+    _write(out, {ANALYSIS_JSON: text})
     click.echo(text, nl=False)
 
 
@@ -281,7 +289,7 @@ def mc_validate_cmd(config, out, scale_w, seed):
 @_seed_opt
 def sweep_cmd(config, out, seed):
     """Random-ensemble sweep of the duality relations; writes sweep.csv."""
-    sys.exit(run_sweep(config, out, seed=seed))
+    return _sweep(config, out, seed)
 
 
 @main.command("gamma-n")

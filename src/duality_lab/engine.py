@@ -184,26 +184,18 @@ class ScreenGeometry:
 
     @classmethod
     def over_fringes(
-        cls,
-        slits: SlitArray,
-        wavelength: float,
-        distance: float,
-        samples: int = 4096,
-        envelope: str = "uniform",
-        sigma: float | None = None,
-        phase_model: str = "small_angle",
+        cls, slits: SlitArray, wavelength: float, distance: float, **screen
     ) -> ScreenGeometry:
-        """Window spanning +-WINDOW_FRINGES fringe widths around the axis."""
+        """Window spanning +-WINDOW_FRINGES fringe widths around the axis;
+        `screen` holds any of the other fields by name, each defaulting as
+        in the constructor."""
         w = _fringe_width(wavelength, distance, slits.spacing)
         return cls(
             wavelength=wavelength,
             distance=distance,
             x_min=-WINDOW_FRINGES * w,
             x_max=WINDOW_FRINGES * w,
-            samples=samples,
-            envelope=envelope,
-            sigma=sigma,
-            phase_model=phase_model,
+            **screen,
         )
 
 

@@ -15,7 +15,10 @@ from duality_lab.engine import ScreenGeometry, SlitArray
 from duality_lab.oracle import MAX_REALIZATIONS, MIN_REALIZATIONS
 
 SCHEMA_VERSION = 1
-MAX_CELLS = 2**22  # cap on geometry.samples x slits.n, the kernel's table size
+# Cap on slits.n x slits.n, the size of every n x n array a run builds (g, A,
+# the Cholesky residual), and on geometry.samples x slits.n, which bounds the
+# exact kernel's rank x samples sums.
+MAX_CELLS = 2**22
 
 # Largest number of matrix entries a sweep evaluates as one stack, 4 MB of
 # complex entries per array: a long run of large n is cut into stacks of
@@ -162,6 +165,8 @@ def load_scenario(path, seed_override: int | None = None) -> Scenario:
     n = _get(slits_spec, "n", "slits", int)
     if n < 2:
         raise ScenarioError(f"slits.n: need at least 2 slits, got {n}")
+    if n * n > MAX_CELLS:
+        raise ScenarioError(f"slits.n: {n} x {n} slits is over {MAX_CELLS} cells")
     geom_spec = _get(obj, "geometry", "top level", dict)
     samples = _get(geom_spec, "samples", "geometry", int)
     if samples * n > MAX_CELLS:

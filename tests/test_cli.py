@@ -803,6 +803,16 @@ class TestViolationExit:
         assert capsys.readouterr().err == VIOLATION + "\n"
         assert (tmp_path / "out" / "sweep.csv").exists()
 
+    def test_sweep_exits_two_and_keeps_csv(self, runner, tmp_path, violated):
+        cfg = write_scenario(
+            tmp_path, {"schema": 1, "sweep": {"n_min": 2, "n_max": 3, "seeds": 2}}, name="sweep.json"
+        )
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [VIOLATION]
+        assert (tmp_path / "out" / "sweep.csv").exists()
+
 
 class TestRunScenario:
     def test_full_run_artifacts(self, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -193,6 +194,28 @@ def test_samples_cap_checked_before_any_array(tmp_path):
         load_scenario(write(tmp_path, cfg))
     cfg["geometry"]["samples"] = MAX_CELLS // 2
     assert load_scenario(write(tmp_path, cfg)).geometry.samples == MAX_CELLS // 2
+
+
+def test_slit_cap_checked_before_any_array(tmp_path, monkeypatch):
+    # n x n arrays (g, A, the Cholesky residual) are bounded by the same cap,
+    # which allows n up to 2048: on a cap of 16 cells, one slit over 4 is
+    # refused before coherence is drawn, and 4 slits still load
+    assert math.isqrt(MAX_CELLS) == 2048
+    monkeypatch.setattr(dl.scenario, "MAX_CELLS", 16)
+    calls = []
+    real = dl.coherence.random_coherence
+    monkeypatch.setattr(
+        dl.coherence, "random_coherence", lambda *args: calls.append(args) or real(*args)
+    )
+    cfg = base_config(coherence={"random": {"rank": 1, "seed": 3}})
+    cfg["geometry"]["samples"] = 2
+    cfg["slits"] = {"n": 5, "d": 50e-6, "intensities": [1.0] * 5}
+    with pytest.raises(ScenarioError, match="slits.n: 5 x 5 slits is over 16 cells"):
+        load_scenario(write(tmp_path, cfg))
+    assert calls == []
+    cfg["slits"] = {"n": 4, "d": 50e-6, "intensities": [1.0] * 4}
+    assert load_scenario(write(tmp_path, cfg)).slits.n == 4
+    assert calls == [(4, 1, 3)]
 
 
 @pytest.mark.parametrize(
