@@ -83,13 +83,13 @@ def _write(out, files) -> None:
             engine.write_pattern_csv(content, out / name)
 
 
-def _run(sc, out, names, scale_w: bool = False):
+def _run(sc, out, names):
     """Compute the named output files of scenario sc, each pattern once and in
-    fringe widths if scale_w or sc.scale_w, then write them into `out`.
-    Returns the files by name, JSON as text, and the reports: the one of
-    report.json if it is named, else none."""
+    fringe widths if sc.scale_w, then write them into `out`.  Returns the
+    files by name, JSON as text, and the reports: the one of report.json if
+    it is named, else none."""
     def in_unit(pat):
-        return pat.in_fringe_widths() if scale_w or sc.scale_w else pat
+        return pat.in_fringe_widths() if sc.scale_w else pat
 
     ensemble = MC_PATTERN_CSV in names or CONVERGENCE_JSON in names
     if ensemble and not sc.oracle_enabled:
@@ -219,11 +219,10 @@ def main():
 @main.command("pattern")
 @_config_opt
 @_out_opt
-@click.option("--scale-w", is_flag=True, help="Write positions in fringe-width units.")
 @_seed_opt
-def pattern_cmd(config, out, scale_w, seed):
+def pattern_cmd(config, out, seed):
     """Compute the analytic pattern and write pattern CSV."""
-    _run(load_scenario(config, seed_override=seed), out, (PATTERN_CSV,), scale_w)
+    _run(load_scenario(config, seed_override=seed), out, (PATTERN_CSV,))
     click.echo(f"wrote {Path(out) / PATTERN_CSV}")
 
 
@@ -273,13 +272,12 @@ def analyze_cmd(config, csv_path, out, seed):
 @main.command("mc-validate")
 @_config_opt
 @_out_opt
-@click.option("--scale-w", is_flag=True, help="Write positions in fringe-width units.")
 @_seed_opt
-def mc_validate_cmd(config, out, scale_w, seed):
+def mc_validate_cmd(config, out, seed):
     """Run the Monte-Carlo oracle and write its pattern CSV plus the
     convergence report JSON."""
     sc = load_scenario(config, seed_override=seed)
-    files, _ = _run(sc, out, (MC_PATTERN_CSV, CONVERGENCE_JSON), scale_w)
+    files, _ = _run(sc, out, (MC_PATTERN_CSV, CONVERGENCE_JSON))
     click.echo(files[CONVERGENCE_JSON], nl=False)
 
 

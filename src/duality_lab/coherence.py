@@ -13,9 +13,8 @@ Hermitian, unit diagonal, moduli at most 1 and eigvalsh's PSD test, which
 measures' density matrices share.  A Gram matrix of unit rows, which
 _unit_gram forms for from_modes(), random_coherence() and the sweep, is
 exactly Hermitian as formed and PSD in exact arithmetic; it is stored as
-formed, with the diagonal set to 1, when the rounding bound
-9 n r u <= 1e-10 of _gram_certified() holds (u = eps/2, r the row
-dimension: n r up to 100079), and goes through the checks otherwise.
+formed, with the diagonal set to 1, when the rounding bound of
+_gram_certified() holds, and goes through the checks otherwise.
 
 The checks, the Gram product and the random draw are written once, as
 private cores over leading batch axes ([..., n, n] matrices, [..., n, r]
@@ -82,19 +81,22 @@ class NotPositiveSemidefinite(CoherenceMatrixError):
 
 @dataclass(frozen=True)
 class CoherenceMatrix:
-    """Validated n x n normalized mutual-coherence matrix.
+    """Validated n x n normalized mutual-coherence matrix; n is read from
+    the entries.
 
     Construct through validate(), from_modes() or random_coherence().  The
     entry array is a read-only copy of the one given; all operations treat
     it as immutable.
     """
 
-    n: int
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.array(self.entries))
-        self.entries.setflags(write=False)
+        _freeze(self, entries=np.array(self.entries))
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
     def magnitudes(self) -> np.ndarray:
         """Moduli |g_ij| with zero diagonal, clipped at the physical bound 1.
@@ -134,8 +136,8 @@ def validate(matrix) -> CoherenceMatrix:
     The one other argument is _unit_gram's private result, which from_modes()
     passes: the Gram matrix of n unit rows of dimension r.  It is stored as
     formed, with diagonal exactly 1, when _gram_certified(n, r) shows that
-    it passes every check above (9 n r u <= 1e-10, so n r up to 100079),
-    and judged by them otherwise; either way its stored bytes are the same.
+    it passes every check above, and judged by them otherwise; either way
+    its stored bytes are the same.
     """
     if isinstance(matrix, _UnitGram):
         g = _stored_gram(matrix)
@@ -144,7 +146,7 @@ def validate(matrix) -> CoherenceMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise CoherenceMatrixError(f"expected a square matrix, got shape {m.shape}")
         g = _hermitian_part(m)
-    return CoherenceMatrix(n=g.shape[0], entries=g)
+    return CoherenceMatrix(g)
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,14 @@ class _UnitGram:
 
     entries: np.ndarray
     rank: int
+
+
+def _freeze(obj, **arrays) -> None:
+    """Store each array on the frozen dataclass instance obj under its
+    name, made read-only: the one rule of every value object's arrays."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(obj, name, array)
 
 
 def _gram_certified(n: int, rank: int) -> bool:
@@ -305,8 +315,7 @@ class ModeDecomposition:
         zero = ~v.any(axis=1)  # not the norm, which over- or underflows
         if zero.any():
             raise ValueError(f"zero-norm mode row at slit {int(np.flatnonzero(zero)[0])}")
-        object.__setattr__(self, "vectors", v)
-        v.setflags(write=False)
+        _freeze(self, vectors=v)
 
     @property
     def n(self) -> int:
@@ -331,8 +340,7 @@ class PolarizationSet:
             raise ValueError(
                 f"polarization vectors must have unit norm: slit {slit} has norm {float(norms[slit])!r}"
             )
-        object.__setattr__(self, "vectors", v)
-        v.setflags(write=False)
+        _freeze(self, vectors=v)
 
     @property
     def n(self) -> int:
@@ -400,9 +408,9 @@ def from_modes(
 
     The Gram matrix of the unit rows (dimension r = the mode count, twice
     it with Jones states) goes to validate() in _unit_gram's private form:
-    it is stored as formed, with diagonal 1, when 9 n r u <= 1e-10 (n r up
-    to 100079, u = eps/2) proves it passes validate()'s checks, and is
-    judged by those checks and eigvalsh otherwise.
+    it is stored as formed, with diagonal 1, when _gram_certified() proves
+    it passes validate()'s checks, and is judged by those checks and
+    eigvalsh otherwise.
     """
     # Each mode row is first scaled by the power of two that brings its
     # largest part into [0.5, 1): exact, so unit rows keep their bits, no
@@ -427,8 +435,8 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
     by exactly standard_normal((2, n, rank)); an integer seed gives the
     matrix that default_rng(seed) would.  The Gram matrix is admitted as
     validate() admits from_modes()'s: stored as formed, with diagonal 1,
-    when _gram_certified(n, rank) holds (n * rank up to 100079), and
-    through validate()'s checks otherwise, with the same bytes.
+    when _gram_certified(n, rank) holds, and through validate()'s checks
+    otherwise, with the same bytes.
 
     rank=1 gives a fully coherent matrix (all moduli 1); rank >= n gives a
     generically full-rank matrix with all off-diagonal moduli below 1.
@@ -438,7 +446,7 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     # default_rng returns a Generator unaltered, so it is drawn from as it is
-    return CoherenceMatrix(n=n, entries=_random_grams(np.random.default_rng(seed), n, rank))
+    return CoherenceMatrix(_random_grams(np.random.default_rng(seed), n, rank))
 
 
 def _random_grams(rng: np.random.Generator, n: int, rank: int, count: tuple = ()) -> np.ndarray:

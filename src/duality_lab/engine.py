@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix, _set_diagonal
+from duality_lab.coherence import CoherenceMatrix, _freeze, _set_diagonal
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -116,10 +116,7 @@ class SlitArray:
             raise ValueError("phases must match the intensity vector length")
         if not np.all(np.isfinite(ph)):
             raise ValueError("slit phases must be finite")
-        object.__setattr__(self, "intensities", inten)
-        object.__setattr__(self, "phases", ph)
-        inten.setflags(write=False)
-        ph.setflags(write=False)
+        _freeze(self, intensities=inten, phases=ph)
 
     @property
     def n(self) -> int:
@@ -202,7 +199,8 @@ class ScreenGeometry:
 @dataclass(frozen=True)
 class InterferencePattern:
     """Sampled total intensity with its incoherent reference pattern, the
-    slit count and the spacing of adjacent primary maxima in the grid's unit."""
+    slit count and the spacing of adjacent primary maxima in the grid's unit.
+    The three columns must be 1-D and of one length."""
 
     grid: np.ndarray
     total: np.ndarray
@@ -211,10 +209,11 @@ class InterferencePattern:
     fringe_width: float
 
     def __post_init__(self):
-        for name in ("grid", "total", "incoherent"):
-            arr = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
+        grid, total, inc = (np.array(c, float) for c in (self.grid, self.total, self.incoherent))
+        if grid.ndim != 1 or not grid.shape == total.shape == inc.shape:
+            shapes = (grid.shape, total.shape, inc.shape)
+            raise ValueError(f"pattern columns must be 1-D and of one length, got shapes {shapes}")
+        _freeze(self, grid=grid, total=total, incoherent=inc)
 
     def in_fringe_widths(self) -> InterferencePattern:
         """This pattern with x in fringe widths: grid / fringe_width, width 1."""
@@ -493,8 +492,10 @@ def pattern(
 def intensity_at(
     slits: SlitArray, coh: CoherenceMatrix, geometry: ScreenGeometry, x: float
 ) -> float:
-    """Total intensity at a single screen position."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Total intensity at a single screen position x, one finite number."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != 1 or not np.isfinite(x[0]):
+        raise ValueError(f"x must be one finite screen position, got {x.tolist()}")
     a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
     return float(screen_pattern(slits, geometry, x, a_re, a_im).total[0])
 

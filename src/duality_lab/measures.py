@@ -28,6 +28,7 @@ from duality_lab.coherence import (
     _check_psd,
     _complex,
     _degree_of_coherence,
+    _freeze,
     _magnitudes,
     _matrix_sums,
     _set_diagonal,
@@ -130,35 +131,38 @@ def michelson(i_max: float, i_min: float) -> float:
 @dataclass(frozen=True)
 class BeamDensityMatrix:
     """Density matrix of the beam in the path basis: rho_ij =
-    sqrt(I_i I_j) g_ij / sum_k I_k, stored as a read-only complex copy.
-    Construction refuses, with a ValueError naming the property, fewer than
-    2 slits (quantum_coherence divides by n - 1), a rho that is not n x n,
-    one that validate's checks find not finite, not Hermitian or with an
-    eigenvalue below PSD_FLOOR, and one not of unit trace within TRACE_TOL."""
+    sqrt(I_i I_j) g_ij / sum_k I_k, stored as a read-only complex copy;
+    n is read from rho.  Construction refuses, with a ValueError naming the
+    property, a rho that is not square, fewer than 2 slits
+    (quantum_coherence divides by n - 1), a rho that validate's checks find
+    not finite, not Hermitian or with an eigenvalue below PSD_FLOOR, and
+    one not of unit trace within TRACE_TOL."""
 
-    n: int
     rho: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"density matrix: need at least 2 slits, got n={self.n}")
         rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (self.n, self.n):
-            raise ValueError(f"density matrix: not {self.n} x {self.n}, shape {rho.shape}")
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise ValueError(f"density matrix: not square, shape {rho.shape}")
+        if rho.shape[0] < 2:
+            raise ValueError(f"density matrix: need at least 2 slits, got n={rho.shape[0]}")
         _check_hermitian(rho, "rho")
         with np.errstate(over="ignore"):  # an overflowing trace is inf, refused
             trace = float(np.trace(rho).real)
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix: not of unit trace, trace {trace!r}")
         _check_psd(rho)
-        object.__setattr__(self, "rho", rho)
-        rho.setflags(write=False)
+        _freeze(self, rho=rho)
+
+    @property
+    def n(self) -> int:
+        return self.rho.shape[0]
 
 
 def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:
     """Build the path-basis density matrix from slit intensities and coherence."""
     inten = intensity_vector(intensities)
-    return BeamDensityMatrix(n=inten.size, rho=_density(inten, *mutual_intensity(inten, coh)))
+    return BeamDensityMatrix(_density(inten, *mutual_intensity(inten, coh)))
 
 
 def _density(inten: np.ndarray, a_re: np.ndarray, a_im: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix, _complex, _product
+from duality_lab.coherence import CoherenceMatrix, _complex, _freeze, _product
 from duality_lab.engine import (
     InterferencePattern,
     ScreenGeometry,
@@ -72,8 +72,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ValueError(f"need 1 to {MAX_REALIZATIONS} realizations")
-        object.__setattr__(self, "factor", np.array(self.factor))
-        self.factor.setflags(write=False)
+        _freeze(self, factor=np.array(self.factor))
 
 
 def ensemble_spec(

@@ -103,14 +103,25 @@ class TestPatternCommand:
         assert lines[0] == "x,total,incoherent"
         assert len(lines) == 4097
 
-    def test_scale_w_flag(self, runner, tmp_path):
-        cfg = saturated_two_slit(tmp_path)
-        result = runner.invoke(
-            main, ["pattern", "--config", str(cfg), "--out", str(tmp_path), "--scale-w"]
-        )
+    def test_outputs_scale_w(self, runner, tmp_path):
+        cfg_obj = json.loads(saturated_two_slit(tmp_path).read_text())
+        cfg_obj["outputs"] = {"scale_w": True}
+        cfg = write_scenario(tmp_path, cfg_obj)
+        result = runner.invoke(main, ["pattern", "--config", str(cfg), "--out", str(tmp_path)])
         assert result.exit_code == 0
         first_x = float((tmp_path / "pattern.csv").read_text().splitlines()[1].split(",")[0])
         assert first_x == pytest.approx(-4.0)
+
+    def test_scale_w_flag(self, runner, tmp_path):
+        # outputs.scale_w is the one unit switch; the flag that repeated it
+        # is an unknown option, a usage error that writes nothing
+        out = tmp_path / "out"
+        for command in ("pattern", "mc-validate"):
+            args = [command, "--config", str(THREE_SLIT), "--out", str(out), "--scale-w"]
+            result = runner.invoke(main, args)
+            assert_input_error(result, "--scale-w")
+            assert "No such option" in result.output
+            assert not out.exists()
 
     def test_exact_model_at_a_huge_window(self, runner, tmp_path):
         # x_min/x_max = -+1e200: the exact model's (x - pos_i)^2 would
@@ -256,15 +267,18 @@ class TestAnalyzeCommand:
         assert len(result.output.splitlines()) == 1
         assert not (out / "analysis.json").exists()
 
-    @pytest.mark.parametrize("write_flag", [[], ["--scale-w"]], ids=["metres", "scaled"])
-    def test_reads_the_unit_from_the_header(self, runner, tmp_path, write_flag):
-        # the header names x's unit, so analyze reads either file without a
-        # flag; the operational V_C does not depend on the unit x is in
+    @pytest.mark.parametrize("scale_w", [False, True], ids=["metres", "scaled"])
+    def test_reads_the_unit_from_the_header(self, runner, tmp_path, scale_w):
+        # the header names x's unit, so analyze reads either file under a
+        # config in metres; the operational V_C does not depend on the unit x is in
         out = str(tmp_path)
-        result = runner.invoke(main, ["pattern", "--config", str(THREE_SLIT), "--out", out] + write_flag)
+        cfg_obj = json.loads(THREE_SLIT.read_text())
+        cfg_obj["outputs"]["scale_w"] = scale_w
+        cfg = write_scenario(tmp_path, cfg_obj)
+        result = runner.invoke(main, ["pattern", "--config", str(cfg), "--out", out])
         assert result.exit_code == 0, result.output
         csv = tmp_path / "pattern.csv"
-        assert csv.read_text().split(",", 1)[0] == ("x_w" if write_flag else "x")
+        assert csv.read_text().split(",", 1)[0] == ("x_w" if scale_w else "x")
         result = runner.invoke(main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", out])
         assert result.exit_code == 0, result.output
         sc = dl.load_scenario(THREE_SLIT)
@@ -298,18 +312,15 @@ class TestMcValidateCommand:
         assert run_scenario(cfg, tmp_path / "out") == 0
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("scaled_by", ["config", "flag"])
-    def test_scaled_positions_in_the_csv_unit(self, runner, tmp_path, scaled_by):
+    def test_scaled_positions_in_the_csv_unit(self, runner, tmp_path):
         # under scale_w every position a run writes is in fringe widths:
         # convergence.json at_x was once in metres beside fringe-width CSVs
         cfg_obj = json.loads(THREE_SLIT.read_text())
         cfg_obj["oracle"]["realizations"] = 500
-        cfg_obj["outputs"]["scale_w"] = scaled_by == "config"
+        cfg_obj["outputs"]["scale_w"] = True
         cfg = write_scenario(tmp_path, cfg_obj)
-        flag = ["--scale-w"] if scaled_by == "flag" else []
         for command in ("mc-validate", "pattern"):
-            args = [command, "--config", str(cfg), "--out", str(tmp_path)]
-            result = runner.invoke(main, args + flag)
+            result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path)])
             assert result.exit_code == 0, result.output
         conv = json.loads((tmp_path / "convergence.json").read_text())
         lines = (tmp_path / "mc_pattern.csv").read_text().splitlines()[1:]

@@ -430,7 +430,7 @@ def test_degree_of_coherence_depends_only_on_moduli(seed, n):
     # arbitrary Hermitian-consistent phases change moduli by nothing either
     theta = rng.uniform(-np.pi, np.pi, (n, n))
     theta = theta - theta.T
-    twisted = dl.CoherenceMatrix(n=n, entries=coh.entries * np.exp(1j * theta))
+    twisted = dl.CoherenceMatrix(coh.entries * np.exp(1j * theta))
     assert abs(dl.degree_of_coherence(coh) - dl.degree_of_coherence(twisted)) < 1e-14
 
 
@@ -449,6 +449,14 @@ def test_load_matrix_shape_mismatch(tmp_path):
     path.write_text('{"n": 3, "re": [[1.0]], "im": [[0.0]]}')
     with pytest.raises(ScenarioError, match=r"top level\.re: expected shape \(3, 3\), got \(1, 1\)"):
         load_matrix(path)
+
+
+def test_slit_count_is_read_from_the_entries():
+    # n was once a second argument: n=2 beside 3 x 3 entries built, and the
+    # report then failed in numpy broadcasting
+    assert dl.CoherenceMatrix(np.eye(3, dtype=complex)).n == 3
+    with pytest.raises(TypeError):
+        dl.CoherenceMatrix(n=2, entries=np.eye(3, dtype=complex))
 
 
 def test_entries_are_immutable():

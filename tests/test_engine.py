@@ -82,8 +82,8 @@ class TestSlitArray:
         (np.array([[1.0, 0.0], [0.6, 0.8j]]), lambda a: dl.ModeDecomposition(a).vectors),
         (np.array([[1.0, 0.0], [0.6, 0.8j]]), lambda a: dl.PolarizationSet(a).vectors),
         (np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex),
-         lambda a: dl.BeamDensityMatrix(n=2, rho=a).rho),
-        (np.eye(2, dtype=complex), lambda a: dl.CoherenceMatrix(n=2, entries=a).entries),
+         lambda a: dl.BeamDensityMatrix(a).rho),
+        (np.eye(2, dtype=complex), lambda a: dl.CoherenceMatrix(a).entries),
         (np.array([[1.0], [0.5j]]), lambda a: dl.EnsembleSpec(realizations=1, seed=0, factor=a).factor),
     ],
     ids=[
@@ -224,6 +224,12 @@ class TestPattern:
         # hand evaluation: 1 + 1 + 2*sqrt(1*1)*0.5*cos(0) = 3
         slits = two_slits()
         assert dl.intensity_at(slits, coherence_with(0.5), geometry(), 0.0) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[0.0, 0.005], [], np.nan], ids=["two", "none", "nan"])
+    def test_intensity_at_refuses_all_but_one_finite_position(self, x):
+        # these once returned I(0) alone, raised IndexError and returned nan
+        with pytest.raises(ValueError, match="x must be one finite screen position"):
+            dl.intensity_at(two_slits(), coherence_with(0.5), geometry(), x)
 
     def test_destructive_null_at_half_fringe(self):
         slits = two_slits()
@@ -771,6 +777,16 @@ class TestPivotedCholesky:
 
 
 class TestCsv:
+    @pytest.mark.parametrize(
+        "columns",
+        [([0.0, 1.0, 2.0], [1.0, 2.0], [1.0, 1.0, 1.0]), ([[0.0, 1.0]], [[1.0, 2.0]], [[1.0, 1.0]])],
+        ids=["lengths", "two_d"],
+    )
+    def test_pattern_columns_of_one_length(self, columns):
+        # a shorter total once built, and write_pattern_csv then wrote 2 rows
+        with pytest.raises(ValueError, match="pattern columns must be 1-D and of one length"):
+            dl.InterferencePattern(*columns, n=2, fringe_width=W)
+
     def test_round_trip(self, tmp_path):
         slits = two_slits()
         pat = dl.pattern(slits, coherence_with(0.5), geometry(samples=257))

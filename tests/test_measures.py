@@ -255,34 +255,35 @@ class TestDensityMatrix:
             dl.density_from_beams([0.0, 0.0], coherence_with(0.5))
 
     @pytest.mark.parametrize(
-        "n, rho, fragment",
+        "rho, fragment",
         [
-            # once built and gave quantum_coherence nan
-            (3, [[np.nan]], "not 3 x 3"),
-            (2, [[0.5, np.nan], [np.nan, 0.5]], "not finite"),
-            (2, [[0.5, 0.0], [0.0, 0.6]], "unit trace"),
-            (2, [[0.5, 0.1j], [0.1j, 0.5]], "not Hermitian"),
+            # a 1 x 1 rho given n = 3 once built and gave quantum_coherence nan
+            ([[0.5, 0.5]], r"not square, shape \(1, 2\)"),
+            ([[0.5, np.nan], [np.nan, 0.5]], "not finite"),
+            ([[0.5, 0.0], [0.0, 0.6]], "unit trace"),
+            ([[0.5, 0.1j], [0.1j, 0.5]], "not Hermitian"),
             # once built and gave quantum_coherence 2.0
-            (2, [[0.5, 2.0], [2.0, 0.5]], "positive semidefinite"),
+            ([[0.5, 2.0], [2.0, 0.5]], "positive semidefinite"),
             # once built and gave quantum_coherence nan, dividing by n - 1 = 0
-            (1, [[1.0]], "need at least 2 slits"),
+            ([[1.0]], "need at least 2 slits, got n=1"),
             # once warned of overflow instead of refusing
-            (2, [[1e308, 0.0], [0.0, 1e308]], "unit trace"),
-            (2, [[0.5, 1e308], [-1e308, 0.5]], "not Hermitian"),
+            ([[1e308, 0.0], [0.0, 1e308]], "unit trace"),
+            ([[0.5, 1e308], [-1e308, 0.5]], "not Hermitian"),
         ],
         ids=[
             "shape", "nan", "trace", "hermitian", "psd", "one_slit",
             "trace_overflow", "hermitian_overflow",
         ],
     )
-    def test_invalid_rho_refused(self, n, rho, fragment):
+    def test_invalid_rho_refused(self, rho, fragment):
         with pytest.raises(ValueError, match=fragment):
-            dl.BeamDensityMatrix(n=n, rho=np.array(rho, dtype=complex))
+            dl.BeamDensityMatrix(np.array(rho, dtype=complex))
 
     def test_nested_list_rho(self):
         # a nested list once raised AttributeError on rho.shape
-        dm = dl.BeamDensityMatrix(n=2, rho=[[0.5, 0], [0, 0.5]])
+        dm = dl.BeamDensityMatrix(rho=[[0.5, 0], [0, 0.5]])
         assert dm.rho.dtype == complex and dm.rho.tobytes() == np.diag([0.5, 0.5]).astype(complex).tobytes()
+        assert dm.n == 2
 
 
 class TestQuantumCoherence:
