@@ -122,14 +122,14 @@ def extract_michelson(pat: InterferencePattern) -> float:
 
 
 def aligned_phases(slits: SlitArray, coh: CoherenceMatrix) -> bool:
-    """True when every nonzero entry of A = mutual_intensity(I, g, alpha) has
+    """True when every nonzero entry of A = mutual_intensity(slits, coh) has
     |arctan2(Im A_ij, Re A_ij)| <= PHASE_TOL: every pair phase alpha_i -
     alpha_j + arg(g_ij) is a multiple of 2*pi, so all cosines peak together
     at x = 0.  The operational visibility then reproduces the analytic one
     only as far as extract_vc's 3-point parabola is exact at that peak: to
     rounding when x = 0 is a sample, but off by about 5e-4 at n=64 with an
     even sample count (see extract_vc)."""
-    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    a_re, a_im = mutual_intensity(slits, coh)
     nonzero = (a_re != 0.0) | (a_im != 0.0)
     return bool(np.all(np.abs(np.arctan2(a_im[nonzero], a_re[nonzero])) <= PHASE_TOL))
 

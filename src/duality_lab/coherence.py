@@ -82,7 +82,8 @@ class NotPositiveSemidefinite(CoherenceMatrixError):
 @dataclass(frozen=True)
 class CoherenceMatrix:
     """Validated n x n normalized mutual-coherence matrix; n is read from
-    the entries.
+    the entries, and entries that are not one square matrix are refused
+    with CoherenceMatrixError.
 
     Construct through validate(), from_modes() or random_coherence().  The
     entry array is a read-only copy of the one given; all operations treat
@@ -92,7 +93,7 @@ class CoherenceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, entries=np.array(self.entries))
+        _freeze(self, entries=_square(np.array(self.entries)))
 
     @property
     def n(self) -> int:
@@ -142,10 +143,7 @@ def validate(matrix) -> CoherenceMatrix:
     if isinstance(matrix, _UnitGram):
         g = _stored_gram(matrix)
     else:
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise CoherenceMatrixError(f"expected a square matrix, got shape {m.shape}")
-        g = _hermitian_part(m)
+        g = _hermitian_part(_square(np.asarray(matrix, dtype=complex)))
     return CoherenceMatrix(g)
 
 
@@ -157,6 +155,13 @@ class _UnitGram:
 
     entries: np.ndarray
     rank: int
+
+
+def _square(m: np.ndarray) -> np.ndarray:
+    """m itself if it is one square matrix; else CoherenceMatrixError."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise CoherenceMatrixError(f"expected a square matrix, got shape {m.shape}")
+    return m
 
 
 def _freeze(obj, **arrays) -> None:

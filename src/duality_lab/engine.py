@@ -92,6 +92,13 @@ def intensity_vector(values) -> np.ndarray:
     return inten
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an int or a numpy integer: a bool, or a
+    float even of integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SlitArray:
     """Equally spaced slits with per-slit on-screen intensities and phases.
@@ -127,6 +134,7 @@ class SlitArray:
 class ScreenGeometry:
     """Observation screen: wavelength, slit-to-screen distance, sampled window.
 
+    samples, the grid size, is an int or numpy integer of at least 2.
     envelope is the common per-slit diffraction profile multiplying every
     I_i: "uniform" (exact analytic checks) or "gaussian" with scale sigma in
     metres.  phase_model selects the pair-delay computation: "small_angle"
@@ -153,6 +161,7 @@ class ScreenGeometry:
             raise ValueError("slit-to-screen distance must be positive")
         if not self.x_min < self.x_max:
             raise ValueError("screen window must satisfy x_min < x_max")
+        _check_count("samples", self.samples)
         if self.samples < 2:
             raise ValueError("need at least 2 grid samples")
         if self.envelope not in ENVELOPES:
@@ -259,36 +268,25 @@ def delay(geometry: ScreenGeometry, slits: SlitArray, i: int, j: int, x: float) 
     return (path_i - path_j) / SPEED_OF_LIGHT
 
 
-def mutual_intensity(
-    intensities, coh: CoherenceMatrix, phases=None
-) -> tuple[np.ndarray, np.ndarray]:
+def mutual_intensity(slits: SlitArray, coh: CoherenceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the Hermitian PSD mutual-intensity matrix
-    A_ij = sqrt(I_i) sqrt(I_j) g_ij exp(i(alpha_i - alpha_j)), J for zero
-    phases: the pattern is u A u* times the envelope, and A = <E_i E_j*> is
-    what the oracle samples.  Built from real ufuncs only: numpy's complex
-    multiply fuses multiply-adds on some CPUs, which would tie A to the build.
-    Im A_ii is exactly 0, as g_ii = 1; Re A_ii is set to I_i, not sqrt(I_i)^2.
+    A_ij = sqrt(I_i) sqrt(I_j) g_ij exp(i(alpha_i - alpha_j)) of the slits'
+    intensities and phases: the pattern is u A u* times the envelope, and
+    A = <E_i E_j*> is what the oracle samples.  Built from real ufuncs only:
+    numpy's complex multiply fuses multiply-adds on some CPUs, which would
+    tie A to the build.  Im A_ii is exactly 0, as g_ii = 1; Re A_ii is set
+    to I_i, not sqrt(I_i)^2.
     """
-    count = np.size(intensities)
-    if coh.n != count:
-        raise ValueError(f"coherence matrix size {coh.n} does not match slit count {count}")
-    return _mutual_intensity(intensities, coh.entries, phases)
-
-
-def _mutual_intensity(
-    intensities, g: np.ndarray, phases=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """mutual_intensity() of a stack: intensities [..., n], stored coherence
-    matrices g [..., n, n] and phases [..., n] or None for zero phases."""
-    amps = np.sqrt(intensities)
-    g_re, g_im = g.real, g.imag
-    weight = amps[..., :, None] * amps[..., None, :]
-    phases = np.zeros(amps.shape) if phases is None else np.asarray(phases)
-    dphi = phases[..., :, None] - phases[..., None, :]
+    if coh.n != slits.n:
+        raise ValueError(f"coherence matrix size {coh.n} does not match slit count {slits.n}")
+    inten, phases, g = slits.intensities, slits.phases, coh.entries
+    amps = np.sqrt(inten)
+    weight = amps[:, None] * amps[None, :]
+    dphi = phases[:, None] - phases[None, :]
     cos, sin = np.cos(dphi), np.sin(dphi)
-    a_re = weight * (g_re * cos - g_im * sin)
-    a_im = weight * (g_re * sin + g_im * cos)
-    _set_diagonal(a_re, intensities)
+    a_re = weight * (g.real * cos - g.imag * sin)
+    a_im = weight * (g.real * sin + g.imag * cos)
+    _set_diagonal(a_re, inten)
     return a_re, a_im
 
 
@@ -485,7 +483,7 @@ def pattern(
     equal intensities and zero phases the total reproduces the classic n-slit
     grating profile.
     """
-    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    a_re, a_im = mutual_intensity(slits, coh)
     return screen_pattern(slits, geometry, geometry.grid(), a_re, a_im)
 
 
@@ -496,7 +494,7 @@ def intensity_at(
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != 1 or not np.isfinite(x[0]):
         raise ValueError(f"x must be one finite screen position, got {x.tolist()}")
-    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    a_re, a_im = mutual_intensity(slits, coh)
     return float(screen_pattern(slits, geometry, x, a_re, a_im).total[0])
 
 

@@ -11,7 +11,8 @@ INEQUALITY_TOL of 1; in exact arithmetic they equal 1 - s^2 + V_C^2 and
 Every measure is written once, as a private core over leading batch axes
 (intensities [..., n], coherence matrices [..., n, n]): the sweep evaluates
 each n as one stack through _reports, and the public one-instance functions
-are its no-batch case, with the same bits.
+are its no-batch case, with the same bits.  _density builds the density
+matrix rho_ij = sqrt(I_i I_j) g_ij / sum_k I_k of C from g, with no phases.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from duality_lab.coherence import (
     _set_diagonal,
 )
 # ZeroTotalIntensity comes from the intensity rule and stays importable from here
-from duality_lab.engine import (  # noqa: F401
-    ZeroTotalIntensity,
-    _mutual_intensity,
-    intensity_vector,
-    mutual_intensity,
-)
+from duality_lab.engine import ZeroTotalIntensity, intensity_vector  # noqa: F401
 
 INEQUALITY_TOL = 1e-12
 TRACE_TOL = 1e-10  # BeamDensityMatrix refuses |tr rho - 1| above this
@@ -161,15 +157,18 @@ class BeamDensityMatrix:
 
 def density_from_beams(intensities, coh: CoherenceMatrix) -> BeamDensityMatrix:
     """Build the path-basis density matrix from slit intensities and coherence."""
-    inten = intensity_vector(intensities)
-    return BeamDensityMatrix(_density(inten, *mutual_intensity(inten, coh)))
+    return BeamDensityMatrix(_density(*_checked(intensities, coh)))
 
 
-def _density(inten: np.ndarray, a_re: np.ndarray, a_im: np.ndarray) -> np.ndarray:
-    """rho = A / sum_k I_k for a stack of mutual intensities A, divided part
-    by part in real arithmetic."""
+def _density(inten: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The density matrices rho of a stack, each part formed and divided by
+    sum_k I_k in real arithmetic, with rho_ii = I_i / sum_k I_k."""
+    amps = np.sqrt(inten)
+    weight = amps[..., :, None] * amps[..., None, :]
+    re, im = weight * g.real, weight * g.imag
+    _set_diagonal(re, inten)
     total = inten.sum(axis=-1)[..., None, None]
-    return _complex(a_re / total, a_im / total)
+    return _complex(re / total, im / total)
 
 
 def quantum_coherence(density: BeamDensityMatrix) -> float:
@@ -224,7 +223,7 @@ def _reports(inten: np.ndarray, g: np.ndarray) -> list[DualityReport]:
     pyth_lhs = d * d + v_c * v_c
     lin_lhs = d_prime + v_c
     gamma_n = _degree_of_coherence(mag)
-    c = _quantum_coherence(_density(inten, *_mutual_intensity(inten, g)))
+    c = _quantum_coherence(_density(inten, g))
     rows = zip(*(np.ravel(a).tolist() for a in (v_c, d, d_prime, gamma_n, c, pyth_lhs, lin_lhs)))
     tol = 1.0 + INEQUALITY_TOL
     return [DualityReport(g.shape[-1], *row, row[-2] <= tol, row[-1] <= tol) for row in rows]

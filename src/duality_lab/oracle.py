@@ -36,6 +36,7 @@ from duality_lab.engine import (
     InterferencePattern,
     ScreenGeometry,
     SlitArray,
+    _check_count,
     mutual_intensity,
     pivoted_cholesky,
     screen_pattern,
@@ -61,15 +62,16 @@ MAX_REALIZATIONS = 2**24
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Sampling recipe for a field ensemble: realization count, base seed and
-    the n x r factor F of the mutual-intensity matrix A = F F^dagger, rows in
-    slit order."""
+    """Sampling recipe for a field ensemble: realization count (an int or
+    numpy integer, 1 to MAX_REALIZATIONS), base seed and the n x r factor F
+    of the mutual-intensity matrix A = F F^dagger, rows in slit order."""
 
     realizations: int
     seed: int
     factor: np.ndarray
 
     def __post_init__(self):
+        _check_count("realizations", self.realizations)
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ValueError(f"need 1 to {MAX_REALIZATIONS} realizations")
         _freeze(self, factor=np.array(self.factor))
@@ -83,7 +85,7 @@ def ensemble_spec(
     slit order.  Its column count r is the rank at which the factorization
     stops, so a rank-deficient A samples only as many coefficients as it
     carries."""
-    a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+    a_re, a_im = mutual_intensity(slits, coh)
     _, f_re, f_im = pivoted_cholesky(a_re, a_im)
     return EnsembleSpec(realizations=realizations, seed=seed, factor=_complex(f_re, f_im))
 

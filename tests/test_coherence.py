@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import duality_lab as dl
 from duality_lab import coherence
 from duality_lab.coherence import (
+    CoherenceMatrixError,
     DiagonalNotUnit,
     MODULUS_TOL,
     NotFinite,
@@ -124,7 +125,8 @@ def test_mutual_intensity_of_the_stored_matrix_has_real_diagonal(seed):
     # Im A_ii = I_i Im g_ii with zero phase difference, exactly 0 without a fill
     coh = dl.validate(_nearly_valid(seed))
     phases = np.random.default_rng(seed).uniform(-3.0, 3.0, 4)
-    _, a_im = mutual_intensity([1.0, 0.3, 2.5, 1e-3], coh, phases)
+    slits = dl.SlitArray(intensities=[1.0, 0.3, 2.5, 1e-3], spacing=1e-4, phases=phases)
+    _, a_im = mutual_intensity(slits, coh)
     assert np.all(np.diag(a_im) == 0.0)
 
 
@@ -457,6 +459,18 @@ def test_slit_count_is_read_from_the_entries():
     assert dl.CoherenceMatrix(np.eye(3, dtype=complex)).n == 3
     with pytest.raises(TypeError):
         dl.CoherenceMatrix(n=2, entries=np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "entries, shape",
+    [(np.ones((2, 3), dtype=complex), r"\(2, 3\)"), (np.ones(3), r"\(3,\)")],
+    ids=["2x3", "1-d"],
+)
+def test_entries_must_be_one_square_matrix(entries, shape):
+    # both once built, with n 2 and 3, and the 2 x 3 one then failed in
+    # duality_report with numpy's IndexError
+    with pytest.raises(CoherenceMatrixError, match=f"expected a square matrix, got shape {shape}"):
+        dl.CoherenceMatrix(entries)
 
 
 def test_entries_are_immutable():

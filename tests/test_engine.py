@@ -127,14 +127,24 @@ class TestScreenGeometry:
             ({"wavelength": 0.0}, "wavelength must be positive"),
             ({"distance": -1.0}, "slit-to-screen distance must be positive"),
             ({"samples": 1}, "need at least 2 grid samples"),
+            # a float count once built and made pattern() raise a bare TypeError
+            ({"samples": 4096.0}, "samples must be an integer, got 4096.0"),
+            ({"samples": 64.5}, "samples must be an integer, got 64.5"),
+            ({"samples": True}, "samples must be an integer, got True"),
             ({"phase_model": "paraxial"}, "unknown phase model 'paraxial'"),
         ],
-        ids=["wavelength", "distance", "samples", "phase_model"],
+        ids=[
+            "wavelength", "distance", "samples", "samples_integral_float", "samples_float",
+            "samples_bool", "phase_model",
+        ],
     )
     def test_rejects_out_of_range(self, kw, fragment):
         args = {"wavelength": WAVELENGTH, "distance": DISTANCE, "x_min": -0.1, "x_max": 0.1, **kw}
         with pytest.raises(ValueError, match=fragment):
             dl.ScreenGeometry(**args)
+
+    def test_numpy_integer_samples(self):
+        assert dl.ScreenGeometry(WAVELENGTH, DISTANCE, -0.1, 0.1, samples=np.int64(64)).grid().size == 64
 
     def test_gaussian_needs_sigma(self):
         with pytest.raises(ValueError):
@@ -589,7 +599,7 @@ class TestExactModelReference:
         coh = dl.from_modes(dl.ModeDecomposition(modes))
         geom = dl.ScreenGeometry(WAVELENGTH, DISTANCE, -W, W, samples=4097, phase_model="exact")
         pat = dl.pattern(slits, coh, geom)
-        a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+        a_re, a_im = mutual_intensity(slits, coh)
         ar, ai = a_re.tolist(), a_im.tolist()
         pos = slit_positions(n, SPACING).tolist()
         u = sys.float_info.epsilon / 2.0
@@ -639,7 +649,7 @@ class TestSmallAngleRecurrence:
         #   reference fsum                   |ref|
         slits, coh, geom = recurrence_case(n, aligned)
         pat = dl.pattern(slits, coh, geom)
-        a_re, a_im = mutual_intensity(slits.intensities, coh, slits.phases)
+        a_re, a_im = mutual_intensity(slits, coh)
         c_0 = math.fsum(a_re.diagonal().tolist())
         coeffs = [
             (
@@ -690,7 +700,7 @@ def factor_case(name):
             coh, rank = dl.from_modes(dl.ModeDecomposition(modes)), 4
         else:
             coh, rank = dl.validate(np.eye(n)), n
-    return (*mutual_intensity(slits.intensities, coh, slits.phases), rank)
+    return (*mutual_intensity(slits, coh), rank)
 
 
 def factor_bits_case(name):
@@ -698,11 +708,12 @@ def factor_bits_case(name):
     slit count n, or of the tie case: identity coherence with intensities
     [1, 1, 2]."""
     if name == "tie":
-        return mutual_intensity(np.array([1.0, 1.0, 2.0]), dl.validate(np.eye(3)))
+        slits = dl.SlitArray(intensities=[1.0, 1.0, 2.0], spacing=SPACING)
+        return mutual_intensity(slits, dl.validate(np.eye(3)))
     if not name.isdigit():
         return factor_case(name)[:2]
     slits, coh, _ = random_case(int(name), "exact")
-    return mutual_intensity(slits.intensities, coh, slits.phases)
+    return mutual_intensity(slits, coh)
 
 
 class TestPivotedCholesky:

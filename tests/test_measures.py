@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import duality_lab as dl
 from duality_lab.coherence import NotPositiveSemidefinite, _hermitian_part
+from duality_lab.engine import mutual_intensity
 from duality_lab.measures import ZeroTotalIntensity, _reports
 
 from exact_reference import EPS, bounds, deviations, exact
@@ -253,6 +254,30 @@ class TestDensityMatrix:
     def test_zero_total(self):
         with pytest.raises(ZeroTotalIntensity):
             dl.density_from_beams([0.0, 0.0], coherence_with(0.5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rho_is_the_mutual_intensity_at_zero_phases_over_the_sum(self, seed):
+        # the route rho took before it was built from g alone: A of
+        # engine.mutual_intensity at zero slit phases, each part divided by
+        # sum_k I_k; the same bits, dark slits included
+        rng = np.random.default_rng(3000 + seed)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            intensities = rng.exponential(size=n) * 10.0 ** rng.integers(-6, 7)
+            intensities[rng.random(n) < 0.2] = 0.0
+            if not intensities.any():
+                continue
+            coh = dl.random_coherence(n, int(rng.integers(1, n + 2)), rng)
+            slits = dl.SlitArray(intensities=intensities, spacing=1e-4)
+            a_re, a_im = mutual_intensity(slits, coh)
+            total = intensities.sum()
+            expected = np.empty((n, n), dtype=complex)
+            expected.real, expected.imag = a_re / total, a_im / total
+            assert np.array_equal(dl.density_from_beams(intensities, coh).rho, expected)
+
+    def test_coherence_size_mismatch(self):
+        with pytest.raises(ValueError, match="coherence matrix size 2 does not match 3 slits"):
+            dl.density_from_beams([1.0, 1.0, 1.0], coherence_with(0.5))
 
     @pytest.mark.parametrize(
         "rho, fragment",

@@ -160,6 +160,23 @@ class TestRealizeFields:
         with pytest.raises(ValueError, match="does not match"):
             ensemble_spec(other, coh, 10, seed=1)
 
+    @pytest.mark.parametrize("realizations", [1.5, True, 2000.0], ids=["float", "bool", "integral_float"])
+    def test_realizations_must_be_an_integer(self, realizations):
+        # a float or bool count once built a spec that held it as given
+        slits, coh, _ = standard_setup()
+        with pytest.raises(ValueError, match=f"realizations must be an integer, got {realizations!r}"):
+            ensemble_spec(slits, coh, realizations, seed=1)
+
+    def test_mc_pattern_refuses_a_float_count(self):
+        # once a bare TypeError from the coefficient stream
+        slits, coh, geom = standard_setup(samples=64)
+        with pytest.raises(ValueError, match="realizations must be an integer, got 2000.5"):
+            mc_pattern(slits, coh, geom, 2000.5, 1)
+
+    def test_numpy_integer_realizations(self):
+        slits, coh, _ = standard_setup()
+        assert ensemble_spec(slits, coh, np.int64(10), seed=1).realizations == 10
+
     @pytest.mark.parametrize("rank", [2, 3])
     def test_factor_reproduces_mutual_intensity(self, rank):
         # entry (i, j), j <= i, of A - F F^H in exact rational arithmetic is
@@ -173,7 +190,7 @@ class TestRealizeFields:
         coh = dl.random_coherence(3, rank, 4)
         factor = ensemble_spec(slits, coh, 10, seed=0).factor
         assert factor.shape == (3, rank)
-        a_re, a_im = engine.mutual_intensity(slits.intensities, coh, slits.phases)
+        a_re, a_im = engine.mutual_intensity(slits, coh)
         n, r = factor.shape
         half_eps = sys.float_info.epsilon / 2.0
         gamma = (2 * r + 2) * half_eps / (1.0 - (2 * r + 2) * half_eps)
