@@ -128,60 +128,64 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
     return _exit_status(_scenario, config, out_dir, seed)
 
 
-def _sweep_reports(streams, n: int, count: int, rank: int) -> list[measures.DualityReport]:
-    """Reports of the next `count` instances of slit count n, evaluated as
-    one stack.  Each of the shape, scale and mode streams is drawn once, and
-    numpy fills an array in order, so instance s is the (s+1)-th
-    one-instance draw of each stream: its intensities are
-    shape.dirichlet(ones(n)) times scale.uniform(0.1, 10.0), its mode rows
-    those of random_coherence(n, rank, modes)."""
-    shape, scale, modes = streams
-    # uniform on the intensity simplex, rescaled to exercise scale invariance
-    intensities = shape.dirichlet(np.ones(n), count) * scale.uniform(0.1, 10.0, count)[:, None]
-    return measures._reports(intensities, coherence._random_grams(modes, n, rank, (count,)))
-
-
 def _sweep(config, out_dir, seed):
     """The body of run_sweep and of the sweep command: writes sweep.csv and
-    returns the reports."""
+    returns the reports of the instances in which a relation fails, none
+    when both hold everywhere."""
     sweep = load_sweep(config, seed_override=seed)
-    cases, reports = [], []
+    cases, columns = [], measures._Columns(*([] for _ in measures._Columns._fields))
     for n in range(sweep.n_min, sweep.n_max + 1):
-        # SeedSequence.spawn, not Generator.spawn, which numpy 1.24 lacks
-        children = np.random.SeedSequence((sweep.seed, n)).spawn(3)
-        streams = [np.random.default_rng(c) for c in children]
+        # the shape, scale and mode streams, the children that
+        # SeedSequence((seed, n)).spawn(3) would give
+        shape, scale, modes = (
+            np.random.default_rng(np.random.SeedSequence((sweep.seed, n), spawn_key=(k,)))
+            for k in range(3)
+        )
         stack = max(1, _STACK_ENTRIES // (n * n))
         for start in range(0, sweep.seeds, stack):
             seeds = range(start, min(start + stack, sweep.seeds))
             cases += [(n, s) for s in seeds]
-            reports += _sweep_reports(streams, n, len(seeds), sweep.rank or n)
-    pyth_at = max(range(len(reports)), key=lambda k: reports[k].pyth_lhs)
-    lin_at = max(range(len(reports)), key=lambda k: reports[k].lin_lhs)
-    rows = [
-        f"{n},{s},{r.v_c!r},{r.d!r},{r.d_prime!r},{r.gamma_n!r},"
-        f"{r.c!r},{r.pyth_lhs!r},{r.lin_lhs!r}\n"
-        for (n, s), r in zip(cases, reports)
-    ]
+            # each stream is drawn once per stack, and numpy fills an array in
+            # order, so instance s is the (s+1)-th one-instance draw of each:
+            # its intensities are shape.dirichlet(ones(n)) times
+            # scale.uniform(0.1, 10.0), uniform on the intensity simplex and
+            # rescaled to exercise scale invariance, and its mode rows those
+            # of random_coherence(n, rank, modes)
+            count = len(seeds)
+            intensities = shape.dirichlet(np.ones(n), count) * scale.uniform(0.1, 10.0, count)[:, None]
+            grams = coherence._random_grams(modes, n, sweep.rank or n, (count,))
+            for column, values in zip(columns, measures._columns(intensities, grams)):
+                column += values
+    pyth_at = max(range(len(cases)), key=columns.pyth_lhs.__getitem__)
+    lin_at = max(range(len(cases)), key=columns.lin_lhs.__getitem__)
+    rows = [f"{n},{s},{','.join(map(repr, row))}\n" for (n, s), row in zip(cases, zip(*columns))]
     summary = (
-        f"summary,instances={len(cases)},max_pyth_lhs={reports[pyth_at].pyth_lhs!r},"
-        f"max_lin_lhs={reports[lin_at].lin_lhs!r},"
+        f"summary,instances={len(cases)},max_pyth_lhs={columns.pyth_lhs[pyth_at]!r},"
+        f"max_lin_lhs={columns.lin_lhs[lin_at]!r},"
         f"max_pyth_at={cases[pyth_at][0]}:{cases[pyth_at][1]},"
         f"max_lin_at={cases[lin_at][0]}:{cases[lin_at][1]},,,\n"
     )
     header = "n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n"
     _write(out_dir, {SWEEP_CSV: "".join([header, *rows, summary])})
-    return reports
+    # every failing instance, not the extremes alone: max never picks a NaN
+    return [
+        measures._report(n, row)
+        for (n, _), row in zip(cases, zip(*columns))
+        if not (measures._holds(row[-2]) and measures._holds(row[-1]))
+    ]
 
 
 def run_sweep(config, out_dir, seed: int | None = None) -> int:
     """Run the random-instance sweep described by a sweep config and write
     one CSV row per instance plus a trailing summary row, which also names
     the first instance of largest left-hand side of each relation.  Each
-    slit count n draws its seeds in order from its own three streams, the
-    children of SeedSequence((master, n)), in stacks of at most
-    _STACK_ENTRIES matrix entries; where the stacks are cut moves no row,
-    and a larger `seeds` keeps the rows of a smaller one.  Returns the exit
-    status as run_scenario does."""
+    slit count n draws its seeds in order from its own three streams, built
+    directly as SeedSequence((master, n), spawn_key=(k,)) for k = 0, 1, 2,
+    the children that SeedSequence((master, n)).spawn(3) gives, in stacks
+    of at most _STACK_ENTRIES matrix entries; where the stacks are cut moves
+    no row, and a larger `seeds` keeps the rows of a smaller one.  Returns
+    the exit status as run_scenario does: 2 when any instance has a
+    left-hand side, NaN included, that is not within INEQUALITY_TOL of 1."""
     return _exit_status(_sweep, config, out_dir, seed)
 
 

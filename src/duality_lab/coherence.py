@@ -164,6 +164,20 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an int or a numpy integer: a bool, or a
+    float even of integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is neither a numpy Generator nor an integer, as
+    _check_count refuses a count."""
+    if not isinstance(seed, np.random.Generator):
+        _check_count("seed", seed)
+
+
 def _freeze(obj, **arrays) -> None:
     """Store each array on the frozen dataclass instance obj under its
     name, made read-only: the one rule of every value object's arrays."""
@@ -445,7 +459,12 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
 
     rank=1 gives a fully coherent matrix (all moduli 1); rank >= n gives a
     generically full-rank matrix with all off-diagonal moduli below 1.
+    n, rank and a seed that is not a Generator must be ints or numpy
+    integers: a float or bool is refused with a ValueError.
     """
+    _check_count("n", n)
+    _check_count("rank", rank)
+    _check_seed(seed)
     if n < 2:
         raise TooSmall(f"need at least 2 slits, got n={n}")
     if rank < 1:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix, _freeze, _set_diagonal
+from duality_lab.coherence import CoherenceMatrix, _check_count, _freeze, _set_diagonal
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -90,13 +90,6 @@ def intensity_vector(values) -> np.ndarray:
             f"for {inten.size} slits, got {total}"
         )
     return inten
-
-
-def _check_count(name: str, value) -> None:
-    """Refuse a count that is not an int or a numpy integer: a bool, or a
-    float even of integral value."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -415,8 +408,14 @@ def _intensity_samples(
         # 2^1023 and the denominator below 2^1022; the denominator is at
         # least L lambda 2^(2 shift), a normal float unless L lambda is below
         # 2^-2040 times the square of the largest of the four.
+        # A real F (every f_im entry +-0, as for a real A: equal slit phases
+        # and a real g) skips the two Im F updates.  Each would add a signed
+        # zero, which leaves every nonzero s entry as it is and can flip only
+        # the sign of an s entry that is already +-0; q squares every s
+        # entry, so q keeps its bits.
         perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
         rank = f_re.shape[1]
+        complex_factor = bool(f_im.any())
         pos = slit_positions(n, slits.spacing)
         distance, wavelength = geometry.distance, geometry.wavelength
         largest = max(distance, wavelength, float(np.max(np.abs(x))), float(np.max(np.abs(pos))))
@@ -445,9 +444,10 @@ def _intensity_samples(
             m = min(k + 1, rank)
             row_re, row_im = f_re[i, :m, None], f_im[i, :m, None]
             s_re[:m] += row_re * cos
-            s_re[:m] -= row_im * sin
             s_im[:m] += row_re * sin
-            s_im[:m] += row_im * cos
+            if complex_factor:
+                s_re[:m] -= row_im * sin
+                s_im[:m] += row_im * cos
         q = np.zeros_like(x)
         for m in range(rank):
             q += s_re[m] * s_re[m]

@@ -9,10 +9,13 @@ INEQUALITY_TOL of 1; in exact arithmetic they equal 1 - s^2 + V_C^2 and
 1 - s + V_C, which the tests recompute at 50 digits from the same inputs.
 
 Every measure is written once, as a private core over leading batch axes
-(intensities [..., n], coherence matrices [..., n, n]): the sweep evaluates
-each n as one stack through _reports, and the public one-instance functions
-are its no-batch case, with the same bits.  _density builds the density
-matrix rho_ij = sqrt(I_i I_j) g_ij / sum_k I_k of C from g, with no phases.
+(intensities [..., n], coherence matrices [..., n, n]).  _columns, the
+column core, returns the measures of a whole stack as one list per report
+field: the sweep formats its rows straight from those lists, _reports
+builds the DualityReports of a stack from them, and the public one-instance
+functions are the no-batch case, with the same bits.  _density builds the
+density matrix rho_ij = sqrt(I_i I_j) g_ij / sum_k I_k of C from g, with no
+phases.
 """
 
 from __future__ import annotations
@@ -214,9 +217,22 @@ def duality_report(intensities, coh: CoherenceMatrix) -> DualityReport:
     return _reports(*_checked(intensities, coh))[0]
 
 
-def _reports(inten: np.ndarray, g: np.ndarray) -> list[DualityReport]:
-    """duality_report() of every instance of a stack, in C order: checked
-    intensities [..., n] and stored coherence matrices [..., n, n]."""
+class _Columns(NamedTuple):
+    """The measures and left-hand sides of every instance of a stack, one
+    list of floats per DualityReport field, in C order."""
+
+    v_c: list[float]
+    d: list[float]
+    d_prime: list[float]
+    gamma_n: list[float]
+    c: list[float]
+    pyth_lhs: list[float]
+    lin_lhs: list[float]
+
+
+def _columns(inten: np.ndarray, g: np.ndarray) -> _Columns:
+    """The column core of _reports: checked intensities [..., n] and stored
+    coherence matrices [..., n, n] in, one list per measure out."""
     mag = _magnitudes(g)
     sums = _pair_sums(inten, mag)
     d, d_prime, v_c = sums.d, sums.d_prime, sums.v_c
@@ -224,6 +240,21 @@ def _reports(inten: np.ndarray, g: np.ndarray) -> list[DualityReport]:
     lin_lhs = d_prime + v_c
     gamma_n = _degree_of_coherence(mag)
     c = _quantum_coherence(_density(inten, g))
-    rows = zip(*(np.ravel(a).tolist() for a in (v_c, d, d_prime, gamma_n, c, pyth_lhs, lin_lhs)))
-    tol = 1.0 + INEQUALITY_TOL
-    return [DualityReport(g.shape[-1], *row, row[-2] <= tol, row[-1] <= tol) for row in rows]
+    return _Columns(*(np.ravel(a).tolist() for a in (v_c, d, d_prime, gamma_n, c, pyth_lhs, lin_lhs)))
+
+
+def _holds(lhs: float) -> bool:
+    """Whether a relation's left-hand side stays within INEQUALITY_TOL of 1;
+    False for NaN."""
+    return lhs <= 1.0 + INEQUALITY_TOL
+
+
+def _report(n: int, row) -> DualityReport:
+    """The report of one instance of n slits from its row of the columns."""
+    return DualityReport(n, *row, _holds(row[-2]), _holds(row[-1]))
+
+
+def _reports(inten: np.ndarray, g: np.ndarray) -> list[DualityReport]:
+    """duality_report() of every instance of a stack, in C order: checked
+    intensities [..., n] and stored coherence matrices [..., n, n]."""
+    return [_report(g.shape[-1], row) for row in zip(*_columns(inten, g))]

@@ -31,12 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix, _complex, _freeze, _product
+from duality_lab.coherence import (
+    CoherenceMatrix,
+    _check_count,
+    _check_seed,
+    _complex,
+    _freeze,
+    _product,
+)
 from duality_lab.engine import (
     InterferencePattern,
     ScreenGeometry,
     SlitArray,
-    _check_count,
     mutual_intensity,
     pivoted_cholesky,
     screen_pattern,
@@ -63,15 +69,17 @@ MAX_REALIZATIONS = 2**24
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Sampling recipe for a field ensemble: realization count (an int or
-    numpy integer, 1 to MAX_REALIZATIONS), base seed and the n x r factor F
-    of the mutual-intensity matrix A = F F^dagger, rows in slit order."""
+    numpy integer, 1 to MAX_REALIZATIONS), base seed (an int, a numpy
+    integer or a numpy Generator) and the n x r factor F of the
+    mutual-intensity matrix A = F F^dagger, rows in slit order."""
 
     realizations: int
-    seed: int
+    seed: int | np.random.Generator
     factor: np.ndarray
 
     def __post_init__(self):
         _check_count("realizations", self.realizations)
+        _check_seed(self.seed)
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ValueError(f"need 1 to {MAX_REALIZATIONS} realizations")
         _freeze(self, factor=np.array(self.factor))
@@ -106,7 +114,7 @@ def _outer_sum(c: np.ndarray) -> np.ndarray:
     """sum_k c_k c_k^dagger over the rows of coefficients c [count, 2, r], as
     real and imaginary parts [2, r, r].  The coefficients are zero-padded to
     a power of two rows and the row products summed by adding halves, a
-    fixed pairwise tree."""
+    fixed pairwise tree, each level added in place into the lower half."""
     count, r = len(c), c.shape[-1]
     size = 1 << (count - 1).bit_length()
     x = np.zeros((2, r, size))
@@ -117,7 +125,7 @@ def _outer_sum(c: np.ndarray) -> np.ndarray:
     p[1] = a_im * b_re - a_re * b_im
     while size > 1:
         size //= 2
-        p = p[..., :size] + p[..., size:]
+        p[..., :size] += p[..., size : 2 * size]
     return p[..., 0]
 
 

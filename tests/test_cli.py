@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -778,14 +777,18 @@ class TestSweepCommand:
 
 @pytest.fixture(params=["pyth_holds", "lin_holds"])
 def violated(request, monkeypatch):
-    # the relations are theorems, so only a faulty report can break one;
-    # _reports is the core of duality_report and of the sweep's stacks
-    real = measures._reports
+    # the relations are theorems, so only a faulty measure can break one;
+    # _columns is the core of duality_report and of the sweep's stacks, and
+    # here puts the left-hand side of the relation named by the verdict
+    # above 1 + INEQUALITY_TOL in every instance
+    lhs = request.param.replace("holds", "lhs")
+    real = measures._columns
 
     def faulty(inten, g):
-        return [dataclasses.replace(r, **{request.param: False}) for r in real(inten, g)]
+        columns = real(inten, g)
+        return columns._replace(**{lhs: [1.0 + 2.0 * measures.INEQUALITY_TOL] * len(columns.v_c)})
 
-    monkeypatch.setattr(measures, "_reports", faulty)
+    monkeypatch.setattr(measures, "_columns", faulty)
     return request.param
 
 
@@ -823,6 +826,45 @@ class TestViolationExit:
         errors = [line for line in result.output.splitlines() if line.startswith("error:")]
         assert errors == [VIOLATION]
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.fixture(params=["pyth_lhs", "lin_lhs"])
+def one_nan(request, monkeypatch):
+    # a NaN left-hand side in one instance of each stack, not its first,
+    # which max starts from, and of least other left-hand side: max never
+    # picks it, so the reports of the two extremes alone would pass
+    real = measures._columns
+
+    def faulty(inten, g):
+        columns = real(inten, g)
+        other = columns.lin_lhs if request.param == "pyth_lhs" else columns.pyth_lhs
+        getattr(columns, request.param)[min(range(1, len(other)), key=other.__getitem__)] = float("nan")
+        return columns
+
+    monkeypatch.setattr(measures, "_columns", faulty)
+    return request.param
+
+
+class TestNanExit:
+    def sweep_config(self, tmp_path):
+        return write_scenario(
+            tmp_path, {"schema": 1, "sweep": {"n_min": 2, "n_max": 3, "seeds": 4}}, name="sweep.json"
+        )
+
+    def test_run_sweep_returns_two(self, tmp_path, one_nan, capsys):
+        assert run_sweep(self.sweep_config(tmp_path), tmp_path / "out") == 2
+        assert capsys.readouterr().err == VIOLATION + "\n"
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        column = 7 if one_nan == "pyth_lhs" else 8
+        assert [line.split(",")[column] for line in lines[1:-1]].count("nan") == 2
+        assert "nan" not in lines[-1]
+
+    def test_sweep_exits_two(self, runner, tmp_path, one_nan):
+        cfg = self.sweep_config(tmp_path)
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [VIOLATION]
 
 
 class TestRunScenario:

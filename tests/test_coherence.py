@@ -278,6 +278,28 @@ def test_random_coherence_bad_args():
         dl.random_coherence(3, 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3, 2.5, 0), "rank must be an integer, got 2.5"),
+        ((3.0, 2, 0), "n must be an integer, got 3.0"),
+        ((3, True, 0), "rank must be an integer, got True"),
+        ((True, 2, 0), "n must be an integer, got True"),
+        ((3, 2, 1.5), "seed must be an integer, got 1.5"),
+        ((3, 2, False), "seed must be an integer, got False"),
+    ],
+)
+def test_random_coherence_refuses_non_integers(args, message):
+    # each once ended in a bare TypeError from numpy
+    with pytest.raises(ValueError, match=message):
+        dl.random_coherence(*args)
+
+
+def test_random_coherence_takes_numpy_integers():
+    coh = dl.random_coherence(np.int64(4), np.uint8(3), np.int32(9))
+    assert coh.entries.tobytes() == dl.random_coherence(4, 3, 9).entries.tobytes()
+
+
 def _validated_gram(rng, n, rank, count=()):
     # the dropped route, stays here as the reference: the raw Gram matrix of
     # the drawn rows through validate()'s checks and its stored Hermitian part

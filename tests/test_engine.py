@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import duality_lab as dl
+from duality_lab import engine
+from duality_lab.coherence import _complex
 from duality_lab.engine import SPEED_OF_LIGHT, mutual_intensity, pivoted_cholesky, slit_positions
 from exact_reference import exact_pattern, gamma
 from optics import DISTANCE, SPACING, WAVELENGTH, W, coherence_with
@@ -530,6 +532,68 @@ class TestKernelBits:
         pat = dl.pattern(slits, coh, geom)
         ref = kernel_replica(slits, coh, geom, pat.grid.tolist())
         assert [t.hex() for t in pat.total.tolist()] == [r.hex() for r in ref]
+
+
+def four_update_samples(slits, geom, x, a_re, a_im):
+    """The exact model's q(x) with all four updates of s_m per slit, Re F
+    and Im F alike, as the kernel ran them before it skipped the two Im F
+    updates of a real factor: the reference for its bytes."""
+    n = slits.n
+    perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
+    rank = f_re.shape[1]
+    pos = slit_positions(n, slits.spacing)
+    largest = max(geom.distance, geom.wavelength, float(np.max(np.abs(x))), float(np.max(np.abs(pos))))
+    shift = 510 - math.frexp(largest)[1]
+    x_s, pos_s = np.ldexp(x, shift), np.ldexp(pos, shift).tolist()
+    dist_s, wave_s = math.ldexp(geom.distance, shift), math.ldexp(geom.wavelength, shift)
+    s_re, s_im = np.zeros((2, rank, x.size))
+    for k, i in enumerate(perm.tolist()):
+        d = x_s - pos_s[i]
+        cycles = d * d / ((np.sqrt(d * d + dist_s * dist_s) + dist_s) * wave_s)
+        theta = 2.0 * np.pi * (cycles - np.rint(cycles))
+        cos, sin = np.cos(theta), np.sin(theta)
+        m = min(k + 1, rank)
+        row_re, row_im = f_re[i, :m, None], f_im[i, :m, None]
+        s_re[:m] += row_re * cos
+        s_re[:m] -= row_im * sin
+        s_im[:m] += row_re * sin
+        s_im[:m] += row_im * cos
+    q = np.zeros_like(x)
+    for m in range(rank):
+        q += s_re[m] * s_re[m]
+        q += s_im[m] * s_im[m]
+    return q
+
+
+class TestRealFactor:
+    # the exact kernel skips the Im F updates when F is real; a signed zero
+    # added to s can change no bit of q = sum_m |s_m|^2
+    @pytest.mark.parametrize("case", ["real", "complex", "negative_zeros"])
+    def test_bytes_match_the_four_update_reference(self, case):
+        n = 16
+        rng = np.random.default_rng(3100 + n)
+        # equal phases make A real: exp(i(alpha_i - alpha_j)) is exactly 1
+        phases = rng.uniform(-np.pi, np.pi, n) if case == "complex" else np.full(n, 0.7)
+        slits = dl.SlitArray(rng.uniform(0.1, 2.0, n), SPACING, phases)
+        if case == "negative_zeros":
+            # a real g with negative entries and -0.0 imaginary parts: their
+            # A_ij has Im -0.0, and so do entries of Im F
+            g = dl.from_modes(dl.ModeDecomposition(rng.standard_normal((n, 4)))).entries
+            assert (g.real < 0.0).any()
+            coh = dl.CoherenceMatrix(_complex(g.real, np.full((n, n), -0.0)))
+        else:
+            coh = dl.from_modes(dl.ModeDecomposition(rng.uniform(0.0, 1.0, (n, 4))))
+        geom = geometry(slits=slits, samples=1025, phase_model="exact")
+        a_re, a_im = mutual_intensity(slits, coh)
+        f_im = pivoted_cholesky(a_re, a_im)[2]
+        assert bool(f_im.any()) == (case == "complex")
+        if case == "negative_zeros":
+            assert np.signbit(a_im).any() and np.signbit(f_im).any()
+        x = geom.grid()
+        ref = four_update_samples(slits, geom, x, a_re, a_im)
+        assert engine._intensity_samples(slits, geom, x, a_re, a_im).tobytes() == ref.tobytes()
+        total = geom.envelope_values(x) * np.maximum(ref, 0.0)
+        assert dl.pattern(slits, coh, geom).total.tobytes() == total.tobytes()
 
 
 class TestDoubleSumReference:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import duality_lab as dl
 from duality_lab.coherence import NotPositiveSemidefinite, _hermitian_part
 from duality_lab.engine import mutual_intensity
-from duality_lab.measures import ZeroTotalIntensity, _reports
+from duality_lab.measures import ZeroTotalIntensity, _columns, _reports
 
 from exact_reference import EPS, bounds, deviations, exact
 from optics import coherence_with
@@ -476,6 +476,11 @@ class TestStackBits:
         # more than one leading axis reads in C order
         nested = _reports(intensities.reshape(2, 4, n), g.reshape(2, 4, n, n))
         assert [repr(r) for r in nested] == stacked
+        # the column core holds each instance's report fields, bit for bit
+        columns = _columns(intensities, g)
+        one_by_one = [dl.duality_report(i, dl.validate(raw)) for i, raw in zip(intensities, raws)]
+        for field, column in zip(columns._fields, columns):
+            assert [v.hex() for v in column] == [getattr(r, field).hex() for r in one_by_one], field
 
     def test_one_indefinite_member_refuses_the_stack(self):
         raws, _ = stack_instances(5)

@@ -177,6 +177,24 @@ class TestRealizeFields:
         slits, coh, _ = standard_setup()
         assert ensemble_spec(slits, coh, np.int64(10), seed=1).realizations == 10
 
+    @pytest.mark.parametrize("seed", [1.5, True, 7.0], ids=["float", "bool", "integral_float"])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed was stored as given, and mc_pattern then ended in a
+        # bare TypeError from SeedSequence
+        slits, coh, geom = standard_setup(samples=64)
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            ensemble_spec(slits, coh, 200, seed)
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            mc_pattern(slits, coh, geom, 200, seed)
+
+    def test_numpy_integer_and_generator_seeds(self):
+        slits, coh, geom = standard_setup(samples=64)
+        expected = mc_pattern(slits, coh, geom, 200, 7).total.tobytes()
+        assert ensemble_spec(slits, coh, 200, np.uint64(7)).seed == 7
+        assert mc_pattern(slits, coh, geom, 200, np.int64(7)).total.tobytes() == expected
+        rng = np.random.default_rng(7)
+        assert mc_pattern(slits, coh, geom, 200, rng).total.tobytes() == expected
+
     @pytest.mark.parametrize("rank", [2, 3])
     def test_factor_reproduces_mutual_intensity(self, rank):
         # entry (i, j), j <= i, of A - F F^H in exact rational arithmetic is
@@ -215,6 +233,30 @@ class TestRealizeFields:
         spec = ensemble_spec(slits, dl.validate(np.ones((3, 3))), 10, seed=0)
         assert spec.factor.shape == (3, 1)
         assert not spec.factor.flags.writeable
+
+
+def tree_sum(c):
+    # _outer_sum as first written: each level of the pairwise tree adds the
+    # two halves into a new array
+    count, r = len(c), c.shape[-1]
+    size = 1 << (count - 1).bit_length()
+    x = np.zeros((2, r, size))
+    x[..., :count] = c.transpose(1, 2, 0)
+    (a_re, a_im), (b_re, b_im) = x[:, :, None], x[:, None]
+    p = np.empty((2, r, r, size))
+    p[0] = a_re * b_re + a_im * b_im
+    p[1] = a_im * b_re - a_re * b_im
+    while size > 1:
+        size //= 2
+        p = p[..., :size] + p[..., size:]
+    return p[..., 0]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 2000, 4096, 4097])
+def test_outer_sum_in_place_is_the_tree(count):
+    # the in-place halving adds the same pairs in the same tree
+    c = np.random.default_rng(count).standard_normal((count, 2, 3))
+    assert oracle._outer_sum(c).tobytes() == tree_sum(c).tobytes()
 
 
 class TestMcPattern:
