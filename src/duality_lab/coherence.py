@@ -171,6 +171,13 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse a real field that is not an int, float or numpy real number: a
+    bool, a string or a complex number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_seed(seed) -> None:
     """Refuse a seed that is neither a numpy Generator nor an integer, as
     _check_count refuses a count."""

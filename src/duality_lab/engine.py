@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from duality_lab.coherence import CoherenceMatrix, _check_count, _freeze, _set_diagonal
+from duality_lab.coherence import CoherenceMatrix, _check_count, _check_real, _freeze, _set_diagonal
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -99,7 +99,8 @@ class SlitArray:
     intensities[i] is the intensity at the screen if only slit i were open
     (propagation factors are absorbed into it); phases are the intrinsic
     per-slit phases alpha_i in radians; spacing is the centre-to-centre slit
-    distance in metres.
+    distance in metres, an int, float or numpy real number (a bool or string
+    is refused with a ValueError naming it).
     """
 
     intensities: np.ndarray
@@ -108,6 +109,7 @@ class SlitArray:
 
     def __post_init__(self):
         inten = intensity_vector(np.array(self.intensities, dtype=float))
+        _check_real("spacing", self.spacing)
         if not 0.0 < self.spacing < math.inf:
             raise ValueError(f"slit spacing must be positive and finite, got {self.spacing}")
         ph = self.phases
@@ -127,7 +129,10 @@ class SlitArray:
 class ScreenGeometry:
     """Observation screen: wavelength, slit-to-screen distance, sampled window.
 
-    samples, the grid size, is an int or numpy integer of at least 2.
+    samples, the grid size, is an int or numpy integer of at least 2;
+    wavelength, distance, x_min, x_max and sigma are ints, floats or numpy
+    real numbers, and a bool or string is refused with a ValueError naming
+    the field.
     envelope is the common per-slit diffraction profile multiplying every
     I_i: "uniform" (exact analytic checks) or "gaussian" with scale sigma in
     metres.  phase_model selects the pair-delay computation: "small_angle"
@@ -146,8 +151,10 @@ class ScreenGeometry:
     def __post_init__(self):
         for name in ("wavelength", "distance", "x_min", "x_max", "sigma"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None:
+                _check_real(name, value)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         if not self.wavelength > 0.0:
             raise ValueError("wavelength must be positive")
         if not self.distance > 0.0:

@@ -1,4 +1,12 @@
-"""Scenario configs: versioned JSON in, validated domain objects out."""
+"""Scenario configs: versioned JSON in, validated domain objects out.
+
+Each config section (the scenario, sweep and matrix-file top levels and every
+object below them) is read by _section against one table of its keys: the
+section holds only the keys its table names, each of its JSON type.  An
+unknown key, a missing required key and a wrong type are refused as a
+ScenarioError that names the key path, such as `geometry.envelop: unknown
+key`.
+"""
 
 from __future__ import annotations
 
@@ -38,21 +46,53 @@ class ScenarioError(ValueError):
 
 
 _REQUIRED = object()
+# The key table of each config section: key -> (JSON type, default).  float
+# admits any JSON number and reads it as a float; None admits any value, which
+# is checked where it is read.  A left-out key takes its default, unless that
+# is _REQUIRED.
+_RE_IM = {"re": (list, _REQUIRED), "im": (list, _REQUIRED)}
+_SCENARIO = {"slits": (dict, _REQUIRED), "coherence": (dict, _REQUIRED),
+             "geometry": (dict, _REQUIRED), "oracle": (dict, {}), "outputs": (dict, {})}
+_SLITS = {"n": (int, _REQUIRED), "d": (float, _REQUIRED), "intensities": (list, _REQUIRED),
+          "phases": (list, None)}
+_COHERENCE = dict.fromkeys(("matrix", "modes", "random"), (None, None))
+_MODES = {**_RE_IM, "polarizations": (None, None)}
+_RANDOM = {"rank": (int, _REQUIRED), "seed": (int, _REQUIRED)}
+# exactly the fields of ScreenGeometry, which the section is passed to
+_GEOMETRY = {**dict.fromkeys(("wavelength", "distance", "x_min", "x_max"), (float, _REQUIRED)),
+             "samples": (int, _REQUIRED), "envelope": (str, "uniform"), "sigma": (float, None),
+             "phase_model": (str, "small_angle")}
+_ORACLE = {"enabled": (bool, False), "realizations": (int, 0), "seed": (int, 0)}
+_OUTPUTS = {"scale_w": (bool, False)}
+_SWEEP = {"n_min": (int, 2), "n_max": (int, 8), "seeds": (int, 100), "seed": (int, 0),
+          "rank_policy": (None, "full")}
+_MATRIX_FILE = {"n": (int, _REQUIRED), **_RE_IM}
 
 
-def _get(obj, key, path, expect=None, default=_REQUIRED):
+def _section(obj, path, keys) -> dict:
+    """The config section obj at key path `path`, read against its key table
+    `keys`: every key's value in table order, numbers as floats and a
+    left-out key as its default.  Refuses a section that is not an object, a
+    key the table does not name, a missing required key and a value of the
+    wrong JSON type; JSON true/false parse to bool, which Python counts as an
+    int, so a bool is refused unless the type is bool."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
-    if key not in obj:
-        if default is _REQUIRED:
+    for key in obj:
+        if key not in keys:
+            raise ScenarioError(f"{path}.{key}: unknown key")
+    section = {}
+    for key, (expect, default) in keys.items():
+        value = obj.get(key, default)
+        if value is _REQUIRED:
             raise ScenarioError(f"{path}.{key}: missing required key")
-        return default
-    value = obj[key]
-    # JSON true/false parse to bool, which Python counts as an int
-    wrong_bool = isinstance(value, bool) and expect is not bool
-    if expect is not None and (wrong_bool or not isinstance(value, expect)):
-        raise ScenarioError(f"{path}.{key}: wrong type {type(value).__name__}")
-    return value
+        if key in obj and expect is not None:
+            types = (int, float) if expect is float else expect
+            if isinstance(value, bool) is not (expect is bool) or not isinstance(value, types):
+                raise ScenarioError(f"{path}.{key}: wrong type {type(value).__name__}")
+            value = float(value) if expect is float else value
+        section[key] = value
+    return section
 
 
 def _read_json(path):
@@ -79,34 +119,34 @@ def _read_json(path):
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _read_config(path) -> dict:
-    obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise ScenarioError("top level: expected an object")
-    schema = obj.get("schema")
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise ScenarioError(f"schema: expected {SCHEMA_VERSION}, got {schema!r}")
+def _read_config(path, keys) -> dict:
+    """The top level of a scenario or sweep config, read against `keys` and
+    the key schema, which must be SCHEMA_VERSION."""
+    obj = _section(_read_json(path), "top level", {"schema": (None, None), **keys})
+    if type(obj["schema"]) is not int or obj["schema"] != SCHEMA_VERSION:
+        raise ScenarioError(f"schema: expected {SCHEMA_VERSION}, got {obj['schema']!r}")
     return obj
 
 
-def _float_array(obj, key, path, shape) -> np.ndarray:
-    """obj[key], a JSON array (of arrays, for two axes) of numbers, as a float
-    array of the given shape; None in shape admits any length on that axis.
-    Booleans, strings, lists and objects are refused, not converted."""
-    value = _get(obj, key, path, list)
+def _float_array(value, path, shape) -> np.ndarray:
+    """value, the JSON array (of arrays, for two axes) of numbers at key path
+    `path`, as a float array of the given shape; None in shape admits any
+    length on that axis.  Booleans, strings, lists and objects are refused,
+    not converted."""
     cells = np.array(value, dtype=object)
     if cells.ndim != len(shape) or any(w not in (None, got) for w, got in zip(shape, cells.shape)):
-        raise ScenarioError(f"{path}.{key}: expected shape {shape}, got {cells.shape}")
+        raise ScenarioError(f"{path}: expected shape {shape}, got {cells.shape}")
     for flat, cell in enumerate(cells.flat):
         if type(cell) not in (int, float):  # exact JSON types: bool is refused
             where = "".join(f"[{i}]" for i in np.unravel_index(flat, cells.shape))
-            raise ScenarioError(f"{path}.{key}{where}: wrong type {type(cell).__name__}")
+            raise ScenarioError(f"{path}{where}: wrong type {type(cell).__name__}")
     return cells.astype(float)
 
 
-def _complex_array(obj, path, shape) -> np.ndarray:
-    re = _float_array(obj, "re", path, shape)
-    return coherence._complex(re, _float_array(obj, "im", path, re.shape))
+def _complex_array(section, path, shape) -> np.ndarray:
+    """The complex array of a read section's re and im arrays."""
+    re = _float_array(section["re"], f"{path}.re", shape)
+    return coherence._complex(re, _float_array(section["im"], f"{path}.im", re.shape))
 
 
 @dataclass(frozen=True)
@@ -123,116 +163,93 @@ class Scenario:
 
 
 def _resolve_coherence(spec, n: int, seed_override: int | None):
-    routes = [k for k in ("matrix", "modes", "random") if k in spec]
+    _section(spec, "coherence", _COHERENCE)  # a route is chosen by its key, JSON null too
+    routes = [k for k in _COHERENCE if k in spec]
     if len(routes) != 1:
-        raise ScenarioError(
-            "coherence: exactly one of matrix / modes / random is required"
-        )
+        raise ScenarioError("coherence: exactly one of matrix / modes / random is required")
     route = routes[0]
+    path = f"coherence.{route}"
     try:
         if route == "matrix":
-            return coherence.validate(_complex_array(spec["matrix"], "coherence.matrix", (n, n)))
+            matrix = _section(spec[route], path, _RE_IM)
+            return coherence.validate(_complex_array(matrix, path, (n, n)))
         if route == "modes":
-            block = spec["modes"]
-            modes = _complex_array(block, "coherence.modes", (n, None))
+            block = _section(spec[route], path, _MODES)
+            modes = _complex_array(block, path, (n, None))
             pols = None
-            if "polarizations" in block:
-                pvec = _complex_array(
-                    block["polarizations"], "coherence.modes.polarizations", (n, 2)
-                )
-                pols = coherence.PolarizationSet(pvec)
+            if "polarizations" in spec[route]:
+                pols_path = f"{path}.polarizations"
+                pols_spec = _section(block["polarizations"], pols_path, _RE_IM)
+                pols = coherence.PolarizationSet(_complex_array(pols_spec, pols_path, (n, 2)))
             return coherence.from_modes(coherence.ModeDecomposition(modes), pols)
-        block = spec["random"]
-        rank = _get(block, "rank", "coherence.random", int)
-        if rank > n:  # refused before random_coherence draws an n x rank array
-            raise ScenarioError(f"coherence.random.rank: {rank} is above slits.n = {n}")
-        seed = _get(block, "seed", "coherence.random", int)
-        if seed_override is not None:
-            seed = seed_override
-        return coherence.random_coherence(n, rank, seed)
+        block = _section(spec[route], path, _RANDOM)
+        if block["rank"] > n:  # refused before random_coherence draws an n x rank array
+            raise ScenarioError(f"{path}.rank: {block['rank']} is above slits.n = {n}")
+        seed = block["seed"] if seed_override is None else seed_override
+        return coherence.random_coherence(n, block["rank"], seed)
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioError(f"coherence.{route}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def load_scenario(path, seed_override: int | None = None) -> Scenario:
     """Load and validate a scenario config.
 
-    JSON parse errors carry the source line and column; schema errors carry
-    the dotted key path.  seed_override replaces every seed in the config
-    (random coherence and oracle).
+    Each section is read against its key table: it holds exactly the keys
+    the table names, each of its JSON type, so an unknown key, a missing
+    required key and a wrong type are refused by key path.  JSON parse
+    errors carry the source line and column.  seed_override replaces every
+    seed in the config (random coherence and oracle).
     """
-    obj = _read_config(path)
-    slits_spec = _get(obj, "slits", "top level", dict)
-    n = _get(slits_spec, "n", "slits", int)
+    obj = _read_config(path, _SCENARIO)
+    slits_spec = _section(obj["slits"], "slits", _SLITS)
+    geom_spec = _section(obj["geometry"], "geometry", _GEOMETRY)
+    oracle_spec = _section(obj["oracle"], "oracle", _ORACLE)
+    scale_w = _section(obj["outputs"], "outputs", _OUTPUTS)["scale_w"]
+    n, samples = slits_spec["n"], geom_spec["samples"]
     if n < 2:
         raise ScenarioError(f"slits.n: need at least 2 slits, got {n}")
     if n * n > MAX_CELLS:
         raise ScenarioError(f"slits.n: {n} x {n} slits is over {MAX_CELLS} cells")
-    geom_spec = _get(obj, "geometry", "top level", dict)
-    samples = _get(geom_spec, "samples", "geometry", int)
     if samples * n > MAX_CELLS:
         raise ScenarioError(f"geometry.samples: {samples} x {n} slits is over {MAX_CELLS} cells")
-    d = _get(slits_spec, "d", "slits", (int, float))
-    intensities = _float_array(slits_spec, "intensities", "slits", (n,))
-    phases = _float_array(slits_spec, "phases", "slits", (n,)) if "phases" in slits_spec else None
+    intensities = _float_array(slits_spec["intensities"], "slits.intensities", (n,))
+    phases = slits_spec["phases"]
+    if phases is not None:
+        phases = _float_array(phases, "slits.phases", (n,))
     try:
-        slits = SlitArray(intensities=intensities, spacing=float(d), phases=phases)
+        slits = SlitArray(intensities=intensities, spacing=slits_spec["d"], phases=phases)
     except ValueError as exc:
         raise ScenarioError(f"slits: {exc}") from exc
 
-    coh = _resolve_coherence(_get(obj, "coherence", "top level", dict), n, seed_override)
+    coh = _resolve_coherence(obj["coherence"], n, seed_override)
 
-    sigma = _get(geom_spec, "sigma", "geometry", (int, float), default=None)
     try:
-        geometry = ScreenGeometry(
-            wavelength=float(_get(geom_spec, "wavelength", "geometry", (int, float))),
-            distance=float(_get(geom_spec, "distance", "geometry", (int, float))),
-            x_min=float(_get(geom_spec, "x_min", "geometry", (int, float))),
-            x_max=float(_get(geom_spec, "x_max", "geometry", (int, float))),
-            samples=samples,
-            envelope=_get(geom_spec, "envelope", "geometry", str, default="uniform"),
-            sigma=None if sigma is None else float(sigma),
-            phase_model=_get(geom_spec, "phase_model", "geometry", str, default="small_angle"),
-        )
+        geometry = ScreenGeometry(**geom_spec)
     except ValueError as exc:
         raise ScenarioError(f"geometry: {exc}") from exc
 
-    oracle_spec = _get(obj, "oracle", "top level", dict, default={})
-    enabled = _get(oracle_spec, "enabled", "oracle", bool, default=False)
-    realizations = _get(oracle_spec, "realizations", "oracle", int, default=0)
-    oracle_seed = _get(oracle_spec, "seed", "oracle", int, default=0)
+    enabled, realizations, oracle_seed = oracle_spec.values()
     if oracle_seed < 0:
         raise ScenarioError(f"oracle.seed: need a nonnegative integer, got {oracle_seed}")
-    if seed_override is not None:
-        oracle_seed = seed_override
     if enabled and realizations < MIN_REALIZATIONS:
         raise ScenarioError(f"oracle.realizations: need at least {MIN_REALIZATIONS} when enabled")
     if realizations > MAX_REALIZATIONS:
         raise ScenarioError(f"oracle.realizations: need at most {MAX_REALIZATIONS}")
-
-    outputs = _get(obj, "outputs", "top level", dict, default={})
-    return Scenario(
-        slits=slits,
-        coherence=coh,
-        geometry=geometry,
-        oracle_enabled=enabled,
-        oracle_realizations=realizations,
-        oracle_seed=oracle_seed,
-        scale_w=_get(outputs, "scale_w", "outputs", bool, default=False),
-    )
+    oracle_seed = oracle_seed if seed_override is None else seed_override
+    return Scenario(slits, coh, geometry, enabled, realizations, oracle_seed, scale_w)
 
 
 def load_matrix(path) -> coherence.CoherenceMatrix:
-    """Load a coherence-matrix file as CoherenceMatrix.to_json writes it: n a
-    JSON integer >= 2, re and im n x n arrays of JSON numbers."""
-    obj = _read_json(path)
-    n = _get(obj, "n", "top level", int)
-    if n < 2:
-        raise ScenarioError(f"top level.n: need at least 2 slits, got {n}")
+    """Load a coherence-matrix file as CoherenceMatrix.to_json writes it: a
+    top level of exactly n, a JSON integer >= 2, and re and im, n x n arrays
+    of JSON numbers."""
+    obj = _section(_read_json(path), "top level", _MATRIX_FILE)
+    if obj["n"] < 2:
+        raise ScenarioError(f"top level.n: need at least 2 slits, got {obj['n']}")
     try:
-        return coherence.validate(_complex_array(obj, "top level", (n, n)))
+        return coherence.validate(_complex_array(obj, "top level", (obj["n"], obj["n"])))
     except coherence.CoherenceMatrixError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -249,21 +266,19 @@ class Sweep(NamedTuple):
 
 
 def load_sweep(path, seed_override: int | None = None) -> Sweep:
-    """Load and validate a sweep config, {"schema": 1, "sweep": {...}}: JSON
-    integers n_min (default 2), n_max (8), seeds (100) and seed (0), and
-    rank_policy "full" (default), "rank1" or a positive integer up to n_max,
-    also as a string of at most as many digits as n_max.  seed_override
-    replaces the master seed.
+    """Load and validate a sweep config, {"schema": 1, "sweep": {...}}, whose
+    sweep section holds at most these keys: JSON integers n_min (default 2),
+    n_max (8), seeds (100) and seed (0), and rank_policy "full" (default),
+    "rank1" or a positive integer up to n_max, also as a string of at most as
+    many digits as n_max.  An unknown key at either level is refused by key
+    path.  seed_override replaces the master seed.
 
     n_max is at most MAX_SWEEP_N = 512, so one instance's n x n matrix fits
     one stack of _STACK_ENTRIES entries, and the sweep holds at most
     MAX_SWEEP_INSTANCES = 2^16 instances, (n_max - n_min + 1) * seeds, at
     which a whole sweep over n 2 to 8 peaks near 101 MB resident."""
-    spec = _get(_read_config(path), "sweep", "top level", dict)
-    n_min = _get(spec, "n_min", "sweep", int, default=2)
-    n_max = _get(spec, "n_max", "sweep", int, default=8)
-    seeds = _get(spec, "seeds", "sweep", int, default=100)
-    seed = _get(spec, "seed", "sweep", int, default=0)
+    spec = _read_config(path, {"sweep": (dict, _REQUIRED)})["sweep"]
+    n_min, n_max, seeds, seed, policy = _section(spec, "sweep", _SWEEP).values()
     if n_min < 2 or n_max < n_min:
         raise ScenarioError(f"sweep: bad n range [{n_min}, {n_max}]")
     if n_max > MAX_SWEEP_N:
@@ -278,7 +293,6 @@ def load_sweep(path, seed_override: int | None = None) -> Sweep:
         )
     if seed < 0:
         raise ScenarioError(f"sweep.seed: need a nonnegative integer, got {seed}")
-    policy = spec.get("rank_policy", "full")
     if policy == "full":
         rank = None
     elif policy == "rank1":

@@ -558,6 +558,43 @@ class TestConfigTypes:
         path.write_text(json.dumps({**matrix, **change}))
         assert_input_error(runner.invoke(main, ["gamma-n", "--config", str(path)]), fragment)
 
+    @pytest.mark.parametrize(
+        "command, base, path, key",
+        [
+            ("measures", "three_slit", "top level", "oracel"),
+            ("measures", "three_slit", "slits", "phase"),
+            ("measures", "three_slit", "coherence", "matrices"),
+            ("measures", "three_slit", "coherence.matrix", "imag"),
+            ("measures", "modes_polarized", "coherence.modes", "polarization"),
+            ("measures", "modes_polarized", "coherence.modes.polarizations", "real"),
+            ("measures", "random_phases", "coherence.random", "seeds"),
+            ("measures", "three_slit", "geometry", "envelop"),
+            ("measures", "three_slit", "oracle", "enable"),
+            ("measures", "three_slit", "outputs", "scale"),
+            ("sweep", "random_sweep", "top level", "sweeps"),
+            ("sweep", "random_sweep", "sweep", "seeds_"),
+            ("gamma-n", "matrix file", "top level", "N"),
+        ],
+    )
+    def test_unknown_key_exits_one(self, runner, tmp_path, command, base, path, key):
+        # a misspelled key was once ignored: "oracle": {"enable": true}
+        # skipped the oracle and exited 0
+        if base == "matrix file":
+            cfg_obj = json.loads(dl.random_coherence(3, 2, seed=1).to_json())
+        else:
+            config = THREE_SLIT if base == "three_slit" else GOLDEN_ROOT / base / "config.json"
+            cfg_obj = json.loads(config.read_text())
+        section = cfg_obj
+        for name in path.split(".") if path != "top level" else ():
+            section = section[name]
+        section[key] = 1
+        cfg = write_scenario(tmp_path, cfg_obj)
+        out = tmp_path / "out"
+        extra = [] if command == "gamma-n" else ["--out", str(out)]
+        result = runner.invoke(main, [command, "--config", str(cfg), *extra])
+        assert_input_error(result, f"error: {path}.{key}: unknown key")
+        assert not out.exists()
+
     def test_booleans_accepted_where_expected(self, tmp_path):
         cfg_obj = json.loads(THREE_SLIT.read_text())
         cfg_obj["outputs"]["scale_w"] = True
@@ -567,7 +604,9 @@ class TestConfigTypes:
 
 
 class TestOutputNames:
-    def test_old_output_keys_do_not_move_files(self, tmp_path):
+    def test_old_output_keys_do_not_move_files(self, tmp_path, capsys):
+        # the retired output-path keys are unknown keys: refused, and no file
+        # is written inside or beside --out
         cfg_obj = json.loads(THREE_SLIT.read_text())
         cfg_obj["oracle"]["realizations"] = 500
         cfg_obj["outputs"].update(
@@ -575,11 +614,9 @@ class TestOutputNames:
         )
         cfg = write_scenario(tmp_path, cfg_obj)
         out = tmp_path / "out"
-        assert run_scenario(cfg, out) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "convergence.json", "pattern.csv", "report.json",
-        ]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+        assert run_scenario(cfg, out) == 1
+        assert "error: outputs.pattern_csv: unknown key" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 class TestUsageAndWriteErrors:

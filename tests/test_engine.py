@@ -61,6 +61,12 @@ class TestSlitArray:
         with pytest.raises(ValueError, match="finite"):
             dl.SlitArray(**args)
 
+    @pytest.mark.parametrize("spacing", [True, "5e-5", 5e-5 + 0j, None])
+    def test_rejects_spacing_that_is_not_a_real_number(self, spacing):
+        # spacing=True once built a SlitArray of spacing True
+        with pytest.raises(ValueError, match="spacing must be a real number"):
+            dl.SlitArray(intensities=[1.0, 1.0], spacing=spacing)
+
     def test_rejects_phases_of_wrong_length(self):
         with pytest.raises(ValueError, match="phases must match the intensity vector length"):
             dl.SlitArray(intensities=[1.0, 1.0, 1.0], spacing=SPACING, phases=[0.0, 0.5])
@@ -144,6 +150,23 @@ class TestScreenGeometry:
         args = {"wavelength": WAVELENGTH, "distance": DISTANCE, "x_min": -0.1, "x_max": 0.1, **kw}
         with pytest.raises(ValueError, match=fragment):
             dl.ScreenGeometry(**args)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("wavelength", True), ("wavelength", "5e-7"), ("distance", False), ("x_min", 0j),
+         ("x_max", np.bool_(True)), ("sigma", True), ("sigma", "0.2")],
+    )
+    def test_rejects_a_real_field_that_is_not_a_real_number(self, name, value):
+        # wavelength=True and sigma=True once built, and wavelength="5e-7"
+        # raised a bare TypeError from math.isfinite
+        args = {"wavelength": WAVELENGTH, "distance": DISTANCE, "x_min": -0.1, "x_max": 0.1,
+                "envelope": "gaussian", "sigma": 0.2, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
+            dl.ScreenGeometry(**args)
+
+    def test_numpy_real_fields(self):
+        geom = dl.ScreenGeometry(np.float32(5e-7), np.int64(1), np.float64(-0.1), 1, samples=64)
+        assert geom.grid()[-1] == 1.0
 
     def test_numpy_integer_samples(self):
         assert dl.ScreenGeometry(WAVELENGTH, DISTANCE, -0.1, 0.1, samples=np.int64(64)).grid().size == 64

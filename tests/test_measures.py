@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duality_lab as dl
-from duality_lab.coherence import NotPositiveSemidefinite, _hermitian_part
+from duality_lab import measures
+from duality_lab.coherence import (
+    NotPositiveSemidefinite,
+    _hermitian_part,
+    _matrix_sums,
+    _set_diagonal,
+)
 from duality_lab.engine import mutual_intensity
-from duality_lab.measures import ZeroTotalIntensity, _columns, _reports
+from duality_lab.measures import ZeroTotalIntensity, _columns, _PairSums, _reports
 
 from exact_reference import EPS, bounds, deviations, exact
 from optics import coherence_with
@@ -326,6 +332,55 @@ class TestQuantumCoherence:
             c = dl.quantum_coherence(dl.density_from_beams(intensities, coh))
             vc = dl.visibility_analytic(intensities, coh)
             assert abs(c - vc) < 1e-14
+
+
+def faulty_pair_sums(fault):
+    """measures._pair_sums with one fault seeded into its V_C sum only."""
+
+    def pair_sums(inten, mag=None):
+        n = inten.shape[-1]
+        r = inten / inten.max(axis=-1, keepdims=True)
+        pair = np.sqrt(r[..., :, None] * r[..., None, :])
+        _set_diagonal(pair, 0.0)
+        norm = (n - 1) * r.sum(axis=-1)
+        s = _matrix_sums(pair) / norm
+        if mag is None:
+            return _PairSums(s)
+        weight, v_norm = pair, norm
+        if fault == "sqrt(I_i I_i)":
+            # the mistyped index leaves an n x 1 weight column, and the
+            # diagonal write then zeroes the weight of slit 0
+            weight = np.sqrt(r[..., :, None] * r[..., :, None])
+            _set_diagonal(weight, 0.0)
+        elif fault == "n sum I":
+            v_norm = n * r.sum(axis=-1)
+        else:
+            mag = mag * mag
+        return _PairSums(s, _matrix_sums(weight * mag) / v_norm)
+
+    return pair_sums
+
+
+class TestSecondRoute:
+    """C, the l1 coherence of the density matrix, reaches V_C from g by a
+    route that does not pass through _pair_sums: it sees faults in the V_C
+    sum that neither duality relation sees."""
+
+    @pytest.mark.parametrize("fault", ["sqrt(I_i I_i)", "n sum I", "|g|^2"])
+    def test_v_c_fault_passes_both_relations_but_not_c(self, monkeypatch, fault):
+        monkeypatch.setattr(measures, "_pair_sums", faulty_pair_sums(fault))
+        rep = dl.duality_report([1.0, 0.7, 0.4], dl.random_coherence(3, 2, 7))
+        # not caught by either relation; |c - v_c| is 0.378, 0.284 and 0.089
+        assert rep.pyth_holds and rep.lin_holds
+        assert abs(rep.c - rep.v_c) > 0.05
+
+    def test_faultless_c_equals_v_c(self):
+        rng = np.random.default_rng(20261020)
+        for n in range(2, 65):
+            rank = int(rng.choice([1, 2, n]))
+            intensities = 10.0 ** rng.uniform(-6.0, 0.0, n)
+            rep = dl.duality_report(intensities, dl.random_coherence(n, rank, rng))
+            assert abs(rep.c - rep.v_c) <= 1e-14, (n, rank, rep.c - rep.v_c)
 
 
 @pytest.mark.parametrize(

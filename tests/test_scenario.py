@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -185,6 +186,11 @@ def test_bool_is_not_a_number(tmp_path, section, key, value):
         load_scenario(write(tmp_path, cfg))
 
 
+def test_geometry_keys_are_the_screen_geometry_fields():
+    # the geometry section is passed to ScreenGeometry(**section)
+    assert list(dl.scenario._GEOMETRY) == [f.name for f in dataclasses.fields(dl.ScreenGeometry)]
+
+
 def test_samples_cap_checked_before_any_array(tmp_path):
     # one sample over the cap for two slits is refused; at the cap the config
     # loads, and loading builds no grid
@@ -251,7 +257,7 @@ FUZZ_BASES = {
     "sweep": {"schema": 1, "sweep": {"n_min": 2, "n_max": 3, "seeds": 2, "rank_policy": "full"}},
     "matrix file": json.loads(dl.random_coherence(3, 2, seed=1).to_json()),
 }
-DELETE = object()
+DELETE, RENAME = object(), object()
 MUTANTS = [DELETE, None, True, False, "0.5", "full", [], [1.0], {}, 0, -1, 2, 2.5, 1e308, 10**400]
 
 
@@ -262,6 +268,15 @@ def key_paths(node, prefix=()):
         yield from key_paths(child, prefix + (key,))
 
 
+def has_path(cfg, path):
+    node = cfg
+    for key in path:
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return True
+
+
 def mutated(cfg, path, value):
     cfg = copy.deepcopy(cfg)
     node = cfg
@@ -269,6 +284,8 @@ def mutated(cfg, path, value):
         node = node[key]
     if value is DELETE:
         del node[path[-1]]
+    elif value is RENAME:
+        node[f"{path[-1]}_"] = node.pop(path[-1])
     else:
         node[path[-1]] = value
     return cfg
@@ -277,12 +294,18 @@ def mutated(cfg, path, value):
 @settings(max_examples=400, deadline=None)
 @given(base=st.sampled_from(sorted(FUZZ_BASES)), data=st.data())
 def test_mutated_config_loads_or_names_the_error(base, data):
-    # any one or two values replaced or deleted: the loader either returns or
-    # raises ScenarioError, and the CLI exits 0 or 1 without a traceback
+    # any one or two values replaced or deleted, or keys renamed: the loader
+    # either returns or raises ScenarioError, and the CLI exits 0 or 1
+    # without a traceback; a renamed key left in the config is an unknown
+    # key, so it exits 1
     cfg = FUZZ_BASES[base]
+    renamed = []
     for _ in range(data.draw(st.integers(1, 2))):
         path = data.draw(st.sampled_from(sorted(key_paths(cfg), key=repr)))
-        cfg = mutated(cfg, path, data.draw(st.sampled_from(MUTANTS)))
+        value = data.draw(st.sampled_from(MUTANTS + [RENAME] * isinstance(path[-1], str)))
+        cfg = mutated(cfg, path, value)
+        if value is RENAME:
+            renamed.append(path[:-1] + (f"{path[-1]}_",))
     load, command = {"sweep": (load_sweep, "sweep"), "matrix file": (load_matrix, "gamma-n")}.get(
         base, (load_scenario, "measures")
     )
@@ -296,5 +319,7 @@ def test_mutated_config_loads_or_names_the_error(base, data):
         args = [command, "--config", str(path)] + (["--out", tmp] if command != "gamma-n" else [])
         result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 1), result.output
+    if any(has_path(cfg, path) for path in renamed):
+        assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
     assert "Traceback" not in result.output
