@@ -73,14 +73,17 @@ def _exit_status(body, *args, **kwargs) -> int:
 def _write(out, files) -> None:
     """Create the directory `out` with its parents if missing and write each
     of the already computed files into it by name: a pattern through
-    engine.write_pattern_csv, text as it is."""
+    engine.write_pattern_csv, text as it is, and a list of lines (the sweep's
+    rows) line by line through one text stream, so the file's text is never
+    joined or encoded whole."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        if isinstance(content, str):
-            (out / name).write_text(content, newline="")
-        else:
+        if isinstance(content, engine.InterferencePattern):
             engine.write_pattern_csv(content, out / name)
+            continue
+        with open(out / name, "w", newline="") as f:
+            f.writelines([content] if isinstance(content, str) else content)
 
 
 def _run(sc, out, names):
@@ -158,15 +161,15 @@ def _sweep(config, out_dir, seed):
                 column += values
     pyth_at = max(range(len(cases)), key=columns.pyth_lhs.__getitem__)
     lin_at = max(range(len(cases)), key=columns.lin_lhs.__getitem__)
-    rows = [f"{n},{s},{','.join(map(repr, row))}\n" for (n, s), row in zip(cases, zip(*columns))]
-    summary = (
+    rows = ["n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n"]
+    rows += [f"{n},{s},{','.join(map(repr, row))}\n" for (n, s), row in zip(cases, zip(*columns))]
+    rows.append(
         f"summary,instances={len(cases)},max_pyth_lhs={columns.pyth_lhs[pyth_at]!r},"
         f"max_lin_lhs={columns.lin_lhs[lin_at]!r},"
         f"max_pyth_at={cases[pyth_at][0]}:{cases[pyth_at][1]},"
         f"max_lin_at={cases[lin_at][0]}:{cases[lin_at][1]},,,\n"
     )
-    header = "n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n"
-    _write(out_dir, {SWEEP_CSV: "".join([header, *rows, summary])})
+    _write(out_dir, {SWEEP_CSV: rows})
     # every failing instance, not the extremes alone: max never picks a NaN
     return [
         measures._report(n, row)

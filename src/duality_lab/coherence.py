@@ -29,7 +29,9 @@ its fields F c and for F W F^dagger; the oracle's sum W of the c c^dagger
 is not a _product call but oracle._outer_sum's own real arithmetic, a fixed
 pairwise tree.  Every modulus is libm's hypot of the two parts (_modulus),
 every row norm the sqrt of the row sum of re^2 + im^2 (_row_norms), and
-_complex joins parts by copying them.
+_complex joins parts by copying them.  When every imaginary input is +-0,
+_product and _modulus skip the arithmetic whose result is exactly +-0 and
+keep every bit (their docstrings give the argument).
 No BLAS call and no numpy complex multiply, division or modulus enters g, so
 its bits do not depend on the BLAS kernel or on which SIMD loops numpy
 dispatches to.  The tolerance checks that accept or refuse a matrix from
@@ -299,8 +301,12 @@ def _check_psd(h: np.ndarray) -> None:
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| of each entry, libm's hypot of the real and imaginary parts."""
-    return np.hypot(z.real, z.imag)
+    """|z| of each entry, libm's hypot of the real and imaginary parts, or
+    |re| when every imaginary part is +-0: C99 Annex F makes
+    hypot(x, +-0) = |x| exact, so the bits are the same."""
+    if z.imag.any():
+        return np.hypot(z.real, z.imag)
+    return np.abs(z.real)
 
 
 def _row_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -387,10 +393,21 @@ def _product(a_re, a_im, b_re, b_im) -> np.ndarray:
     real ufuncs: term k adds a_re b_re - a_im b_im and a_re b_im + a_im b_re,
     each formed whole before it is added.  Row k of B is b[..., k, :], which
     broadcasts against A's column k as [..., p, 1], so a batched B [m, q, s]
-    is passed as [m, 1, q, s]; a 1-d A is one row."""
+    is passed as [m, 1, q, s]; a 1-d A is one row.
+    When every imaginary part of both (finite) operands is +-0, only
+    out_re += a_re b_re is accumulated and the imaginary part is the +0 it
+    starts as.  Each skipped term is a sum or difference of products that
+    are +-0, so it is +-0 itself; an accumulator that starts at +0 can
+    never become -0, and x + (+-0) = x for every x but -0, so each part
+    keeps its bits."""
     shape = np.broadcast_shapes(a_re.shape[:-1] + (1,), b_re.shape[:-2] + b_re.shape[-1:])
     out_re, out_im = np.zeros(shape), np.zeros(shape)
-    t, u = np.empty(shape), np.empty(shape)
+    t = np.empty(shape)
+    if not (a_im.any() or b_im.any()):
+        for k in range(b_re.shape[-2]):
+            out_re += np.multiply(a_re[..., k, None], b_re[..., k, :], out=t)
+        return _complex(out_re, out_im)
+    u = np.empty(shape)
     for k in range(b_re.shape[-2]):
         ar, ai = a_re[..., k, None], a_im[..., k, None]
         br, bi = b_re[..., k, :], b_im[..., k, :]

@@ -275,7 +275,10 @@ def mutual_intensity(slits: SlitArray, coh: CoherenceMatrix) -> tuple[np.ndarray
     A = <E_i E_j*> is what the oracle samples.  Built from real ufuncs only:
     numpy's complex multiply fuses multiply-adds on some CPUs, which would
     tie A to the build.  Im A_ii is exactly 0, as g_ii = 1; Re A_ii is set
-    to I_i, not sqrt(I_i)^2.
+    to I_i, not sqrt(I_i)^2.  When every phase difference is +-0 (equal
+    slit phases), cos is taken as ones and sin as the differences
+    themselves, with no libm call: C99 Annex F makes cos(+-0) = 1 and
+    sin(+-0) = +-0 exact, so A keeps its bits.
     """
     if coh.n != slits.n:
         raise ValueError(f"coherence matrix size {coh.n} does not match slit count {slits.n}")
@@ -283,7 +286,10 @@ def mutual_intensity(slits: SlitArray, coh: CoherenceMatrix) -> tuple[np.ndarray
     amps = np.sqrt(inten)
     weight = amps[:, None] * amps[None, :]
     dphi = phases[:, None] - phases[None, :]
-    cos, sin = np.cos(dphi), np.sin(dphi)
+    if dphi.any():
+        cos, sin = np.cos(dphi), np.sin(dphi)
+    else:
+        cos, sin = np.ones_like(dphi), dphi
     a_re = weight * (g.real * cos - g.imag * sin)
     a_im = weight * (g.real * sin + g.imag * cos)
     _set_diagonal(a_re, inten)
@@ -367,6 +373,13 @@ def _intensity_samples(
         # Stability of Numerical Algorithms, 2nd ed., Lemma 3.5), so to
         # first order |z_k - exp(i*k*theta)| <= k (|theta| + sqrt(2) (2 + lam)) u
         # and |z_k| <= 1 + O(k u).
+        # A real A (every Im A entry +-0, as for equal slit phases and a
+        # real g) skips the Im c_k sums and the q -= z_im Im c_k updates.
+        # Each Im c_k would be +-0 and each update subtract a signed zero
+        # from q.  q starts at the trace (math.fsum never returns -0), and a
+        # sum or difference is -0 only when its first operand is, so q is
+        # never -0; x - (+-0) = x for every x but -0, so q keeps its bits.
+        complex_a = bool(a_im.any())
         q = np.full(x.shape, math.fsum(a_re.diagonal().tolist()))
         scale = 2.0 * np.pi * slits.spacing / (geometry.wavelength * geometry.distance)
         theta = scale * x
@@ -383,11 +396,12 @@ def _intensity_samples(
                 z_im += term
                 z_re, re_next = re_next, z_re
             re = 2.0 * math.fsum(a_re.diagonal(-k).tolist())
-            im = 2.0 * math.fsum(a_im.diagonal(-k).tolist())
             np.multiply(z_re, re, out=term)
             q += term
-            np.multiply(z_im, im, out=term)
-            q -= term
+            if complex_a:
+                im = 2.0 * math.fsum(a_im.diagonal(-k).tolist())
+                np.multiply(z_im, im, out=term)
+                q -= term
     else:
         # A = F F^H, so q(x) = sum_m |s_m(x)|^2 with s_m = sum_i F_im u_i(x),
         # accumulated slit by slit in pivot order over the nonzero prefix of

@@ -33,11 +33,11 @@ MAX_CELLS = 2**22
 # this size.  n_max is capped so that one instance's n x n matrix fits a stack.
 _STACK_ENTRIES = 1 << 18
 MAX_SWEEP_N = math.isqrt(_STACK_ENTRIES)
-# A sweep keeps every instance's seven measures as floats, then its CSV rows
-# and their joined text, until it writes the file.  At 2^16 instances over
-# n 2 to 8, a `duality-lab sweep` process peaks near 101 MB resident (x86_64
-# Linux, Python 3.11, numpy 2.4), of which about 30 MB is the interpreter
-# with numpy and click and about 52 MB the sweep's own Python allocations.
+# A sweep keeps every instance's seven measures as floats, then its CSV rows,
+# which it writes line by line.  At 2^16 instances over n 2 to 8, a
+# `duality-lab sweep` process peaks near 89 MB resident (x86_64 Linux,
+# Python 3.11, numpy 2.4), of which about 30 MB is the interpreter with numpy
+# and click and about 46 MB the sweep's own Python allocations.
 MAX_SWEEP_INSTANCES = 2**16
 
 
@@ -276,7 +276,7 @@ def load_sweep(path, seed_override: int | None = None) -> Sweep:
     n_max is at most MAX_SWEEP_N = 512, so one instance's n x n matrix fits
     one stack of _STACK_ENTRIES entries, and the sweep holds at most
     MAX_SWEEP_INSTANCES = 2^16 instances, (n_max - n_min + 1) * seeds, at
-    which a whole sweep over n 2 to 8 peaks near 101 MB resident."""
+    which a whole sweep over n 2 to 8 peaks near 89 MB resident."""
     spec = _read_config(path, {"sweep": (dict, _REQUIRED)})["sweep"]
     n_min, n_max, seeds, seed, policy = _section(spec, "sweep", _SWEEP).values()
     if n_min < 2 or n_max < n_min:

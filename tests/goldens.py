@@ -31,6 +31,9 @@ GOLDENS = {
     # exact phase model, gaussian envelope, scale_w, random rank 3 of 6 with
     # slit phases; mc-validate's ensemble and analyze of its own pattern.csv
     "exact_gaussian": (ROOT / "exact_gaussian" / "config.json", SCENARIO + (cli.MC_PATTERN_CSV, cli.ANALYSIS_JSON)),
+    # 16 slits, 4 real mode rows (one -0.0 imaginary entry), equal nonzero
+    # slit phases, gaussian envelope: A is real, so the real paths are taken
+    "real_modes": (ROOT / "real_modes" / "config.json", SCENARIO),
 }
 
 
