@@ -183,10 +183,16 @@ class ScreenGeometry:
         x = np.asarray(x, dtype=float)
         if self.envelope == "uniform":
             return np.ones_like(x)
-        # libm's exp per sample: numpy's SIMD exp can differ in the last bit
+        # libm's exp of every sample, in one numpy loop: complex exp gives
+        # exp(r) cos(+0) + i exp(r) sin(+0) for r + 0i, and C99 Annex F makes
+        # cos(+0) = 1 and sin(+0) = +0 exact, so the real part is the
+        # platform exp that math.exp calls, for every r <= 0, -inf included.
+        # numpy's float exp is not used: its SIMD loop can differ in the
+        # last bit.  Underflow to a subnormal or 0 is the value wanted, as
+        # math.exp gives it, so it is not signalled.
         arg = -(x * x) / (2.0 * self.sigma * self.sigma)
-        env = map(math.exp, arg.ravel().tolist())
-        return np.fromiter(env, float, arg.size).reshape(x.shape)
+        with np.errstate(under="ignore"):
+            return np.array(np.exp(arg + 0j).real)
 
     @classmethod
     def over_fringes(
@@ -317,11 +323,25 @@ def pivoted_cholesky(
     residual R, with gamma_m = m eps/2 / (1 - m eps/2).  R has diagonal at
     most tol; as a PSD matrix it changes the form u A u^H by at most
     n trace(R) <= n (n - r) tol for any u with |u_i| = 1.
+
+    A real A (every a_im entry +-0, as for equal slit phases and a real g)
+    takes the real path: Im F is returned as +0 and each step forms only
+    Re c and R_re -= Re c Re c^T.  The three skipped updates and the Im
+    column divisions would see only +-0 imaginary parts, so they would
+    subtract signed zeros from R_re (+0 on its diagonal, c_i^2 being +0),
+    which leaves every diagonal entry and every nonzero entry as it is.  So
+    perm and the values of Re F keep their bits; only the sign of a zero
+    entry of Re F (as in a dark slit's row) or of Im F can differ from the
+    four-update loop's.  Every reader of F adds its entries, times finite
+    factors, into accumulators that start at +0 (the exact kernel's s_m,
+    coherence._product), which a signed zero term cannot change, so no
+    pattern, field or report moves.
     """
     n = a_re.shape[0]
     lower = np.tri(n, dtype=bool)
     r_re = np.where(lower, a_re, a_re.T)
-    r_im = np.where(lower, a_im, -a_im.T)
+    complex_a = bool(a_im.any())
+    r_im = np.where(lower, a_im, -a_im.T) if complex_a else None
     f_re, f_im = np.zeros((2, n, n))
     perm = np.arange(n)
     # max and argmax only compare, so no summation order enters
@@ -338,13 +358,14 @@ def pivoted_cholesky(
         rest = perm[k + 1 :]
         col_re, col_im = f_re[:, k], f_im[:, k]
         col_re[rest] = r_re[rest, p] / pivot
-        col_im[rest] = r_im[rest, p] / pivot
         col_re[p] = pivot
         # R -= c c^H; pivoted rows and columns of R are never read again
         r_re -= np.multiply.outer(col_re, col_re)
-        r_re -= np.multiply.outer(col_im, col_im)
-        r_im -= np.multiply.outer(col_im, col_re)
-        r_im += np.multiply.outer(col_re, col_im)
+        if complex_a:
+            col_im[rest] = r_im[rest, p] / pivot
+            r_re -= np.multiply.outer(col_im, col_im)
+            r_im -= np.multiply.outer(col_im, col_re)
+            r_im += np.multiply.outer(col_re, col_im)
     return perm, f_re[:, :rank], f_im[:, :rank]
 
 

@@ -180,7 +180,13 @@ def quantum_coherence(density: BeamDensityMatrix) -> float:
     For the beam-induced density matrix this equals the corrected visibility
     V_C, reached by a different rounding route: |rho_ij| is taken after the
     entries of rho are formed, V_C weights the moduli |g_ij| by rescaled
-    intensities, so the two agree to rounding, not bit for bit."""
+    intensities, so the two agree to rounding, not bit for bit.
+
+    On a matrix from outside the program, validate admits |g_ij| up to
+    1 + coherence.MODULUS_TOL, and rho uses g as stored while V_C clips
+    |g_ij| at 1.  So, up to rounding, 0 <= C - V_C <= MODULUS_TOL * s and
+    C <= (1 + MODULUS_TOL) s <= 1 + MODULUS_TOL, with s = 1 - D' the
+    normalized ordered-pair sum of sqrt(I_i I_j)."""
     return float(_quantum_coherence(density.rho))
 
 

@@ -50,3 +50,18 @@ def test_latest_over_best_shows_the_slide_from_the_best_file(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "w: BENCH_2 80.00 -> BENCH_6 90.00, ratio 1.125; best BENCH_3 120.00, latest/best 0.750"
     )
+
+
+def test_reads_every_record_of_the_repository(capsys):
+    # the repository's own BENCH_<pr>.json files, each as its workloads in
+    # file order: one row per workload per file with a positive median and
+    # ratio, so a malformed record fails here
+    module = load_script()
+    assert module.main(module.REPO) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1 : lines.index("")]]
+    paths = sorted(module.REPO.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    assert len(paths) >= 20
+    expected = [[path.stem, workload] for path in paths for workload in json.loads(path.read_text())["workloads"]]
+    assert [row[:2] for row in rows] == expected
+    assert all(float(row[2]) > 0.0 and float(row[3]) > 0.0 for row in rows)

@@ -14,6 +14,7 @@ from duality_lab.coherence import _complex
 from duality_lab.engine import SPEED_OF_LIGHT, mutual_intensity, pivoted_cholesky, slit_positions
 from exact_reference import exact_pattern, gamma
 from optics import DISTANCE, SPACING, WAVELENGTH, W, coherence_with
+from test_real_paths import full_pivoted_cholesky
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -327,14 +328,32 @@ class TestPattern:
         assert np.allclose(pat.incoherent, expected, rtol=1e-12)
         assert pat.total[0] < pat.total[len(pat.total) // 2]
 
-    def test_gaussian_envelope_is_libm_exp(self):
-        # every sample is math.exp of the same argument, bit for bit, so the
-        # envelope does not carry numpy's SIMD exp
+    def test_gaussian_envelope_is_libm_exp(self, monkeypatch):
+        # every sample is libm's exp of the same argument, bit for bit, so the
+        # envelope does not carry numpy's SIMD float exp, which differs from
+        # it in the last bit on some of these arguments
         sigma = 1.3 * W
         geom = geometry(samples=4096, envelope="gaussian", sigma=sigma)
-        x = geom.grid()
-        ref = [math.exp(-(v * v) / (2.0 * sigma * sigma)) for v in x.tolist()]
-        assert geom.envelope_values(x).tolist() == ref
+        rng = np.random.default_rng(3500)
+        # x = sigma sqrt(2 a) gives the argument -a: the results run down
+        # through the subnormals (a from 708.4 to 745.1) to exactly 0 (a above
+        # 745.2); x^2 overflows at 1e200, so the argument there is -inf, and
+        # at x = +-0 it is -0.0
+        edges = sigma * np.sqrt(2.0 * np.array([708.4, 720.0, 745.1, 745.2, 800.0]))
+        far = [0.0, -0.0, 1e200, -1e200]
+        x = np.concatenate([geom.grid(), sigma * rng.uniform(-38.7, 38.7, 100_000), edges, far])
+        ref = np.fromiter(map(math.exp, (-(v * v) / (2.0 * sigma * sigma) for v in x.tolist())), float)
+        assert 0.0 in ref and ((0.0 < ref) & (ref < sys.float_info.min)).any()
+
+        def no_libm_exp(arg):
+            raise AssertionError("the envelope called math.exp")
+
+        monkeypatch.setattr(math, "exp", no_libm_exp)
+        with np.errstate(over="ignore"):  # x^2 at 1e200
+            env = geom.envelope_values(x)
+            square = geom.envelope_values(x[:4096].reshape(64, 64))
+        assert env.tobytes() == ref.tobytes()
+        assert square.shape == (64, 64) and square.tobytes() == ref[:4096].tobytes()
         assert geom.envelope_values(x[7]).tolist() == ref[7]
 
 
@@ -442,9 +461,12 @@ def kernel_replica(slits, coh, geom, xs):
 
 def replica_cholesky(a_re, a_im):
     """engine.pivoted_cholesky on nested lists of Python floats, with the
-    same pivot choice (first largest remaining diagonal entry), stop rule and
-    order of operations; returns perm and the rows of F as lists."""
+    same pivot choice (first largest remaining diagonal entry), stop rule,
+    real path for a real A (every a_im entry +-0: Im F stays +0 and only the
+    Re update runs) and order of operations; returns perm and the rows of F
+    as lists."""
     n = len(a_re)
+    complex_a = any(v != 0.0 for row in a_im for v in row)
     r_re = [[a_re[i][j] if i >= j else a_re[j][i] for j in range(n)] for i in range(n)]
     r_im = [[a_im[i][j] if i >= j else -a_im[j][i] for j in range(n)] for i in range(n)]
     f_re = [[0.0] * n for _ in range(n)]
@@ -465,7 +487,7 @@ def replica_cholesky(a_re, a_im):
                 row[k], row[p] = row[p], row[k]
         pivot = math.sqrt(r_re[k][k])
         col_re = [r_re[i][k] / pivot for i in range(n)]
-        col_im = [r_im[i][k] / pivot for i in range(n)]
+        col_im = [r_im[i][k] / pivot if complex_a else 0.0 for i in range(n)]
         f_re[k][k] = pivot
         for i in range(k + 1, n):
             f_re[i][k] = col_re[i]
@@ -473,9 +495,10 @@ def replica_cholesky(a_re, a_im):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 r_re[i][j] = r_re[i][j] - col_re[i] * col_re[j]
-                r_re[i][j] = r_re[i][j] - col_im[i] * col_im[j]
-                r_im[i][j] = r_im[i][j] - col_im[i] * col_re[j]
-                r_im[i][j] = r_im[i][j] + col_re[i] * col_im[j]
+                if complex_a:
+                    r_re[i][j] = r_re[i][j] - col_im[i] * col_im[j]
+                    r_im[i][j] = r_im[i][j] - col_im[i] * col_re[j]
+                    r_im[i][j] = r_im[i][j] + col_re[i] * col_im[j]
     return perm, [row[:rank] for row in f_re], [row[:rank] for row in f_im]
 
 
@@ -562,7 +585,7 @@ def four_update_samples(slits, geom, x, a_re, a_im):
     and Im F alike, as the kernel ran them before it skipped the two Im F
     updates of a real factor: the reference for its bytes."""
     n = slits.n
-    perm, f_re, f_im = pivoted_cholesky(a_re, a_im)
+    perm, f_re, f_im = engine.pivoted_cholesky(a_re, a_im)
     rank = f_re.shape[1]
     pos = slit_positions(n, slits.spacing)
     largest = max(geom.distance, geom.wavelength, float(np.max(np.abs(x))), float(np.max(np.abs(pos))))
@@ -592,7 +615,7 @@ class TestRealFactor:
     # the exact kernel skips the Im F updates when F is real; a signed zero
     # added to s can change no bit of q = sum_m |s_m|^2
     @pytest.mark.parametrize("case", ["real", "complex", "negative_zeros"])
-    def test_bytes_match_the_four_update_reference(self, case):
+    def test_bytes_match_the_four_update_reference(self, monkeypatch, case):
         n = 16
         rng = np.random.default_rng(3100 + n)
         # equal phases make A real: exp(i(alpha_i - alpha_j)) is exactly 1
@@ -600,15 +623,18 @@ class TestRealFactor:
         slits = dl.SlitArray(rng.uniform(0.1, 2.0, n), SPACING, phases)
         if case == "negative_zeros":
             # a real g with negative entries and -0.0 imaginary parts: their
-            # A_ij has Im -0.0, and so do entries of Im F
+            # A_ij has Im -0.0.  pivoted_cholesky returns Im F as +0 for a
+            # real A, so the four-update factorization, whose Im F holds
+            # -0.0 entries, is factored in for both routes
             g = dl.from_modes(dl.ModeDecomposition(rng.standard_normal((n, 4)))).entries
             assert (g.real < 0.0).any()
             coh = dl.CoherenceMatrix(_complex(g.real, np.full((n, n), -0.0)))
+            monkeypatch.setattr(engine, "pivoted_cholesky", full_pivoted_cholesky)
         else:
             coh = dl.from_modes(dl.ModeDecomposition(rng.uniform(0.0, 1.0, (n, 4))))
         geom = geometry(slits=slits, samples=1025, phase_model="exact")
         a_re, a_im = mutual_intensity(slits, coh)
-        f_im = pivoted_cholesky(a_re, a_im)[2]
+        f_im = engine.pivoted_cholesky(a_re, a_im)[2]
         assert bool(f_im.any()) == (case == "complex")
         if case == "negative_zeros":
             assert np.signbit(a_im).any() and np.signbit(f_im).any()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import duality_lab as dl
 from duality_lab import measures
 from duality_lab.coherence import (
+    MODULUS_TOL,
     NotPositiveSemidefinite,
     _hermitian_part,
     _matrix_sums,
@@ -381,6 +382,30 @@ class TestSecondRoute:
             intensities = 10.0 ** rng.uniform(-6.0, 0.0, n)
             rep = dl.duality_report(intensities, dl.random_coherence(n, rank, rng))
             assert abs(rep.c - rep.v_c) <= 1e-14, (n, rank, rep.c - rep.v_c)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_admitted_outside_matrix_bounds_c(self, n):
+        # g = J + delta (J - I), J all ones: every |g_ij| is 1 + delta and the
+        # smallest eigenvalue is -delta, so validate admits it for delta up to
+        # MODULUS_TOL (at MODULUS_TOL itself, eigvalsh's rounding can put it a
+        # hair below PSD_FLOOR, hence 0.999 of it here).  rho takes g as
+        # stored and V_C clips |g_ij| at 1, so C
+        # exceeds V_C by up to MODULUS_TOL s (quantum_coherence); each of c
+        # and v_c is a sum of n (n - 1) terms of a few correctly rounded steps
+        # each, so it errs by at most about (n^2 + 8) eps/2 of its size
+        rng = np.random.default_rng(3500 + n)
+        rounding = (n * n + 8) * EPS
+        largest = 0.999 * MODULUS_TOL
+        for delta in (largest, 0.5 * MODULUS_TOL, rng.uniform(0.0, largest), 1e-13):
+            coh = dl.validate(np.ones((n, n)) + delta * (np.ones((n, n)) - np.eye(n)))
+            assert coh.entries.real.max() == 1.0 + delta
+            for intensities in (np.ones(n), 10.0 ** rng.uniform(-6.0, 0.0, n)):
+                rep = dl.duality_report(intensities, coh)
+                s = 1.0 - rep.d_prime
+                assert rep.c <= 1.0 + MODULUS_TOL + rounding
+                assert abs(rep.c - rep.v_c) <= MODULUS_TOL * s + rounding
+            # the bound is reached: equal intensities give s = 1, C = 1 + delta
+            assert dl.duality_report(np.ones(n), coh).c >= 1.0 + delta - rounding
 
 
 @pytest.mark.parametrize(
