@@ -53,18 +53,23 @@ def find_primary_max(
     """Locate the primary maximum inside `window` (default: the central
     fringe, |x| <= w/2) and refine it with a 3-point parabolic fit.
 
-    Requires at least 64 samples per fringe width; raises UndersampledGrid
-    otherwise, and EmptyWindow when no samples fall inside the window.
+    Requires at least 64 samples per fringe width at the widest grid step,
+    so an uneven grid, as a re-imported CSV may hold, is judged where it is
+    coarsest; raises UndersampledGrid otherwise, and EmptyWindow when no
+    samples fall inside the window.  The parabola takes the first step as
+    the grid step, which is every step of an even grid.
     """
     x = pat.grid
     if x.size < 2:
         raise UndersampledGrid("pattern has fewer than 2 samples")
-    step = x[1] - x[0]
     w = pat.fringe_width
-    if w / step < MIN_SAMPLES_PER_FRINGE:
+    per_fringe = w / np.max(np.diff(x))
+    if per_fringe < MIN_SAMPLES_PER_FRINGE:
         raise UndersampledGrid(
-            f"{w / step:.1f} samples per fringe, need >= {MIN_SAMPLES_PER_FRINGE}"
+            f"{per_fringe:.1f} samples per fringe at the widest grid step, "
+            f"need >= {MIN_SAMPLES_PER_FRINGE}"
         )
+    step = x[1] - x[0]
     lo, hi = window if window is not None else (-w / 2.0, w / 2.0)
     inside = np.flatnonzero((x >= lo) & (x <= hi))
     if inside.size == 0:

@@ -180,13 +180,6 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-def _check_seed(seed) -> None:
-    """Refuse a seed that is neither a numpy Generator nor an integer, as
-    _check_count refuses a count."""
-    if not isinstance(seed, np.random.Generator):
-        _check_count("seed", seed)
-
-
 def _freeze(obj, **arrays) -> None:
     """Store each array on the frozen dataclass instance obj under its
     name, made read-only: the one rule of every value object's arrays."""
@@ -484,11 +477,15 @@ def random_coherence(n: int, rank: int, seed: int | np.random.Generator) -> Cohe
     rank=1 gives a fully coherent matrix (all moduli 1); rank >= n gives a
     generically full-rank matrix with all off-diagonal moduli below 1.
     n, rank and a seed that is not a Generator must be ints or numpy
-    integers: a float or bool is refused with a ValueError.
+    integers: a float or bool is refused with a ValueError, and so is a
+    negative seed.
     """
     _check_count("n", n)
     _check_count("rank", rank)
-    _check_seed(seed)
+    if not isinstance(seed, np.random.Generator):
+        _check_count("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed!r}")
     if n < 2:
         raise TooSmall(f"need at least 2 slits, got n={n}")
     if rank < 1:

@@ -16,6 +16,13 @@ builds the DualityReports of a stack from them, and the public one-instance
 functions are the no-batch case, with the same bits.  _density builds the
 density matrix rho_ij = sqrt(I_i I_j) g_ij / sum_k I_k of C from g, with no
 phases.
+
+V_C reaches a report by two routes: v_c weights the moduli |g_ij| by
+_pair_sums' rescaled pair weights, and c, the l1 coherence of rho, equals
+V_C by another rounding route.  Both routes share coherence._magnitudes and
+_matrix_sums, so a fault in either helper reaches both alike; only a route
+that formed V_C without them, as from the mutual-intensity matrix, would
+tell such a fault apart.
 """
 
 from __future__ import annotations

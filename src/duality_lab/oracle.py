@@ -10,19 +10,23 @@ A = F F^dagger gives fields of the same Gaussian law.  The ensemble mean of
 |field|^2 on the screen converges to the analytic pattern at the usual
 1/sqrt(N) Monte-Carlo rate.
 
-An ensemble is one stream: realization k is row k of the coefficients drawn
-from default_rng(seed), so the ensemble mean of E E^dagger is the covariance
-G = F W F^dagger with W the mean of c c^dagger over the rows.  W has entries
-of order one, so the sum behind it cannot overflow.  The mean screen
-intensity is the Hermitian form u G u^dagger, which engine.screen_pattern
-evaluates with the same fixed-order kernel as the analytic pattern's
-u A u^dagger.  F, W and G are all formed by elementwise real ufuncs in a
-fixed order, with no LAPACK, BLAS, numpy complex ufunc or multi-element
-numpy reduction: F W F^dagger and the fields F c go through
-coherence._product, the package's one complex matrix product, the same one
-that forms the Gram matrices of coherence.from_modes and random_coherence.
-So the ensemble pattern's bits rest on IEEE-754 arithmetic, the kernel's
-libm calls and numpy's Generator stream.
+An ensemble is its factor and one nonnegative integer seed, and it is one
+stream: realization k is row k of the coefficients drawn from
+default_rng(seed), on every call, so the ensemble mean of E E^dagger is the
+covariance G = F W F^dagger with W the mean of c c^dagger over the rows.  W
+has entries of order one, so the sum behind it cannot overflow.
+mc_pattern is two steps: the ensemble step, _covariance, returns G, and the
+screen step, engine.screen_pattern, evaluates the mean screen intensity as
+the Hermitian form u G u^dagger with the same fixed-order kernel as the
+analytic pattern's u A u^dagger.
+
+F, W and G are all formed by elementwise real ufuncs in a fixed order, with
+no LAPACK, BLAS, numpy complex ufunc or multi-element numpy reduction:
+F W F^dagger and the fields F c go through coherence._product, the
+package's one complex matrix product, the same one that forms the Gram
+matrices of coherence.from_modes and random_coherence.  So the ensemble
+pattern's bits rest on IEEE-754 arithmetic, the kernel's libm calls and
+numpy's Generator stream.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import numpy as np
 from duality_lab.coherence import (
     CoherenceMatrix,
     _check_count,
-    _check_seed,
     _complex,
     _freeze,
     _product,
@@ -69,20 +72,30 @@ MAX_REALIZATIONS = 2**24
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Sampling recipe for a field ensemble: realization count (an int or
-    numpy integer, 1 to MAX_REALIZATIONS), base seed (an int, a numpy
-    integer or a numpy Generator) and the n x r factor F of the
-    mutual-intensity matrix A = F F^dagger, rows in slit order."""
+    numpy integer, 1 to MAX_REALIZATIONS), base seed (a nonnegative int or
+    numpy integer) and the n x r factor F of the mutual-intensity matrix
+    A = F F^dagger, rows in slit order: a finite 2-D numeric array with at
+    least one column."""
 
     realizations: int
-    seed: int | np.random.Generator
+    seed: int
     factor: np.ndarray
 
     def __post_init__(self):
         _check_count("realizations", self.realizations)
-        _check_seed(self.seed)
+        _check_count("seed", self.seed)
         if not 1 <= self.realizations <= MAX_REALIZATIONS:
             raise ValueError(f"need 1 to {MAX_REALIZATIONS} realizations")
-        _freeze(self, factor=np.array(self.factor))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        factor = np.array(self.factor)
+        shaped = factor.dtype.kind in "iufc" and factor.ndim == 2 and factor.shape[1] > 0
+        if not (shaped and np.isfinite(factor).all()):
+            raise ValueError(
+                "factor must be a finite 2-D numeric array with at least one column, "
+                f"got {factor.dtype} of shape {factor.shape}"
+            )
+        _freeze(self, factor=factor)
 
 
 def ensemble_spec(
@@ -156,6 +169,20 @@ def realize_fields(spec: EnsembleSpec, k: int | np.ndarray) -> np.ndarray:
     return _product(c[..., 0, :], c[..., 1, :], f.real.T, f.imag.T)
 
 
+def _covariance(spec: EnsembleSpec) -> np.ndarray:
+    """The ensemble covariance G = F W F^dagger of the fields, with W the
+    mean of c_k c_k^dagger over the spec's coefficient rows: O(N r^2 + n^2
+    r), and the c sum cannot overflow."""
+    f_re, f_im = spec.factor.real, spec.factor.imag
+    r = f_re.shape[1]
+    w = np.zeros((2, r, r))
+    for _, c in _coefficient_chunks(spec, spec.realizations):
+        w += _outer_sum(c)
+    w /= spec.realizations
+    h = _product(f_re, f_im, w[0], w[1])
+    return _product(h.real, h.imag, f_re.T, -f_im.T)
+
+
 def mc_pattern(
     slits: SlitArray,
     coh: CoherenceMatrix,
@@ -174,17 +201,7 @@ def mc_pattern(
     """
     if realizations < MIN_REALIZATIONS:
         raise ValueError(f"need at least {MIN_REALIZATIONS} realizations for a meaningful average")
-    spec = ensemble_spec(slits, coh, realizations, seed)
-    f_re, f_im = spec.factor.real, spec.factor.imag
-    r = f_re.shape[1]
-    # G = F W F^dagger with W = mean_k c_k c_k^dagger: O(N r^2 + n^2 r); the
-    # c sum cannot overflow
-    w = np.zeros((2, r, r))
-    for _, c in _coefficient_chunks(spec, spec.realizations):
-        w += _outer_sum(c)
-    w /= spec.realizations
-    h = _product(f_re, f_im, w[0], w[1])
-    g = _product(h.real, h.imag, f_re.T, -f_im.T)
+    g = _covariance(ensemble_spec(slits, coh, realizations, seed))
     return screen_pattern(slits, geometry, geometry.grid(), g.real, g.imag)
 
 

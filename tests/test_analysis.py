@@ -20,6 +20,13 @@ def make_pattern(intensities, coh, samples=4097, **kw):
     return dl.pattern(slits, coh, geom)
 
 
+def uneven_grid_pattern():
+    # a two-slit pattern of fringe width 1 whose primary maximum is at
+    # x = 0.013, on a grid fine at its left end and coarse elsewhere
+    x = np.concatenate([np.linspace(-2.0, -1.9, 200), np.linspace(-1.85, 2.0, 90)])
+    return x, 2.0 + 2.0 * np.cos(2.0 * np.pi * (x - 0.013))
+
+
 class TestFindPrimaryMax:
     def test_peak_at_origin_for_aligned_phases(self):
         pat = make_pattern([1.0, 0.7, 0.4], aligned_coherence(3, 5))
@@ -56,6 +63,16 @@ class TestFindPrimaryMax:
     def test_undersampled_grid_rejected(self):
         pat = make_pattern([1.0, 1.0], coherence_with(1.0), samples=256)  # 32 per fringe
         with pytest.raises(UndersampledGrid):
+            dl.find_primary_max(pat)
+
+    def test_uneven_grid_judged_at_its_widest_step(self):
+        # 200 samples over [-2, -1.9], then 90 over [-1.85, 2]: 1990 samples
+        # per fringe by the first step, which this grid once passed with,
+        # but 20 at the widest step, the gap, and about 23 at the peak, where
+        # the parabola then put x_star at 0.0101 for a true 0.013
+        x, total = uneven_grid_pattern()
+        pat = dl.InterferencePattern(grid=x, total=total, incoherent=np.full(x.size, 2.0), n=2, fringe_width=1.0)
+        with pytest.raises(UndersampledGrid, match="20.0 samples per fringe at the widest grid step"):
             dl.find_primary_max(pat)
 
     def test_empty_window_rejected(self):
@@ -158,6 +175,19 @@ class TestExtractMichelson:
     def test_equals_vc_for_two_equal_slits(self):
         pat = make_pattern([1.0, 1.0], coherence_with(0.73))
         assert dl.extract_michelson(pat) == pytest.approx(dl.extract_vc(pat), abs=1e-6)
+
+    def test_adjacent_maxima_on_one_sample_refused(self):
+        # 64 samples per fringe do not keep the two maxima apart: the argmax
+        # of the central window sits on its left edge below a larger sample
+        # outside it, so the parabola through them puts x_star a fringe to
+        # the left, and the next window's argmax is that outside sample, the
+        # neighbour of the first, with no sample between them
+        x = np.arange(-200, 201) / 64.0
+        total = np.full(x.size, 0.5)
+        total[167:170] = [3.0, 2.0, 2.0 - 129 / 127]
+        pat = dl.InterferencePattern(grid=x, total=total, incoherent=np.ones(x.size), n=2, fringe_width=1.0)
+        with pytest.raises(UndersampledGrid, match="no samples between adjacent primary maxima"):
+            dl.extract_michelson(pat)
 
 
 class TestFringeWidth:

@@ -266,6 +266,20 @@ class TestAnalyzeCommand:
         assert len(result.output.splitlines()) == 1
         assert not (out / "analysis.json").exists()
 
+    def test_refuses_a_grid_coarse_at_the_peak(self, runner, tmp_path):
+        # fine only at its left end: the first step once passed the check
+        x = np.concatenate([np.linspace(-2.0, -1.9, 200), np.linspace(-1.85, 2.0, 90)])
+        total = 2.0 + 2.0 * np.cos(2.0 * np.pi * (x - 0.013))
+        rows = "".join(f"{a!r},{b!r},2.0\n" for a, b in zip(x.tolist(), total.tolist()))
+        csv = tmp_path / "pattern.csv"
+        csv.write_text("x_w,total,incoherent\n" + rows)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["analyze", "--config", str(THREE_SLIT), "--csv", str(csv), "--out", str(out)]
+        )
+        assert_input_error(result, "samples per fringe at the widest grid step, need >= 64")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale_w", [False, True], ids=["metres", "scaled"])
     def test_reads_the_unit_from_the_header(self, runner, tmp_path, scale_w):
         # the header names x's unit, so analyze reads either file under a

@@ -287,10 +287,12 @@ def test_random_coherence_bad_args():
         ((True, 2, 0), "n must be an integer, got True"),
         ((3, 2, 1.5), "seed must be an integer, got 1.5"),
         ((3, 2, False), "seed must be an integer, got False"),
+        ((3, 2, -1), "seed must be nonnegative, got -1"),
     ],
 )
 def test_random_coherence_refuses_non_integers(args, message):
-    # each once ended in a bare TypeError from numpy
+    # each once ended in a bare TypeError from numpy, and a negative seed in
+    # numpy's "expected non-negative integer", which names no argument
     with pytest.raises(ValueError, match=message):
         dl.random_coherence(*args)
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -192,8 +193,40 @@ class TestRealizeFields:
         expected = mc_pattern(slits, coh, geom, 200, 7).total.tobytes()
         assert ensemble_spec(slits, coh, 200, np.uint64(7)).seed == 7
         assert mc_pattern(slits, coh, geom, 200, np.int64(7)).total.tobytes() == expected
+        # a Generator seed was once accepted and advanced with every draw,
+        # so one spec's realization k changed from call to call
         rng = np.random.default_rng(7)
-        assert mc_pattern(slits, coh, geom, 200, rng).total.tobytes() == expected
+        with pytest.raises(ValueError, match="seed must be an integer, got Generator"):
+            ensemble_spec(slits, coh, 200, rng)
+        with pytest.raises(ValueError, match="seed must be an integer, got Generator"):
+            mc_pattern(slits, coh, geom, 200, rng)
+        with pytest.raises(ValueError, match="seed must be an integer, got Generator"):
+            oracle.EnsembleSpec(realizations=200, seed=rng, factor=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_refused_when_built(self, seed):
+        # once built, with numpy's unnamed "expected non-negative integer"
+        # at the first draw
+        slits, coh, geom = standard_setup(samples=64)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be nonnegative, got {seed!r}")):
+            ensemble_spec(slits, coh, 200, seed)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be nonnegative, got {seed!r}")):
+            mc_pattern(slits, coh, geom, 200, seed)
+
+    @pytest.mark.parametrize(
+        "factor",
+        [np.ones(3), np.ones((3, 0)), [[np.nan]], [[1.0, np.inf]], np.ones((2, 2, 1)), [["a"]], 1.0],
+        ids=["1-D", "no_column", "nan", "inf", "3-D", "strings", "scalar"],
+    )
+    def test_malformed_factor_refused(self, factor):
+        # once an IndexError (1-D), a ZeroDivisionError (no column) or NaN
+        # fields at the first draw
+        with pytest.raises(ValueError, match="factor must be a finite 2-D numeric array"):
+            oracle.EnsembleSpec(realizations=10, seed=0, factor=factor)
+
+    def test_real_factor_accepted(self):
+        spec = oracle.EnsembleSpec(realizations=10, seed=0, factor=[[1.0, 0.0], [0.5, 2.0]])
+        assert realize_fields(spec, 3).shape == (2,)
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_factor_reproduces_mutual_intensity(self, rank):
@@ -296,6 +329,20 @@ class TestMcPattern:
         assert a.total.tobytes() == b.total.tobytes()
         c = mc_pattern(slits, coh, geom, 2000, seed=10)
         assert a.total.tobytes() != c.total.tobytes()
+
+    @pytest.mark.parametrize("phase_model", ["small_angle", "exact"])
+    def test_is_the_screen_step_of_the_covariance(self, phase_model):
+        # the ensemble step returns G, and the pattern is its screen step
+        slits, coh, _ = standard_setup()
+        geom = dl.ScreenGeometry.over_fringes(
+            slits, WAVELENGTH, DISTANCE, samples=256, phase_model=phase_model
+        )
+        spec = ensemble_spec(slits, coh, 700, 5)
+        g = oracle._covariance(spec)
+        assert g.shape == (3, 3)
+        expected = engine.screen_pattern(slits, geom, geom.grid(), g.real, g.imag)
+        assert mc_pattern(slits, coh, geom, 700, 5).total.tobytes() == expected.total.tobytes()
+        assert oracle._covariance(spec).tobytes() == g.tobytes()
 
     def test_requires_minimum_realizations(self):
         slits, coh, geom = standard_setup(samples=512)
