@@ -19,10 +19,10 @@ phases.
 
 V_C reaches a report by two routes: v_c weights the moduli |g_ij| by
 _pair_sums' rescaled pair weights, and c, the l1 coherence of rho, equals
-V_C by another rounding route.  Both routes share coherence._magnitudes and
-_matrix_sums, so a fault in either helper reaches both alike; only a route
-that formed V_C without them, as from the mutual-intensity matrix, would
-tell such a fault apart.
+V_C in exact arithmetic but is rounded along another route.  Both routes
+share coherence._magnitudes and _matrix_sums, so a fault in either helper
+reaches both alike; only a route that formed V_C without them, as from the
+mutual-intensity matrix, would tell such a fault apart.
 """
 
 from __future__ import annotations
