@@ -8,12 +8,15 @@ _exit_status turns the outcome of every command, and of run_scenario and
 run_sweep, into the exit code: 0 success, 1 input, usage or write error, 2 a
 duality inequality was violated beyond tolerance (the relations are theorems
 for valid inputs, so a violation signals an implementation fault, not bad
-user data).
+user data).  It is the one judge of the relations: each command body returns
+the relations' left-hand sides it answers for, or nothing, and no other code
+turns a left-hand side into a verdict on the run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,11 +53,11 @@ SWEEP_CSV = "sweep.csv"
 def _exit_status(body, *args, **kwargs) -> int:
     """Run body(*args, **kwargs) and turn its outcome into the exit status:
     a click usage error, click.Abort, bad input or a failed write prints one
-    `error: <message>` line and gives EXIT_INPUT; returned reports in which a
-    duality relation fails print the violation line and give EXIT_VIOLATION;
-    anything else gives EXIT_OK."""
+    `error: <message>` line and gives EXIT_INPUT; returned left-hand sides of
+    which one is not within INEQUALITY_TOL of 1, NaN included, print the
+    violation line and give EXIT_VIOLATION; anything else gives EXIT_OK."""
     try:
-        reports = body(*args, **kwargs) or ()
+        lhs = body(*args, **kwargs) or ()
     except click.ClickException as exc:
         message = exc.format_message()
     except click.Abort:
@@ -62,7 +65,7 @@ def _exit_status(body, *args, **kwargs) -> int:
     except _INPUT_ERRORS as exc:
         message = exc
     else:
-        if all(r.pyth_holds and r.lin_holds for r in reports):
+        if all(map(measures._holds, lhs)):
             return EXIT_OK
         click.echo("error: duality inequality violated beyond tolerance", err=True)
         return EXIT_VIOLATION
@@ -89,20 +92,21 @@ def _write(out, files) -> None:
 def _run(sc, out, names):
     """Compute the named output files of scenario sc, each pattern once and in
     fringe widths if sc.scale_w, then write them into `out`.  Returns the
-    files by name, JSON as text, and the reports: the one of report.json if
-    it is named, else none."""
+    files by name, JSON as text, and the left-hand sides of report.json's
+    two relations if it is named, else none."""
     def in_unit(pat):
         return pat.in_fringe_widths() if sc.scale_w else pat
 
     ensemble = MC_PATTERN_CSV in names or CONVERGENCE_JSON in names
     if ensemble and not sc.oracle_enabled:
         raise ValueError("oracle: not enabled in config")
-    files, reports = {}, []
+    files, lhs = {}, []
     if PATTERN_CSV in names or ensemble:
         files[PATTERN_CSV] = in_unit(engine.pattern(sc.slits, sc.coherence, sc.geometry))
     if REPORT_JSON in names:
-        reports.append(measures.duality_report(sc.slits.intensities, sc.coherence))
-        files[REPORT_JSON] = reports[0].to_json()
+        report = measures.duality_report(sc.slits.intensities, sc.coherence)
+        files[REPORT_JSON] = report.to_json()
+        lhs = [report.pyth_lhs, report.lin_lhs]
     if ensemble:
         mc = files[MC_PATTERN_CSV] = in_unit(oracle.mc_pattern(
             sc.slits, sc.coherence, sc.geometry, sc.oracle_realizations, sc.oracle_seed
@@ -110,11 +114,12 @@ def _run(sc, out, names):
         conv = oracle.convergence_report(mc, files[PATTERN_CSV], sc.oracle_realizations)
         files[CONVERGENCE_JSON] = json.dumps(conv, indent=2) + "\n"
     _write(out, {name: files[name] for name in names})
-    return files, reports
+    return files, lhs
 
 
 def _scenario(config, out_dir, seed):
-    """run_scenario's body: writes the files and returns the report."""
+    """run_scenario's body: writes the files and returns the report's
+    left-hand sides."""
     sc = load_scenario(config, seed_override=seed)
     names = (PATTERN_CSV, REPORT_JSON) + ((CONVERGENCE_JSON,) if sc.oracle_enabled else ())
     return _run(sc, out_dir, names)[1]
@@ -133,8 +138,7 @@ def run_scenario(config, out_dir, seed: int | None = None) -> int:
 
 def _sweep(config, out_dir, seed):
     """The body of run_sweep and of the sweep command: writes sweep.csv and
-    returns the reports of the instances in which a relation fails, none
-    when both hold everywhere."""
+    returns the left-hand sides of both relations for every instance."""
     sweep = load_sweep(config, seed_override=seed)
     cases, columns = [], measures._Columns(*([] for _ in measures._Columns._fields))
     for n in range(sweep.n_min, sweep.n_max + 1):
@@ -159,8 +163,10 @@ def _sweep(config, out_dir, seed):
             grams = coherence._random_grams(modes, n, sweep.rank or n, (count,))
             for column, values in zip(columns, measures._columns(intensities, grams)):
                 column += values
-    pyth_at = max(range(len(cases)), key=columns.pyth_lhs.__getitem__)
-    lin_at = max(range(len(cases)), key=columns.lin_lhs.__getitem__)
+    # the first largest left-hand side, a NaN counting as the largest, so
+    # that the summary names the first instance that fails through one
+    pyth_at = max(range(len(cases)), key=lambda i: (math.isnan(columns.pyth_lhs[i]), columns.pyth_lhs[i]))
+    lin_at = max(range(len(cases)), key=lambda i: (math.isnan(columns.lin_lhs[i]), columns.lin_lhs[i]))
     rows = ["n,seed,v_c,d,d_prime,gamma_n,c,pyth_lhs,lin_lhs\n"]
     rows += [f"{n},{s},{','.join(map(repr, row))}\n" for (n, s), row in zip(cases, zip(*columns))]
     rows.append(
@@ -170,23 +176,19 @@ def _sweep(config, out_dir, seed):
         f"max_lin_at={cases[lin_at][0]}:{cases[lin_at][1]},,,\n"
     )
     _write(out_dir, {SWEEP_CSV: rows})
-    # every failing instance, not the extremes alone: max never picks a NaN
-    return [
-        measures._report(n, row)
-        for (n, _), row in zip(cases, zip(*columns))
-        if not (measures._holds(row[-2]) and measures._holds(row[-1]))
-    ]
+    return columns.pyth_lhs + columns.lin_lhs
 
 
 def run_sweep(config, out_dir, seed: int | None = None) -> int:
     """Run the random-instance sweep described by a sweep config and write
     one CSV row per instance plus a trailing summary row, which also names
-    the first instance of largest left-hand side of each relation.  Each
-    slit count n draws its seeds in order from its own three streams, built
-    directly as SeedSequence((master, n), spawn_key=(k,)) for k = 0, 1, 2,
-    the children that SeedSequence((master, n)).spawn(3) gives, in stacks
-    of at most _STACK_ENTRIES matrix entries; where the stacks are cut moves
-    no row, and a larger `seeds` keeps the rows of a smaller one.  Returns
+    the first instance of largest left-hand side of each relation, a NaN
+    counting as the largest.  Each slit count n draws its seeds in order
+    from its own three streams, built directly as SeedSequence((master, n),
+    spawn_key=(k,)) for k = 0, 1, 2, the children that
+    SeedSequence((master, n)).spawn(3) gives, in stacks of at most
+    _STACK_ENTRIES matrix entries; where the stacks are cut moves no row,
+    and a larger `seeds` keeps the rows of a smaller one.  Returns
     the exit status as run_scenario does: 2 when any instance has a
     left-hand side, NaN included, that is not within INEQUALITY_TOL of 1."""
     return _exit_status(_sweep, config, out_dir, seed)
@@ -239,9 +241,9 @@ def pattern_cmd(config, out, seed):
 @_seed_opt
 def measures_cmd(config, out, seed):
     """Compute the duality report and write report JSON."""
-    files, reports = _run(load_scenario(config, seed_override=seed), out, (REPORT_JSON,))
+    files, lhs = _run(load_scenario(config, seed_override=seed), out, (REPORT_JSON,))
     click.echo(files[REPORT_JSON], nl=False)
-    return reports
+    return lhs
 
 
 @main.command("analyze")

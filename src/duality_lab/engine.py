@@ -134,9 +134,10 @@ class ScreenGeometry:
     real numbers, and a bool or string is refused with a ValueError naming
     the field.
     envelope is the common per-slit diffraction profile multiplying every
-    I_i: "uniform" (exact analytic checks) or "gaussian" with scale sigma in
-    metres.  phase_model selects the pair-delay computation: "small_angle"
-    (linear Fraunhofer phase, the default) or "exact" path lengths.
+    I_i: "uniform" (exact analytic checks), which refuses a sigma, or
+    "gaussian" with scale sigma in metres.  phase_model selects the
+    pair-delay computation: "small_angle" (linear Fraunhofer phase, the
+    default) or "exact" path lengths.
     """
 
     wavelength: float
@@ -168,6 +169,8 @@ class ScreenGeometry:
             raise ValueError(f"unknown envelope {self.envelope!r}")
         if self.envelope == "gaussian" and not (self.sigma or 0.0) > 0.0:
             raise ValueError("gaussian envelope needs sigma > 0")
+        if self.envelope == "uniform" and self.sigma is not None:
+            raise ValueError(f"sigma applies to the gaussian envelope only, got sigma={self.sigma!r}")
         if self.phase_model not in PHASE_MODELS:
             raise ValueError(f"unknown phase model {self.phase_model!r}")
 

@@ -11,11 +11,15 @@ INEQUALITY_TOL of 1; in exact arithmetic they equal 1 - s^2 + V_C^2 and
 Every measure is written once, as a private core over leading batch axes
 (intensities [..., n], coherence matrices [..., n, n]).  _columns, the
 column core, returns the measures of a whole stack as one list per report
-field: the sweep formats its rows straight from those lists, _reports
-builds the DualityReports of a stack from them, and the public one-instance
-functions are the no-batch case, with the same bits.  _density builds the
-density matrix rho_ij = sqrt(I_i I_j) g_ij / sum_k I_k of C from g, with no
-phases.
+field: the sweep formats its rows straight from those lists, duality_report
+builds its report from its one row, and the public one-instance functions
+are the no-batch case, with the same bits.  _density builds the density
+matrix rho_ij = sqrt(I_i I_j) g_ij / sum_k I_k of C from g, with no phases.
+
+_holds is the one rule that judges a left-hand side.  It gives a report its
+verdicts, and cli._exit_status, the one judge of a run's exit status, reads
+every left-hand side that a command returns through it: a report's two, or
+both columns of every stack of a sweep.
 
 V_C reaches a report by two routes: v_c weights the moduli |g_ij| by
 _pair_sums' rescaled pair weights, and c, the l1 coherence of rho, equals
@@ -227,7 +231,8 @@ class DualityReport:
 
 def duality_report(intensities, coh: CoherenceMatrix) -> DualityReport:
     """Compute every measure and both duality checks for one instance."""
-    return _reports(*_checked(intensities, coh))[0]
+    (row,) = zip(*_columns(*_checked(intensities, coh)))
+    return DualityReport(coh.n, *row, _holds(row[-2]), _holds(row[-1]))
 
 
 class _Columns(NamedTuple):
@@ -244,8 +249,9 @@ class _Columns(NamedTuple):
 
 
 def _columns(inten: np.ndarray, g: np.ndarray) -> _Columns:
-    """The column core of _reports: checked intensities [..., n] and stored
-    coherence matrices [..., n, n] in, one list per measure out."""
+    """The column core of duality_report and of the sweep: checked
+    intensities [..., n] and stored coherence matrices [..., n, n] in, one
+    list per measure out, instances in C order."""
     mag = _magnitudes(g)
     sums = _pair_sums(inten, mag)
     d, d_prime, v_c = sums.d, sums.d_prime, sums.v_c
@@ -260,14 +266,3 @@ def _holds(lhs: float) -> bool:
     """Whether a relation's left-hand side stays within INEQUALITY_TOL of 1;
     False for NaN."""
     return lhs <= 1.0 + INEQUALITY_TOL
-
-
-def _report(n: int, row) -> DualityReport:
-    """The report of one instance of n slits from its row of the columns."""
-    return DualityReport(n, *row, _holds(row[-2]), _holds(row[-1]))
-
-
-def _reports(inten: np.ndarray, g: np.ndarray) -> list[DualityReport]:
-    """duality_report() of every instance of a stack, in C order: checked
-    intensities [..., n] and stored coherence matrices [..., n, n]."""
-    return [_report(g.shape[-1], row) for row in zip(*_columns(inten, g))]

@@ -199,6 +199,7 @@ def mc_pattern(
     chunks of a size fixed by the rank, each summed in a fixed tree, make
     reruns bit-identical on any BLAS and SIMD dispatch.
     """
+    _check_count("realizations", realizations)
     if realizations < MIN_REALIZATIONS:
         raise ValueError(f"need at least {MIN_REALIZATIONS} realizations for a meaningful average")
     g = _covariance(ensemble_spec(slits, coh, realizations, seed))
@@ -210,6 +211,11 @@ def convergence_report(
 ) -> dict:
     """Compare an ensemble pattern of the given size with the analytic
     pattern on the same grid.
+
+    Both patterns come from engine.screen_pattern, the analytic one with the
+    mutual-intensity matrix A and mc_pattern's with the ensemble covariance
+    G, so the deviation measures G against A as seen on the screen and
+    nothing else: a fault in the screen kernel moves both patterns alike.
 
     Returns the largest pointwise deviation across the grid, normalized by
     the analytic primary-maximum intensity, and where it occurs:

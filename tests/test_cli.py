@@ -526,6 +526,8 @@ class TestConfigTypes:
             ("geometry.envelope", 5, "geometry.envelope: wrong type int"),
             ("geometry.phase_model", None, "geometry.phase_model: wrong type NoneType"),
             ("geometry.sigma", "wide", "geometry.sigma: wrong type str"),
+            # once accepted and ignored under the scenario's uniform envelope
+            ("geometry.sigma", 0.2, "geometry: sigma applies to the gaussian envelope only, got sigma=0.2"),
             # these four once ran on converted values or died with a traceback
             ("slits.intensities", [True, 0.7, "0.4"], "slits.intensities[0]: wrong type bool"),
             ("slits.intensities", [{}, 0.7, 0.4], "slits.intensities[0]: wrong type dict"),
@@ -878,12 +880,42 @@ class TestViolationExit:
         assert errors == [VIOLATION]
         assert (tmp_path / "out" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("lhs", ["pyth_lhs", "lin_lhs"])
+    def test_judge_reads_every_stack(self, runner, tmp_path, monkeypatch, lhs):
+        # stacks of 18 // (n * n) seeds: 4 + 1 at n = 2 and 2 + 2 + 1 at
+        # n = 3, so a violation in the last instance of the fifth and last
+        # stack alone must still reach the exit status
+        monkeypatch.setattr(cli, "_STACK_ENTRIES", 18)
+        cfg = write_scenario(
+            tmp_path, {"schema": 1, "sweep": {"n_min": 2, "n_max": 3, "seeds": 5}}, name="sweep.json"
+        )
+        real, stacks = measures._columns, []
+
+        def faulty(inten, g):
+            columns = real(inten, g)
+            stacks.append(len(columns.v_c))
+            if len(stacks) == 5:
+                getattr(columns, lhs)[-1] = 1.0 + 2.0 * measures.INEQUALITY_TOL
+            return columns
+
+        monkeypatch.setattr(measures, "_columns", faulty)
+        assert run_sweep(cfg, tmp_path / "lib") == 2
+        assert stacks == [4, 1, 2, 2, 1]
+        rows = (tmp_path / "lib" / "sweep.csv").read_text().splitlines()[1:-1]
+        column, bound = (7 if lhs == "pyth_lhs" else 8), 1.0 + measures.INEQUALITY_TOL
+        failing = [row.split(",")[:2] for row in rows if float(row.split(",")[column]) > bound]
+        assert failing == [["3", "4"]] and len(rows) == 10
+        stacks.clear()
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "cli")])
+        assert result.exit_code == 2, result.output
+        assert stacks == [4, 1, 2, 2, 1]
+
 
 @pytest.fixture(params=["pyth_lhs", "lin_lhs"])
 def one_nan(request, monkeypatch):
     # a NaN left-hand side in one instance of each stack, not its first,
-    # which max starts from, and of least other left-hand side: max never
-    # picks it, so the reports of the two extremes alone would pass
+    # and of least other left-hand side, so that a judge that read only the
+    # first instance or the other relation's largest one would pass it
     real = measures._columns
 
     def faulty(inten, g):
@@ -908,7 +940,11 @@ class TestNanExit:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         column = 7 if one_nan == "pyth_lhs" else 8
         assert [line.split(",")[column] for line in lines[1:-1]].count("nan") == 2
-        assert "nan" not in lines[-1]
+        # a NaN counts as the largest, so the summary names the first NaN row
+        first = next(line.split(",") for line in lines[1:-1] if line.split(",")[column] == "nan")
+        key = one_nan.replace("_lhs", "")
+        summary = lines[-1].split(",")
+        assert f"max_{key}_lhs=nan" in summary and f"max_{key}_at={first[0]}:{first[1]}" in summary
 
     def test_sweep_exits_two(self, runner, tmp_path, one_nan):
         cfg = self.sweep_config(tmp_path)
@@ -916,6 +952,35 @@ class TestNanExit:
         assert result.exit_code == 2, result.output
         errors = [line for line in result.output.splitlines() if line.startswith("error:")]
         assert errors == [VIOLATION]
+
+    @pytest.mark.parametrize("lhs", ["pyth_lhs", "lin_lhs"])
+    @pytest.mark.parametrize("at, named", [(0, "2:0"), (5, "3:1")])
+    def test_summary_names_a_nan_wherever_it_is(self, tmp_path, monkeypatch, capsys, lhs, at, named):
+        # one NaN, in the sweep's first instance or in a later one; the
+        # summary once named it only in the first, where max starts
+        def summary(out):
+            fields = (out / "sweep.csv").read_text().splitlines()[-1].split(",")[1:6]
+            return dict(field.split("=") for field in fields)
+
+        cfg = self.sweep_config(tmp_path)
+        assert run_sweep(cfg, tmp_path / "clean") == 0
+        real, seen = measures._columns, [0]
+
+        def faulty(inten, g):
+            columns = real(inten, g)
+            if seen[0] <= at < seen[0] + len(columns.v_c):
+                getattr(columns, lhs)[at - seen[0]] = float("nan")
+            seen[0] += len(columns.v_c)
+            return columns
+
+        monkeypatch.setattr(measures, "_columns", faulty)
+        assert run_sweep(cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == VIOLATION + "\n"
+        row = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1 + at].split(",")
+        assert row[:2] == named.split(":") and row[7 if lhs == "pyth_lhs" else 8] == "nan"
+        key = lhs.replace("_lhs", "")
+        expected = {**summary(tmp_path / "clean"), f"max_{key}_lhs": "nan", f"max_{key}_at": named}
+        assert summary(tmp_path / "out") == expected
 
 
 class TestRunScenario:

@@ -176,6 +176,12 @@ class TestScreenGeometry:
         with pytest.raises(ValueError):
             dl.ScreenGeometry(WAVELENGTH, DISTANCE, -0.1, 0.1, envelope="gaussian")
 
+    @pytest.mark.parametrize("kw", [{}, {"envelope": "uniform"}])
+    def test_uniform_envelope_refuses_sigma(self, kw):
+        # a sigma was once accepted and ignored under the uniform envelope
+        with pytest.raises(ValueError, match="sigma applies to the gaussian envelope only, got sigma=0.2"):
+            dl.ScreenGeometry(WAVELENGTH, DISTANCE, -0.1, 0.1, sigma=0.2, **kw)
+
     def test_unknown_envelope(self):
         with pytest.raises(ValueError):
             dl.ScreenGeometry(WAVELENGTH, DISTANCE, -0.1, 0.1, envelope="lorentzian")

@@ -19,7 +19,7 @@ from duality_lab.coherence import (
     _set_diagonal,
 )
 from duality_lab.engine import mutual_intensity
-from duality_lab.measures import ZeroTotalIntensity, _columns, _PairSums, _reports
+from duality_lab.measures import ZeroTotalIntensity, _columns, _PairSums
 
 from exact_reference import EPS, bounds, deviations, exact
 from optics import coherence_with
@@ -550,14 +550,13 @@ class TestStackBits:
     def test_reports_of_a_stack_are_one_by_one(self, n):
         raws, intensities = stack_instances(n)
         g = _hermitian_part(raws)
-        stacked = [repr(r) for r in _reports(intensities, g)]
-        assert stacked == [repr(_reports(i, m)[0]) for i, m in zip(intensities, g)]
-        assert stacked == [repr(dl.duality_report(i, dl.validate(raw))) for i, raw in zip(intensities, raws)]
-        # more than one leading axis reads in C order
-        nested = _reports(intensities.reshape(2, 4, n), g.reshape(2, 4, n, n))
-        assert [repr(r) for r in nested] == stacked
-        # the column core holds each instance's report fields, bit for bit
         columns = _columns(intensities, g)
+        stacked = [repr(row) for row in zip(*columns)]
+        assert stacked == [repr(row) for i, m in zip(intensities, g) for row in zip(*_columns(i, m))]
+        # more than one leading axis reads in C order
+        nested = _columns(intensities.reshape(2, 4, n), g.reshape(2, 4, n, n))
+        assert [repr(row) for row in zip(*nested)] == stacked
+        # the column core holds each instance's report fields, bit for bit
         one_by_one = [dl.duality_report(i, dl.validate(raw)) for i, raw in zip(intensities, raws)]
         for field, column in zip(columns._fields, columns):
             assert [v.hex() for v in column] == [getattr(r, field).hex() for r in one_by_one], field

@@ -168,11 +168,17 @@ class TestRealizeFields:
         with pytest.raises(ValueError, match=f"realizations must be an integer, got {realizations!r}"):
             ensemble_spec(slits, coh, realizations, seed=1)
 
-    def test_mc_pattern_refuses_a_float_count(self):
-        # once a bare TypeError from the coefficient stream
+    @pytest.mark.parametrize("realizations", [2000.5, "200", 200.0, True])
+    def test_mc_pattern_refuses_a_count_that_is_not_an_integer(self, realizations):
+        # 2000.5 once ended in a bare TypeError from the coefficient stream,
+        # "200" in one from the comparison with MIN_REALIZATIONS, and True
+        # was refused as a count below the minimum
         slits, coh, geom = standard_setup(samples=64)
-        with pytest.raises(ValueError, match="realizations must be an integer, got 2000.5"):
-            mc_pattern(slits, coh, geom, 2000.5, 1)
+        with pytest.raises(ValueError, match=re.escape(f"realizations must be an integer, got {realizations!r}")):
+            mc_pattern(slits, coh, geom, realizations, 1)
+        # the count is checked before anything else is read
+        with pytest.raises(ValueError, match="realizations must be an integer"):
+            mc_pattern(None, None, None, realizations, 7)
 
     def test_numpy_integer_realizations(self):
         slits, coh, _ = standard_setup()
